@@ -185,20 +185,21 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     theorem = args.theorem
     jobs = max(1, args.jobs)
+    max_n = args.max_n
+    if max_n is None:
+        max_n = 12 if theorem == "tree" else 8
     if theorem == "census7":
         report = check_order7_census(jobs=jobs)
     elif theorem == "tree":
-        report = check_tree_theorem(max_n=args.max_n or 12, jobs=jobs)
+        report = check_tree_theorem(max_n=max_n, jobs=jobs)
     elif theorem == "graph":
         report = check_graph_theorem(corpus=args.corpus, jobs=jobs)
     elif theorem == "clawfree":
-        report = check_clawfree_theorem(
-            max_n=args.max_n or 8, corpus=args.corpus, jobs=jobs
-        )
+        report = check_clawfree_theorem(max_n=max_n, corpus=args.corpus, jobs=jobs)
     elif theorem == "mindeg2":
-        report = check_mindeg2_observation(max_n=args.max_n or 8, jobs=jobs)
+        report = check_mindeg2_observation(max_n=max_n, jobs=jobs)
     else:
-        report = check_dtd_le_gt(max_n=args.max_n or 8, jobs=jobs)
+        report = check_dtd_le_gt(max_n=max_n, jobs=jobs)
     sys.stdout.write(emit_report(report, args.report))
     if args.report == "json":
         sys.stdout.write("\n")

@@ -23,6 +23,11 @@ from .families import exceptional_member, generate, FamilyId
 from .graph import (
     Graph,
     GraphInputError,
+    _from_mask,
+    _reach,
+    _to_mask,
+    bits_to_vertices,
+    distance2_bits,
     induced_subgraph,
     is_claw_free,
     is_connected,
@@ -73,23 +78,29 @@ class Decomposition:
 # -- fragment classification -----------------------------------------------------
 
 
+def _nbrs_in(g: Graph, v: int, vertices) -> FrozenSet[int]:
+    """N(v) restricted to ``vertices``."""
+    return bits_to_vertices(g.bits[v] & _to_mask(vertices))
+
+
 def _path_order(g: Graph, vertices) -> Optional[List[int]]:
     """Vertices in path order, or None when the induced graph is not a path."""
-    vs = set(vertices)
-    degs = {v: len(g.adj[v] & vs) for v in vs}
-    if len(vs) == 1:
-        return list(vs)
-    ends = sorted(v for v in vs if degs[v] == 1)
+    vs = _to_mask(vertices)
+    members = _from_mask(vs)
+    degs = {v: (g.bits[v] & vs).bit_count() for v in members}
+    if len(members) == 1:
+        return members
+    ends = [v for v in members if degs[v] == 1]
     if len(ends) != 2 or any(d > 2 for d in degs.values()):
         return None
     order = [ends[0]]
-    prev = None
+    prev = 0
     cur = ends[0]
-    while len(order) < len(vs):
-        nxt = [u for u in g.adj[cur] & vs if u != prev]
-        if len(nxt) != 1:
+    while len(order) < len(members):
+        nxt = g.bits[cur] & vs & ~prev
+        if nxt.bit_count() != 1:
             return None
-        prev, cur = cur, nxt[0]
+        prev, cur = 1 << cur, nxt.bit_length() - 1
         order.append(cur)
     return order
 
@@ -100,7 +111,8 @@ def _fragment_kind(g: Graph, vertices) -> FragmentKind:
         return FragmentKind.P1
     if k == 2:
         return FragmentKind.P2
-    edges = sum(len(g.adj[v] & vertices) for v in vertices) // 2
+    vs = _to_mask(vertices)
+    edges = sum((g.bits[v] & vs).bit_count() for v in vertices) // 2
     if k == 3:
         return FragmentKind.C3 if edges == 3 else FragmentKind.P3
     if k in (5, 6) and edges == k - 1 and _path_order(g, vertices):
@@ -119,13 +131,13 @@ def _g3_coordinates(g: Graph, vertices) -> dict:
     the other triangle vertices (lowest id first); ``*2``/``*3`` follow the
     arms outward.
     """
-    vs = set(vertices)
+    vs = _to_mask(vertices)
     tri = None
-    for a in sorted(vs):
-        for b in sorted(g.adj[a] & vs):
+    for a in _from_mask(vs):
+        for b in _from_mask(g.bits[a] & vs):
             if b <= a:
                 continue
-            for c in sorted(g.adj[a] & g.adj[b] & vs):
+            for c in _from_mask(g.bits[a] & g.bits[b] & vs):
                 if c > b:
                     tri = (a, b, c)
                     break
@@ -135,15 +147,16 @@ def _g3_coordinates(g: Graph, vertices) -> dict:
             break
     if tri is None:
         raise ProofPathError("G3 fragment without triangle")
+    off_tri = vs & ~_to_mask(tri)
     arms = {}
     for t in tri:
-        first = [u for u in g.adj[t] & vs if u not in tri]
+        first = _from_mask(g.bits[t] & off_tri)
         if len(first) != 1:
             raise ProofPathError("G3 arm mismatch")
         arm = [first[0]]
         prev, cur = t, first[0]
         while True:
-            nxt = [u for u in g.adj[cur] & vs if u != prev and u not in tri]
+            nxt = _from_mask(g.bits[cur] & off_tri & ~(1 << prev))
             if not nxt:
                 break
             prev, cur = cur, nxt[0]
@@ -161,14 +174,20 @@ def _g3_coordinates(g: Graph, vertices) -> dict:
     return coords
 
 
+def _p3_center(g: Graph, vertices) -> int:
+    """The middle vertex of a P3-shaped fragment."""
+    vs = _to_mask(vertices)
+    return next(v for v in vertices if (g.bits[v] & vs).bit_count() == 2)
+
+
 def _attachment_profile(g: Graph, kind: FragmentKind, vertices, chosen: int) -> str:
-    adj = g.adj[chosen] & vertices
+    adj = _nbrs_in(g, chosen, vertices)
     if kind is FragmentKind.P1:
         return "isolated"
     if kind is FragmentKind.P2:
         return "both-adjacent" if len(adj) == 2 else "one-adjacent"
     if kind is FragmentKind.P3:
-        center = next(v for v in vertices if len(g.adj[v] & vertices) == 2)
+        center = _p3_center(g, vertices)
         if center in adj:
             return "center-adjacent"
         return "leaf-adjacent" if len(adj) == 1 else "unclassified"
@@ -206,24 +225,17 @@ def _attachment_profile(g: Graph, kind: FragmentKind, vertices, chosen: int) -> 
 
 
 def _build_decomposition(g: Graph, y: int, x: int, excluded, deep: bool, z) -> Decomposition:
-    X = frozenset(g.adj[x] | {x}) - {y}
-    drop = set(X) | set(excluded)
-    seen = set()
+    xmask = (g.bits[x] | 1 << x) & ~(1 << y)
+    X = bits_to_vertices(xmask)
+    todo = ((1 << g.n) - 1) & ~xmask & ~_to_mask(excluded)
+    comps = []
     fragments = []
-    for s in range(g.n):
-        if s in drop or s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for t in g.adj[u]:
-                if t not in drop and t not in comp:
-                    comp.add(t)
-                    stack.append(t)
-        seen |= comp
-        vertices = frozenset(comp)
-        touching = sorted(w for w in X if g.adj[w] & vertices)
+    while todo:
+        comp = _reach(g, todo & -todo, todo)
+        todo &= ~comp
+        comps.append(comp)
+        vertices = bits_to_vertices(comp)
+        touching = [w for w in _from_mask(xmask) if g.bits[w] & comp]
         if not touching:
             raise ProofPathError("fragment not attached to the clique")
         kind = _fragment_kind(g, vertices)
@@ -235,13 +247,11 @@ def _build_decomposition(g: Graph, y: int, x: int, excluded, deep: bool, z) -> D
 
     # every clique vertex may touch at most one fragment (claw-freeness)
     for w in X:
-        touched = [f for f in fragments if g.adj[w] & f.vertices]
-        if len(touched) > 1:
+        if sum(1 for comp in comps if g.bits[w] & comp) > 1:
             raise GraphInputError(f"clique vertex {w} touches several fragments")
     for a in X:
-        for b in X:
-            if a < b and not g.has_edge(a, b):
-                raise GraphInputError("X is not a clique; input has a claw")
+        if xmask & ~g.bits[a] & ~(1 << a):
+            raise GraphInputError("X is not a clique; input has a claw")
 
     chosen_for_exceptional = {
         f.chosen for f in fragments if f.kind in _EXCEPTIONAL_KINDS
@@ -265,7 +275,7 @@ def decompose(g: Graph, y: int) -> Decomposition:
         raise GraphInputError("decomposition needs a claw-free graph")
     if g.degree(y) != 1:
         raise GraphInputError(f"vertex {y} is not a leaf")
-    x = next(iter(g.adj[y]))
+    (x,) = _from_mask(g.bits[y])
     # the leaf itself survives as a one-vertex fragment of G - X
     return _build_decomposition(g, y, x, excluded=(), deep=False, z=None)
 
@@ -279,10 +289,10 @@ def decompose_beyond_support(g: Graph, z: int) -> Decomposition:
         raise GraphInputError("decomposition needs a claw-free graph")
     if g.degree(z) != 1:
         raise GraphInputError(f"vertex {z} is not a leaf")
-    y = next(iter(g.adj[z]))
+    (y,) = _from_mask(g.bits[z])
     if g.degree(y) != 2:
         raise GraphInputError(f"support {y} does not have degree 2")
-    x = next(iter(g.adj[y] - {z}))
+    (x,) = _from_mask(g.bits[y] & ~(1 << z))
     return _build_decomposition(g, y, x, excluded={y, z}, deep=True, z=z)
 
 
@@ -304,7 +314,7 @@ def _oriented_path(g: Graph, frag: FragmentRecord) -> List[int]:
     """The fragment path ordered so the paper's case labels line up: the
     attachment end (leaf, else support, else lowest) comes first."""
     order = _path_order(g, frag.vertices)
-    adj = g.adj[frag.chosen] & frag.vertices
+    adj = _nbrs_in(g, frag.chosen, frag.vertices)
     if order[-1] in adj and order[0] not in adj:
         order.reverse()
     elif order[0] not in adj and order[-1] not in adj:
@@ -315,7 +325,7 @@ def _oriented_path(g: Graph, frag: FragmentRecord) -> List[int]:
 
 def _select_for_fragment(g: Graph, frag: FragmentRecord, solve: Solver) -> FrozenSet[int]:
     kind, chosen = frag.kind, frag.chosen
-    adj = g.adj[chosen] & frag.vertices
+    adj = _nbrs_in(g, chosen, frag.vertices)
     if kind is FragmentKind.OTHER:
         return solve(frag.vertices)
     if kind is FragmentKind.P2:
@@ -323,7 +333,7 @@ def _select_for_fragment(g: Graph, frag: FragmentRecord, solve: Solver) -> Froze
             return frozenset({chosen})
         return frozenset({min(adj)})
     if kind is FragmentKind.P3:
-        center = next(v for v in frag.vertices if len(g.adj[v] & frag.vertices) == 2)
+        center = _p3_center(g, frag.vertices)
         if frag.attachment_profile == "center-adjacent":
             return frozenset({chosen, min(adj)})
         if frag.attachment_profile != "leaf-adjacent":
@@ -464,11 +474,11 @@ def _phase_one(g: Graph, leaf: int, solve: Solver, inner) -> Optional[FrozenSet[
     if k3 == 1:
         frag = _first_fragment(dec, FragmentKind.P3)
         z1 = frag.chosen
-        attach = g.adj[z1] & frag.vertices
+        attach = _nbrs_in(g, z1, frag.vertices)
         if len(attach) != 1:
             raise ProofPathError("P3 chain attachment is not a single leaf")
         z2 = next(iter(attach))
-        z3 = next(v for v in frag.vertices if len(g.adj[v] & frag.vertices) == 2)
+        z3 = _p3_center(g, frag.vertices)
         z4 = next(iter(frag.vertices - {z2, z3}))
         keep = [v for v in range(g.n) if v not in {z1, z2, z3, z4}]
         core, mapping = induced_subgraph(g, keep)
@@ -533,13 +543,14 @@ def _proof_path(g: Graph, depth: int = 0) -> FrozenSet[int]:
     lvs = sorted(leaves(g))
     if not lvs:
         raise ProofPathError("no leaf to root the decomposition")
+    leaf_mask = _to_mask(lvs)
     result = _phase_one(g, lvs[0], solve, inner)
     if result is not None:
         return result
     # the endpoint forces the chosen support to have degree 2; a support of
     # higher degree, if any, reroutes the first round to a terminating case
     for v in range(g.n):
-        nb_leaves = sorted(u for u in g.adj[v] if g.degree(u) == 1)
+        nb_leaves = _from_mask(g.bits[v] & leaf_mask)
         if nb_leaves and g.degree(v) >= 3 and nb_leaves[0] != lvs[0]:
             rerooted = _phase_one(g, nb_leaves[0], solve, inner)
             if rerooted is not None:
@@ -596,10 +607,8 @@ def construct_dtd_clawfree(g: Graph) -> Tuple[FrozenSet[int], str]:
 
 def greedy_dtd(g: Graph) -> FrozenSet[int]:
     """Valid DTD-set by maximum-new-coverage selection; no size guarantee."""
-    from .graph import distance2_bits
-
     for v in range(g.n):
-        if not g.adj[v]:
+        if not g.bits[v]:
             raise DomainError(f"vertex {v} is isolated")
     if g.n == 0:
         return frozenset()
@@ -625,15 +634,9 @@ def greedy_dtd(g: Graph) -> FrozenSet[int]:
         if best_gain <= 0:
             # fall back to any neighbor of an uncovered vertex
             u = (unc & -unc).bit_length() - 1
-            best_v = min(g.adj[u])
+            best_v = _from_mask(g.bits[u])[0]
         smask |= 1 << best_v
         adjcov |= g.bits[best_v]
         d2two |= d2[best_v] & d2one
         d2one |= d2[best_v]
-    out = []
-    m = smask
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return frozenset(out)
+    return bits_to_vertices(smask)

@@ -15,9 +15,10 @@ from enum import Enum
 from typing import FrozenSet, Iterable, Optional
 
 from .graph import (
-    DistanceTable,
     Graph,
     GraphInputError,
+    _from_mask,
+    _to_mask,
     bits_to_vertices,
     distance2_bits,
     leaves,
@@ -42,13 +43,6 @@ class SolveResult:
     explored: int
 
 
-def _to_mask(s: Iterable[int]) -> int:
-    m = 0
-    for v in s:
-        m |= 1 << v
-    return m
-
-
 # -- predicates ---------------------------------------------------------------
 
 
@@ -67,15 +61,10 @@ def is_total_dominating_set(g: Graph, s: Iterable[int]) -> bool:
     return all(g.bits[v] & smask for v in range(g.n))
 
 
-def dtd_uncovered(g: Graph, s: Iterable[int], dist: Optional[DistanceTable] = None) -> FrozenSet[int]:
+def dtd_uncovered(g: Graph, s: Iterable[int]) -> FrozenSet[int]:
     """Vertices violating the disjunctive total domination condition."""
     smask = _to_mask(s)
-    if dist is None:
-        d2 = distance2_bits(g)
-    else:
-        d2 = tuple(
-            _to_mask(u for u in range(g.n) if dist.dist[v][u] == 2) for v in range(g.n)
-        )
+    d2 = distance2_bits(g)
     bad = []
     for v in range(g.n):
         if g.bits[v] & smask:
@@ -86,9 +75,9 @@ def dtd_uncovered(g: Graph, s: Iterable[int], dist: Optional[DistanceTable] = No
     return frozenset(bad)
 
 
-def is_dtd_set(g: Graph, s: Iterable[int], dist: Optional[DistanceTable] = None) -> bool:
+def is_dtd_set(g: Graph, s: Iterable[int]) -> bool:
     """Every vertex has a neighbor in ``s`` or two ``s``-members at distance 2."""
-    return not dtd_uncovered(g, s, dist)
+    return not dtd_uncovered(g, s)
 
 
 # -- exact solver --------------------------------------------------------------
@@ -335,9 +324,10 @@ def support_exchange(
     if not is_dtd_set(g, s):
         raise GraphInputError("s is not a disjunctive total dominating set")
     lv = leaves(g)
-    if v in lv or not any(u in lv for u in g.adj[v]):
+    nbrs = _from_mask(g.bits[v])
+    if v in lv or not any(u in lv for u in nbrs):
         raise GraphInputError(f"vertex {v} is not a support vertex")
-    non_leaf = sorted(u for u in g.adj[v] if u not in lv)
+    non_leaf = [u for u in nbrs if u not in lv]
     if len(non_leaf) != 1:
         raise GraphInputError(
             f"vertex {v} has {len(non_leaf)} non-leaf neighbors, need exactly 1"
@@ -346,7 +336,7 @@ def support_exchange(
 
     out = s
     if v not in out:
-        swappable = sorted(u for u in g.adj[v] if u in lv and u in out)
+        swappable = [u for u in nbrs if u in lv and u in out]
         if not swappable:
             raise GraphInputError("no leaf neighbor of v available to swap")
         out = (out - {swappable[0]}) | {v}
@@ -357,7 +347,7 @@ def support_exchange(
         if g.degree(w) != 2:
             raise GraphInputError(f"neighbor {w} has degree {g.degree(w)}, need 2")
         if w not in out:
-            swappable = sorted(u for u in g.adj[v] if u in lv and u in out)
+            swappable = [u for u in nbrs if u in lv and u in out]
             if not swappable:
                 raise GraphInputError("no leaf neighbor of v available to swap")
             out = (out - {swappable[0]}) | {w}

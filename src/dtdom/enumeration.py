@@ -593,7 +593,7 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[Graph]:
     is filtered to the requested class and deduplicated.
     """
     if spec.source is not None:
-        yield from _from_corpus(spec)
+        yield from _from_corpus(spec.source, spec.klass, spec.n)
         return
     if spec.klass is GraphClass.ALL_CONNECTED:
         yield from connected_graphs(spec.n)
@@ -605,16 +605,18 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[Graph]:
         raise GraphInputError(f"unknown class {spec.klass}")
 
 
-def _from_corpus(spec: EnumSpec) -> Iterator[Graph]:
+def _from_corpus(path: str, klass: GraphClass, n: Optional[int] = None) -> Iterator[Graph]:
+    """Graphs of a graph6 file in ``klass`` (of order ``n`` when given), in
+    file order, keeping the first of each isomorphism class."""
     from .graph import is_claw_free, is_connected, is_tree
 
     seen = set()
-    for g in iter_graph6_file(spec.source):
-        if g.n != spec.n or not is_connected(g):
+    for g in iter_graph6_file(path):
+        if (n is not None and g.n != n) or not is_connected(g):
             continue
-        if spec.klass is GraphClass.CONNECTED_CLAW_FREE and not is_claw_free(g):
+        if klass is GraphClass.CONNECTED_CLAW_FREE and not is_claw_free(g):
             continue
-        if spec.klass is GraphClass.TREES and not is_tree(g):
+        if klass is GraphClass.TREES and not is_tree(g):
             continue
         cert = certificate(g.n, g.bits)
         if cert in seen:

@@ -1,15 +1,17 @@
 """Immutable simple-graph core: neighborhoods, distances, structural predicates.
 
-Vertices are dense integers ``0..n-1``.  Adjacency is exposed both as
-frozensets (``g.adj``) and as per-vertex bitmasks (``g.bits``); the bitmask
-view is what the solvers and enumerators loop over.
+Vertices are dense integers ``0..n-1``.  A graph is its order ``n`` and
+one adjacency bitmask per vertex (``g.bits[v]`` has bit ``u`` set exactly
+when ``uv`` is an edge); every predicate here, the solvers and the
+enumerators all work on those rows.  Vertex sets cross the public API as
+frozensets, decoded with :func:`bits_to_vertices`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 INFINITY = float("inf")
 
@@ -28,22 +30,21 @@ class Graph:
     them as pure values.
     """
 
-    __slots__ = ("n", "adj", "bits")
+    __slots__ = ("n", "bits")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
         if n < 0:
             raise GraphInputError("vertex count must be >= 0")
-        nbrs = [set() for _ in range(n)]
+        rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise GraphInputError(f"edge endpoint out of range: ({u}, {v})")
             if u == v:
                 raise GraphInputError(f"loop edge at vertex {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         self.n = n
-        self.adj = tuple(frozenset(s) for s in nbrs)
-        self.bits = tuple(_mask(s) for s in nbrs)
+        self.bits = tuple(rows)
 
     @classmethod
     def from_bits(cls, n: int, bits: Iterable[int]) -> "Graph":
@@ -51,34 +52,34 @@ class Graph:
         g = object.__new__(cls)
         g.n = n
         g.bits = tuple(bits)
-        g.adj = tuple(frozenset(_bits_to_set(b)) for b in g.bits)
         return g
 
     # -- basic accessors ---------------------------------------------------
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.bits[v].bit_count()
 
     def degrees(self) -> Tuple[int, ...]:
-        return tuple(len(s) for s in self.adj)
+        return tuple(row.bit_count() for row in self.bits)
 
     def min_degree(self) -> int:
         if self.n == 0:
             return 0
-        return min(len(s) for s in self.adj)
+        return min(row.bit_count() for row in self.bits)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return bool(self.bits[u] >> v & 1)
 
     def edges(self) -> Iterator[Tuple[int, int]]:
-        for u in range(self.n):
-            for v in self.adj[u]:
+        """Each edge once as ``(u, v)`` with ``u < v``, in lexicographic order."""
+        for u, row in enumerate(self.bits):
+            for v in _from_mask(row):
                 if u < v:
                     yield (u, v)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        return sum(row.bit_count() for row in self.bits) // 2
 
     def with_edge(self, u: int, v: int) -> "Graph":
         """New graph with one extra edge (used by the spanning-subgraph tests)."""
@@ -100,14 +101,16 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _mask(vertices: Iterable[int]) -> int:
+def _to_mask(vertices: Iterable[int]) -> int:
+    """Encode vertices as a bitmask."""
     m = 0
     for v in vertices:
         m |= 1 << v
     return m
 
 
-def _bits_to_set(mask: int):
+def _from_mask(mask: int) -> List[int]:
+    """Decode a bitmask into its vertices, ascending."""
     out = []
     while mask:
         low = mask & -mask
@@ -118,7 +121,26 @@ def _bits_to_set(mask: int):
 
 def bits_to_vertices(mask: int) -> VertexSet:
     """Decode a bitmask into a vertex set."""
-    return frozenset(_bits_to_set(mask))
+    return frozenset(_from_mask(mask))
+
+
+def _nbhd(g: Graph, mask: int) -> int:
+    """Union of the neighborhoods of the vertices in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= g.bits[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _reach(g: Graph, seed: int, within: int) -> int:
+    """Mask of the vertices joined to the ``seed`` mask by paths inside ``within``."""
+    comp = frontier = seed
+    while frontier:
+        frontier = _nbhd(g, frontier) & within & ~comp
+        comp |= frontier
+    return comp
 
 
 def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
@@ -149,7 +171,7 @@ def bfs_distances(g: Graph) -> DistanceTable:
         while queue:
             u = queue.popleft()
             du = row[u]
-            for w in g.adj[u]:
+            for w in _from_mask(g.bits[u]):
                 if row[w] is INFINITY:
                     row[w] = du + 1
                     queue.append(w)
@@ -159,13 +181,7 @@ def bfs_distances(g: Graph) -> DistanceTable:
 
 def distance2_bits(g: Graph) -> Tuple[int, ...]:
     """Per-vertex bitmask of vertices at distance exactly 2."""
-    out = []
-    for v in range(g.n):
-        reach = 0
-        for w in g.adj[v]:
-            reach |= g.bits[w]
-        out.append(reach & ~g.bits[v] & ~(1 << v))
-    return tuple(out)
+    return tuple(_nbhd(g, row) & ~row & ~(1 << v) for v, row in enumerate(g.bits))
 
 
 # -- connectivity ----------------------------------------------------------
@@ -173,22 +189,12 @@ def distance2_bits(g: Graph) -> Tuple[int, ...]:
 
 def connected_components(g: Graph):
     """Vertex sets of the components, each sorted by smallest member."""
-    seen = [False] * g.n
     comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(frozenset(comp))
+    todo = (1 << g.n) - 1
+    while todo:
+        comp = _reach(g, todo & -todo, todo)
+        comps.append(bits_to_vertices(comp))
+        todo &= ~comp
     return comps
 
 
@@ -196,7 +202,8 @@ def is_connected(g: Graph) -> bool:
     """One component; the empty graph and K_1 count as connected."""
     if g.n <= 1:
         return True
-    return len(connected_components(g)) == 1
+    full = (1 << g.n) - 1
+    return _reach(g, 1, full) == full
 
 
 def is_tree(g: Graph) -> bool:
@@ -215,7 +222,7 @@ def cutvertices(g: Graph) -> VertexSet:
         if disc[root] != -1:
             continue
         root_children = 0
-        stack = [(root, iter(g.adj[root]))]
+        stack = [(root, iter(_from_mask(g.bits[root])))]
         disc[root] = low[root] = timer
         timer += 1
         while stack:
@@ -235,7 +242,7 @@ def cutvertices(g: Graph) -> VertexSet:
                     root_children += 1
                 disc[child] = low[child] = timer
                 timer += 1
-                stack.append((child, iter(g.adj[child])))
+                stack.append((child, iter(_from_mask(g.bits[child]))))
             elif child != parent[u]:
                 low[u] = min(low[u], disc[child])
         if root_children >= 2:
@@ -252,22 +259,19 @@ def find_claw(g: Graph) -> Optional[Tuple[int, int, int, int]]:
     Scans each neighborhood for an independent triple; fine at the target
     sizes (a few hundred vertices at most).
     """
-    for center in range(g.n):
-        nb = sorted(g.adj[center])
-        if len(nb) < 3:
+    bits = g.bits
+    for center, row in enumerate(bits):
+        if row.bit_count() < 3:
             continue
-        k = len(nb)
-        for i in range(k - 2):
-            a = nb[i]
-            for j in range(i + 1, k - 1):
-                b = nb[j]
-                if b in g.adj[a]:
-                    continue
-                both = ~(g.bits[a] | g.bits[b])
-                for t in range(j + 1, k):
-                    c = nb[t]
-                    if (both >> c) & 1:
-                        return (center, a, b, c)
+        for a in _from_mask(row):
+            # neighbors of center after a and not adjacent to a
+            later = row & ~((2 << a) - 1) & ~bits[a]
+            if not later & (later - 1):
+                continue  # fewer than two: no claw with a as its first leaf
+            for b in _from_mask(later):
+                third = later & ~bits[b] & ~((2 << b) - 1)
+                if third:
+                    return (center, a, b, (third & -third).bit_length() - 1)
     return None
 
 
@@ -277,13 +281,13 @@ def is_claw_free(g: Graph) -> bool:
 
 def leaves(g: Graph) -> VertexSet:
     """Vertices of degree 1."""
-    return frozenset(v for v in range(g.n) if len(g.adj[v]) == 1)
+    return frozenset(v for v, row in enumerate(g.bits) if row.bit_count() == 1)
 
 
 def support_vertices(g: Graph) -> VertexSet:
     """Vertices adjacent to at least one leaf."""
-    lv = leaves(g)
-    return frozenset(next(iter(g.adj[u])) for u in lv)
+    # a leaf's row has a single bit: its neighbor's
+    return frozenset(g.bits[u].bit_length() - 1 for u in leaves(g))
 
 
 # -- subgraphs ---------------------------------------------------------------

@@ -18,32 +18,21 @@ from multiprocessing import Pool
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .domination import DominationKind, exact_number
-from .enumeration import connected_clawfree_graphs, connected_graphs, free_trees
+from .enumeration import (
+    GraphClass,
+    _from_corpus,
+    connected_clawfree_graphs,
+    connected_graphs,
+    free_trees,
+)
 from .families import FamilyClass, FamilyId, exceptional_member, generate, in_class
-from .graph import Graph, GraphInputError, is_claw_free, is_connected
-from .graphio import iter_graph6_file, to_graph6
-from .canon import certificate, is_isomorphic
+from .graph import Graph, GraphInputError, is_claw_free
+from .graphio import to_graph6
+from .canon import is_isomorphic
 
 
 DTD = DominationKind.DISJUNCTIVE_TOTAL_DOMINATION
 TDOM = DominationKind.TOTAL_DOMINATION
-
-
-def _corpus_stream(path: str, clawfree_only: bool = False) -> List[Graph]:
-    """Connected graphs of a corpus file, deduplicated, any order."""
-    seen = set()
-    out = []
-    for g in iter_graph6_file(path):
-        if not is_connected(g):
-            continue
-        if clawfree_only and not is_claw_free(g):
-            continue
-        cert = certificate(g.n, g.bits)
-        if cert in seen:
-            continue
-        seen.add(cert)
-        out.append(g)
-    return out
 
 
 @dataclass
@@ -101,16 +90,14 @@ def emit_report(report: VerificationReport, fmt: str = "json") -> str:
 # -- parallel helpers -----------------------------------------------------------
 
 
-def _dtd_value_of_rows(payload):
-    n, rows = payload
-    g = Graph.from_bits(n, rows)
-    return rows, exact_number(g, DTD).value
+def _solver_values(g: Graph, with_gt: bool) -> Tuple[int, ...]:
+    dtd = exact_number(g, DTD).value
+    return (dtd, exact_number(g, TDOM).value) if with_gt else (dtd,)
 
 
-def _dtd_and_gt_of_rows(payload):
-    n, rows = payload
-    g = Graph.from_bits(n, rows)
-    return rows, exact_number(g, DTD).value, exact_number(g, TDOM).value
+def _solver_values_of_rows(payload) -> Tuple[int, ...]:
+    n, rows, with_gt = payload
+    return _solver_values(Graph.from_bits(n, rows), with_gt)
 
 
 def map_solver(graphs: Iterable[Graph], jobs: int = 1, with_gt: bool = False):
@@ -119,17 +106,17 @@ def map_solver(graphs: Iterable[Graph], jobs: int = 1, with_gt: bool = False):
     Yields (graph, dtd) or (graph, dtd, gt) tuples; the output order is the
     input order regardless of the worker count.
     """
-    fn = _dtd_and_gt_of_rows if with_gt else _dtd_value_of_rows
     if jobs <= 1:
         for g in graphs:
-            out = fn((g.n, g.bits))
-            yield (g,) + out[1:]
+            yield (g,) + _solver_values(g, with_gt)
         return
     glist = list(graphs)
     with Pool(jobs) as pool:
-        results = pool.map(fn, [(g.n, g.bits) for g in glist], chunksize=64)
+        results = pool.map(
+            _solver_values_of_rows, [(g.n, g.bits, with_gt) for g in glist], chunksize=64
+        )
     for g, out in zip(glist, results):
-        yield (g,) + tuple(out[1:])
+        yield (g,) + out
 
 
 # -- the checkers ----------------------------------------------------------------
@@ -272,7 +259,7 @@ def check_graph_theorem(corpus: Optional[str] = None, jobs: int = 1) -> Verifica
     if report.counts.get("equality_n8"):
         report.violations.append("equality-at-n8")
     if corpus:
-        stream = _corpus_stream(corpus)
+        stream = list(_from_corpus(corpus, GraphClass.ALL_CONNECTED))
         for g in stream:
             if g.n < 8:
                 report.violations.append(f"corpus-order-below-8:{to_graph6(g)}")
@@ -317,7 +304,8 @@ def check_clawfree_theorem(max_n: int = 8, corpus: Optional[str] = None, jobs: i
         for g, dtd in map_solver(connected_clawfree_graphs(n), jobs=jobs):
             handle(g, dtd)
     if corpus:
-        for g, dtd in map_solver(_corpus_stream(corpus, clawfree_only=True), jobs=jobs):
+        stream = _from_corpus(corpus, GraphClass.CONNECTED_CLAW_FREE)
+        for g, dtd in map_solver(stream, jobs=jobs):
             handle(g, dtd)
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
@@ -376,8 +364,8 @@ def check_dtd_le_gt(max_n: int = 8, jobs: int = 1) -> VerificationReport:
 # -- heavy helper for the constructor sweep (picklable for worker pools) ---------
 
 
-def constructor_check_of_parent(payload):
-    """Expand one claw-free parent and run the constructor on every child.
+def constructor_check_of_parent(parent: Tuple[int, ...]):
+    """Expand one claw-free parent's rows and run the constructor on every child.
 
     Returns (children, failures, tag_counts); used by tests and scripts to
     parallelize the exhaustive constructor sweep at the top order.
@@ -386,7 +374,6 @@ def constructor_check_of_parent(payload):
     from .domination import is_dtd_set
     from .enumeration import accepted_children
 
-    parent, = payload if isinstance(payload, tuple) and len(payload) == 1 else (payload,)
     children = 0
     failures = []
     tags: Dict[str, int] = {}

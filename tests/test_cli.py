@@ -101,6 +101,11 @@ def test_verify_subcommand(capsys):
     assert "status: pass" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("theorem", ["tree", "clawfree", "mindeg2", "dtd-le-gt"])
+def test_verify_max_n_zero_is_rejected(theorem, capsys):
+    assert main(["verify", "--theorem", theorem, "--max-n", "0"]) == 2
+
+
 def test_verify_census7_via_cli(capsys):
     rc = main(["verify", "--theorem", "census7", "--report", "json"])
     assert rc == 0

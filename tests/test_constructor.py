@@ -75,11 +75,13 @@ def test_decompose_invariants_exhaustive_small():
                 assert not union & set(f.vertices)
                 union |= set(f.vertices)
                 assert f.chosen in dec.X
-                assert g.adj[f.chosen] & f.vertices
+                assert any(g.has_edge(f.chosen, v) for v in f.vertices)
             assert union == rest
             # each clique vertex touches at most one fragment
             for w in dec.X:
-                touched = [f for f in dec.fragments if g.adj[w] & f.vertices]
+                touched = [
+                    f for f in dec.fragments if any(g.has_edge(w, v) for v in f.vertices)
+                ]
                 assert len(touched) <= 1
             assert {dec.x, dec.y} <= dec.Y
 

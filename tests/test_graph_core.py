@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +23,7 @@ from dtdom import (
     remove_vertices,
     support_vertices,
 )
+from dtdom.graph import bits_to_vertices, distance2_bits
 from conftest import random_graph, to_networkx
 
 
@@ -91,8 +95,67 @@ def test_claw_witness_is_induced(rng):
             assert is_claw_free(g)
         else:
             center, a, b, c = claw
-            assert all(x in g.adj[center] for x in (a, b, c))
-            assert b not in g.adj[a] and c not in g.adj[a] and c not in g.adj[b]
+            assert all(g.has_edge(center, x) for x in (a, b, c))
+            assert not g.has_edge(a, b) and not g.has_edge(a, c) and not g.has_edge(b, c)
+
+
+def _has_induced_claw(g):
+    """Exhaustive: some four vertices induce a star K_{1,3}."""
+    h = to_networkx(g)
+    for quad in combinations(range(g.n), 4):
+        if sorted(d for _, d in h.subgraph(quad).degree()) == [1, 1, 1, 3]:
+            return True
+    return False
+
+
+def test_claw_freeness_matches_exhaustive_search():
+    rng = random.Random(4242)
+    seen = set()
+    for _ in range(150):
+        n = rng.randrange(4, 10)
+        if rng.random() < 0.5:
+            g = random_graph(n, rng.choice((0.2, 0.5, 0.8)), rng)
+        else:
+            # line graphs are claw-free, so both answers get exercised
+            lg = nx.convert_node_labels_to_integers(
+                nx.line_graph(to_networkx(random_graph(n, 0.4, rng)))
+            )
+            g = Graph(lg.number_of_nodes(), lg.edges())
+        want = not _has_induced_claw(g)
+        assert is_claw_free(g) == want
+        assert (find_claw(g) is None) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_components_match_networkx():
+    rng = random.Random(4243)
+    for _ in range(80):
+        g = random_graph(rng.randrange(1, 12), rng.choice((0.1, 0.2, 0.4)), rng)
+        comps = connected_components(g)
+        want = sorted(sorted(c) for c in nx.connected_components(to_networkx(g)))
+        assert sorted(sorted(c) for c in comps) == want
+        assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+        assert is_connected(g) == (len(want) == 1)
+
+
+def test_leaves_and_supports_match_definitions():
+    rng = random.Random(4244)
+    for _ in range(80):
+        g = random_graph(rng.randrange(1, 12), 0.25, rng)
+        h = to_networkx(g)
+        want_leaves = {v for v in h if h.degree(v) == 1}
+        assert leaves(g) == want_leaves
+        assert support_vertices(g) == {u for u in h if any(w in want_leaves for w in h[u])}
+
+
+def test_distance2_bits_match_networkx():
+    rng = random.Random(4245)
+    for _ in range(60):
+        g = random_graph(rng.randrange(1, 12), 0.3, rng)
+        dist = dict(nx.all_pairs_shortest_path_length(to_networkx(g)))
+        for v, row in enumerate(distance2_bits(g)):
+            assert bits_to_vertices(row) == {u for u, d in dist[v].items() if d == 2}
 
 
 def test_leaves_and_supports():

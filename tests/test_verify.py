@@ -116,3 +116,17 @@ def test_emit_report_formats():
 
 def test_emit_report_deterministic(census_report):
     assert emit_report(census_report, "json") == emit_report(census_report, "json")
+
+
+def test_constructor_check_of_parent_covers_each_level():
+    from dtdom.enumeration import level_rows
+    from dtdom.verify import constructor_check_of_parent
+
+    clawfree_counts = {2: 1, 3: 2, 4: 5, 5: 14, 6: 50, 7: 191, 8: 881}
+    for n in range(1, 8):
+        children = 0
+        for parent in level_rows(n, True):
+            got, failures, _ = constructor_check_of_parent(parent)
+            assert not failures, failures
+            children += got
+        assert children == clawfree_counts[n + 1], n
