@@ -8,6 +8,7 @@ exceptional graph handed to the constructor).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -21,9 +22,9 @@ from .domination import (
     is_dtd_set,
     is_total_dominating_set,
 )
-from .enumeration import EnumSpec, GraphClass, enumerate_graphs
+from .enumeration import GraphClass, free_trees, sweep, walk_levels
 from .families import generate_named
-from .graph import Graph, GraphInputError
+from .graph import GraphInputError
 from .graphio import FORMATS, dump_graph, load_graph, to_graph6
 from .verify import (
     check_clawfree_theorem,
@@ -112,14 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--corpus", default=None, help="graph6 file for deeper orders")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, 1..usable cores")
     p.add_argument("--report", choices=["json", "text"], default="text")
 
     p = sub.add_parser("enumerate", help="stream non-isomorphic graphs as graph6")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--class", dest="klass", choices=sorted(_CLASSES), default="all")
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, 1..usable cores")
 
     p = sub.add_parser("convert", help="translate between graph file formats")
     p.add_argument("--in", dest="infile", required=True)
@@ -182,10 +183,19 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _jobs(args) -> int:
+    cores = len(os.sched_getaffinity(0))
+    if not 1 <= args.jobs <= cores:
+        raise GraphInputError(f"--jobs must lie in 1..{cores}, got {args.jobs}")
+    return args.jobs
+
+
 def _cmd_verify(args) -> int:
     theorem = args.theorem
-    jobs = max(1, args.jobs)
+    jobs = _jobs(args)
     max_n = args.max_n
+    if theorem in ("census7", "graph") and max_n is not None:
+        raise GraphInputError(f"--max-n does not apply to --theorem {theorem}")
     if max_n is None:
         max_n = 12 if theorem == "tree" else 8
     if theorem == "census7":
@@ -207,16 +217,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    jobs = _jobs(args)
     klass = _CLASSES[args.klass]
-    if args.jobs > 1 and klass is not GraphClass.TREES:
-        from .enumeration import iter_level_parallel
-
-        stream = iter_level_parallel(
-            args.n, klass is GraphClass.CONNECTED_CLAW_FREE, args.jobs
-        )
-        lines = sorted(to_graph6(Graph.from_bits(args.n, rows)) for rows in stream)
+    if klass is GraphClass.TREES:
+        stream = sweep(free_trees(args.n), to_graph6, jobs)
     else:
-        lines = sorted(to_graph6(g) for g in enumerate_graphs(EnumSpec(args.n, klass)))
+        clawfree = klass is GraphClass.CONNECTED_CLAW_FREE
+        stream = (g6 for _, g6 in walk_levels(args.n, args.n, clawfree, to_graph6, jobs))
+    lines = sorted(stream)
     _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
     return 0
 

@@ -23,8 +23,8 @@ from .families import exceptional_member, generate, FamilyId
 from .graph import (
     Graph,
     GraphInputError,
+    _component_masks,
     _from_mask,
-    _reach,
     _to_mask,
     bits_to_vertices,
     distance2_bits,
@@ -227,13 +227,9 @@ def _attachment_profile(g: Graph, kind: FragmentKind, vertices, chosen: int) -> 
 def _build_decomposition(g: Graph, y: int, x: int, excluded, deep: bool, z) -> Decomposition:
     xmask = (g.bits[x] | 1 << x) & ~(1 << y)
     X = bits_to_vertices(xmask)
-    todo = ((1 << g.n) - 1) & ~xmask & ~_to_mask(excluded)
-    comps = []
+    comps = _component_masks(g.bits, ((1 << g.n) - 1) & ~xmask & ~_to_mask(excluded))
     fragments = []
-    while todo:
-        comp = _reach(g, todo & -todo, todo)
-        todo &= ~comp
-        comps.append(comp)
+    for comp in comps:
         vertices = bits_to_vertices(comp)
         touching = [w for w in _from_mask(xmask) if g.bits[w] & comp]
         if not touching:

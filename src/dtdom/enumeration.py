@@ -14,16 +14,22 @@ merging and a small per-parent bucket of anchored certificates.
 
 Trees come from the classic level-sequence successor algorithm over
 centroid-rooted layouts, linear work per tree.
+
+Because parents are independent units of work, :func:`walk_levels` shards
+each level by parent over :func:`sweep`, the package's one parallel path,
+and runs a per-class check next to each expansion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from multiprocessing import get_context
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .canon import anchored_profile, certificate
-from .graph import Graph, GraphInputError
+from .graph import Graph, GraphInputError, _component_masks
 from .graphio import iter_graph6_file
 
 ALL_CONNECTED_MAX = 8
@@ -201,28 +207,6 @@ def _bfs_signature(rows: Sequence[int], degs: Sequence[int], src: int) -> Tuple:
     return tuple(sig)
 
 
-def _components_without(rows: Sequence[int], n: int, u: int) -> List[int]:
-    """Component masks of the graph minus vertex ``u``."""
-    full = ((1 << n) - 1) & ~(1 << u)
-    comps = []
-    todo = full
-    while todo:
-        seen = todo & -todo
-        frontier = seen
-        while frontier:
-            reach = 0
-            f = frontier
-            while f:
-                low = f & -f
-                f ^= low
-                reach |= rows[low.bit_length() - 1]
-            frontier = reach & todo & ~seen
-            seen |= frontier
-        comps.append(seen)
-        todo &= ~seen
-    return comps
-
-
 def _deletion_check(parent, pdeg, comps, mask, msize):
     """Is the new vertex the canonical deletion point of parent+mask?
 
@@ -379,7 +363,8 @@ def accepted_children(parent: Tuple[int, ...], clawfree: bool) -> List[Tuple[int
             relabeled.append(acc)
         parent = tuple(relabeled)
         pdeg = [r.bit_count() for r in parent]
-    comps = [_components_without(parent, n, u) for u in range(n)]
+    full = (1 << n) - 1
+    comps = [_component_masks(parent, full & ~(1 << u)) for u in range(n)]
     noncut = 0
     for u in range(n):
         if len(comps[u]) <= 1:
@@ -427,6 +412,66 @@ def accepted_children(parent: Tuple[int, ...], clawfree: bool) -> List[Tuple[int
     return out
 
 
+# -- the sweep engine -------------------------------------------------------------
+
+SWEEP_CHUNKSIZE = 16  # work items per task sent to a worker
+
+
+def sweep(items: Iterable, work: Callable, jobs: int = 1) -> Iterator:
+    """Yield ``work(item)`` for every item, in input order.
+
+    With ``jobs <= 1`` everything runs in this process.  Otherwise one fork
+    pool of ``jobs`` workers maps over the items, so ``work`` must pickle
+    (a module-level function, or a ``partial`` of one), and so must the
+    items and results.  This is the package's only pool.
+    """
+    if jobs <= 1:
+        for item in items:
+            yield work(item)
+        return
+    with get_context("fork").Pool(jobs) as pool:
+        yield from pool.imap(work, items, SWEEP_CHUNKSIZE)
+
+
+def _expand(parent: Tuple[int, ...], clawfree: bool, check: Optional[Callable]):
+    """One parent's children, each paired with ``check`` of its graph
+    (with None when there is no check)."""
+    children = accepted_children(parent, clawfree)
+    if check is None:
+        return [(rows, None) for rows in children]
+    n = len(parent) + 1
+    return [(rows, check(Graph.from_bits(n, rows))) for rows in children]
+
+
+def walk_levels(
+    lo: int, hi: int, clawfree: bool, check: Callable[[Graph], object], jobs: int = 1
+) -> Iterator[Tuple[Tuple[int, ...], object]]:
+    """Yield ``(rows, check(graph))`` for every class of order ``lo..hi``.
+
+    One :func:`sweep` per level: each work item expands one order-(n-1)
+    parent with :func:`accepted_children` and runs ``check`` on its children
+    next to that expansion, since canonical augmentation makes parents
+    independent.  Only the current level's rows stay in this process, as
+    the next level's parents, and classes come out in :func:`level_rows`
+    order whatever ``jobs`` is.  Levels below ``lo`` are expanded unchecked.
+    """
+    limit = CLAW_FREE_MAX if clawfree else ALL_CONNECTED_MAX
+    if not 1 <= lo <= hi <= limit:
+        raise GraphInputError(f"builtin enumeration supports 1 <= n <= {limit}")
+    level = [(0,)]
+    if lo == 1:
+        yield level[0], check(Graph.from_bits(1, level[0]))
+    for n in range(2, hi + 1):
+        work = partial(_expand, clawfree=clawfree, check=check if n >= lo else None)
+        parents, level = level, []
+        for children in sweep(parents, work, jobs):
+            for rows, value in children:
+                if n < hi:
+                    level.append(rows)
+                if n >= lo:
+                    yield rows, value
+
+
 _LEVEL_CACHE: Dict[Tuple[int, bool], List[Tuple[int, ...]]] = {}
 _LEVEL_CACHE_MAX = {False: ALL_CONNECTED_MAX, True: 11}
 
@@ -451,48 +496,20 @@ def level_rows(n: int, clawfree: bool) -> List[Tuple[int, ...]]:
     return rows
 
 
-def iter_level(n: int, clawfree: bool) -> Iterator[Tuple[int, ...]]:
-    """Stream classes at order n without materializing the top level."""
-    limit = CLAW_FREE_MAX if clawfree else ALL_CONNECTED_MAX
-    if not 1 <= n <= limit:
-        raise GraphInputError(f"builtin enumeration supports 1 <= n <= {limit}")
-    if n <= _LEVEL_CACHE_MAX[clawfree]:
-        yield from level_rows(n, clawfree)
-        return
-    for parent in level_rows(n - 1, clawfree):
-        yield from accepted_children(parent, clawfree)
-
-
-def iter_level_parallel(n: int, clawfree: bool, jobs: int) -> Iterator[Tuple[int, ...]]:
-    """Like :func:`iter_level` with the last augmentation step fanned out
-    over a worker pool; the stream order then depends on scheduling, so
-    callers needing determinism must canonicalize downstream."""
-    limit = CLAW_FREE_MAX if clawfree else ALL_CONNECTED_MAX
-    if not 1 <= n <= limit:
-        raise GraphInputError(f"builtin enumeration supports 1 <= n <= {limit}")
-    if jobs <= 1 or n == 1:
-        yield from iter_level(n, clawfree)
-        return
-    from functools import partial
-    from multiprocessing import get_context
-
-    parents = level_rows(n - 1, clawfree)
-    worker = partial(accepted_children, clawfree=clawfree)
-    with get_context("fork").Pool(jobs) as pool:
-        for batch in pool.imap_unordered(worker, parents, chunksize=64):
-            yield from batch
+def _as_is(g: Graph) -> Graph:
+    return g
 
 
 def connected_graphs(n: int) -> Iterator[Graph]:
     """All connected graphs of order n up to isomorphism (n <= 8 builtin)."""
-    for rows in iter_level(n, clawfree=False):
-        yield Graph.from_bits(n, rows)
+    for _, g in walk_levels(n, n, False, _as_is):
+        yield g
 
 
 def connected_clawfree_graphs(n: int) -> Iterator[Graph]:
     """All connected claw-free graphs of order n up to isomorphism (n <= 12)."""
-    for rows in iter_level(n, clawfree=True):
-        yield Graph.from_bits(n, rows)
+    for _, g in walk_levels(n, n, True, _as_is):
+        yield g
 
 
 # -- free trees ------------------------------------------------------------------

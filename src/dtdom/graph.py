@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 INFINITY = float("inf")
 
@@ -124,23 +124,33 @@ def bits_to_vertices(mask: int) -> VertexSet:
     return frozenset(_from_mask(mask))
 
 
-def _nbhd(g: Graph, mask: int) -> int:
-    """Union of the neighborhoods of the vertices in ``mask``."""
+def _nbhd(rows: Sequence[int], mask: int) -> int:
+    """Union of the neighborhood rows of the vertices in ``mask``."""
     out = 0
     while mask:
         low = mask & -mask
-        out |= g.bits[low.bit_length() - 1]
+        out |= rows[low.bit_length() - 1]
         mask ^= low
     return out
 
 
-def _reach(g: Graph, seed: int, within: int) -> int:
+def _reach(rows: Sequence[int], seed: int, within: int) -> int:
     """Mask of the vertices joined to the ``seed`` mask by paths inside ``within``."""
     comp = frontier = seed
     while frontier:
-        frontier = _nbhd(g, frontier) & within & ~comp
+        frontier = _nbhd(rows, frontier) & within & ~comp
         comp |= frontier
     return comp
+
+
+def _component_masks(rows: Sequence[int], within: int) -> List[int]:
+    """Component masks of the subgraph induced on ``within``, by lowest vertex."""
+    comps = []
+    while within:
+        comp = _reach(rows, within & -within, within)
+        comps.append(comp)
+        within &= ~comp
+    return comps
 
 
 def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
@@ -181,7 +191,7 @@ def bfs_distances(g: Graph) -> DistanceTable:
 
 def distance2_bits(g: Graph) -> Tuple[int, ...]:
     """Per-vertex bitmask of vertices at distance exactly 2."""
-    return tuple(_nbhd(g, row) & ~row & ~(1 << v) for v, row in enumerate(g.bits))
+    return tuple(_nbhd(g.bits, row) & ~row & ~(1 << v) for v, row in enumerate(g.bits))
 
 
 # -- connectivity ----------------------------------------------------------
@@ -189,13 +199,7 @@ def distance2_bits(g: Graph) -> Tuple[int, ...]:
 
 def connected_components(g: Graph):
     """Vertex sets of the components, each sorted by smallest member."""
-    comps = []
-    todo = (1 << g.n) - 1
-    while todo:
-        comp = _reach(g, todo & -todo, todo)
-        comps.append(bits_to_vertices(comp))
-        todo &= ~comp
-    return comps
+    return [bits_to_vertices(c) for c in _component_masks(g.bits, (1 << g.n) - 1)]
 
 
 def is_connected(g: Graph) -> bool:
@@ -203,7 +207,7 @@ def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
     full = (1 << g.n) - 1
-    return _reach(g, 1, full) == full
+    return _reach(g.bits, 1, full) == full
 
 
 def is_tree(g: Graph) -> bool:

@@ -7,6 +7,13 @@ equality case that matches no expected family is itself recorded as a
 violation, because that is precisely what would falsify the
 characterization being checked.  Reports identify graphs by graph6
 strings so results reproduce across machines.
+
+Builtin universes run through :func:`~dtdom.enumeration.walk_levels`, which
+shards each level by its order-(n-1) parents and solves every class next to
+its expansion, holding one level of rows; trees and corpora have no parent
+and go through :func:`~dtdom.enumeration.sweep` one graph at a time.  Values
+come back in enumeration order, so a report is the same for every ``jobs``
+(``elapsed_ms`` aside).
 """
 
 from __future__ import annotations
@@ -14,17 +21,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from multiprocessing import Pool
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .domination import DominationKind, exact_number
-from .enumeration import (
-    GraphClass,
-    _from_corpus,
-    connected_clawfree_graphs,
-    connected_graphs,
-    free_trees,
-)
+from .constructor import construct_dtd_clawfree
+from .domination import DominationKind, exact_number, is_dtd_set
+from .enumeration import GraphClass, _from_corpus, free_trees, sweep, walk_levels
 from .families import FamilyClass, FamilyId, exceptional_member, generate, in_class
 from .graph import Graph, GraphInputError, is_claw_free
 from .graphio import to_graph6
@@ -87,36 +88,37 @@ def emit_report(report: VerificationReport, fmt: str = "json") -> str:
     raise GraphInputError(f"unknown report format: {fmt}")
 
 
-# -- parallel helpers -----------------------------------------------------------
+# -- per-graph values, computed next to the enumeration -----------------------
 
 
-def _solver_values(g: Graph, with_gt: bool) -> Tuple[int, ...]:
-    dtd = exact_number(g, DTD).value
-    return (dtd, exact_number(g, TDOM).value) if with_gt else (dtd,)
+def _dtd(g: Graph) -> int:
+    return exact_number(g, DTD).value
 
 
-def _solver_values_of_rows(payload) -> Tuple[int, ...]:
-    n, rows, with_gt = payload
-    return _solver_values(Graph.from_bits(n, rows), with_gt)
+def _dtd_and_gt(g: Graph) -> Tuple[int, int]:
+    return _dtd(g), exact_number(g, TDOM).value
 
 
-def map_solver(graphs: Iterable[Graph], jobs: int = 1, with_gt: bool = False):
-    """Evaluate the exact solver across a stream, optionally in parallel.
+def _dtd_unless_exceptional(g: Graph) -> Optional[int]:
+    return None if exceptional_member(g) is not None else _dtd(g)
 
-    Yields (graph, dtd) or (graph, dtd, gt) tuples; the output order is the
-    input order regardless of the worker count.
-    """
-    if jobs <= 1:
-        for g in graphs:
-            yield (g,) + _solver_values(g, with_gt)
-        return
-    glist = list(graphs)
-    with Pool(jobs) as pool:
-        results = pool.map(
-            _solver_values_of_rows, [(g.n, g.bits, with_gt) for g in glist], chunksize=64
-        )
-    for g, out in zip(glist, results):
-        yield (g,) + out
+
+def _dtd_if_mindeg2(g: Graph) -> Optional[int]:
+    return _dtd(g) if g.min_degree() >= 2 else None
+
+
+def _graph(rows: Tuple[int, ...]) -> Graph:
+    return Graph.from_bits(len(rows), rows)
+
+
+def constructor_verdict(g: Graph) -> Optional[Tuple[str, bool]]:
+    """The constructor's route tag on a claw-free ``g`` and whether its set
+    is a DTD-set of size at most 4n/7; None when ``g`` is exceptional.
+    The per-class check of the exhaustive constructor sweep."""
+    if exceptional_member(g) is not None:
+        return None
+    witness, tag = construct_dtd_clawfree(g)
+    return tag, is_dtd_set(g, witness) and 7 * len(witness) <= 4 * g.n
 
 
 # -- the checkers ----------------------------------------------------------------
@@ -130,13 +132,12 @@ def check_order7_census(jobs: int = 1) -> VerificationReport:
     report = VerificationReport(
         theorem="order7-census", universe="all connected graphs, n=7 (builtin)"
     )
-    graphs = list(connected_graphs(7))
-    report.expect_count("connected", len(graphs), 853)
     gt4 = []
-    for g, dtd, gt in map_solver(graphs, jobs=jobs, with_gt=True):
+    for rows, (dtd, gt) in walk_levels(7, 7, False, _dtd_and_gt, jobs):
         report.checked += 1
         if gt == 4:
-            gt4.append((g, dtd))
+            gt4.append((_graph(rows), dtd))
+    report.expect_count("connected", report.checked, 853)
     report.expect_count("total_domination_4", len(gt4), 20)
     clawfree = [(g, dtd) for g, dtd in gt4 if is_claw_free(g)]
     report.expect_count("clawfree_total_domination_4", len(clawfree), 12)
@@ -197,7 +198,7 @@ def check_tree_theorem(max_n: int = 12, jobs: int = 1) -> VerificationReport:
         ]
         expected = _expected_tree_equality(n)
         found: List[Graph] = []
-        for g, dtd in map_solver(trees, jobs=jobs):
+        for g, dtd in zip(trees, sweep(trees, _dtd, jobs)):
             report.checked += 1
             if 3 * dtd > 2 * (n - 1):
                 report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
@@ -233,14 +234,15 @@ def check_graph_theorem(corpus: Optional[str] = None, jobs: int = 1) -> Verifica
         universe += f" + corpus {corpus}"
     report = VerificationReport(theorem="general-bound", universe=universe)
 
-    def handle(g: Graph, dtd: int) -> None:
+    def handle(rows: Tuple[int, ...], dtd: int) -> None:
         report.checked += 1
-        n = g.n
+        n = len(rows)
         if 3 * dtd > 2 * (n - 1):
-            report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
+            report.violations.append(f"bound:{to_graph6(_graph(rows))} dtd={dtd}")
             return
         if 3 * dtd != 2 * (n - 1):
             return
+        g = _graph(rows)
         for cls, tag in (
             (FamilyClass.CAL_T, "T"),
             (FamilyClass.CAL_F, "F"),
@@ -254,17 +256,18 @@ def check_graph_theorem(corpus: Optional[str] = None, jobs: int = 1) -> Verifica
         report.equality_cases.append((to_graph6(g), "unclassified"))
         report.violations.append(f"unclassified-equality:{to_graph6(g)}")
 
-    for g, dtd in map_solver(connected_graphs(8), jobs=jobs):
-        handle(g, dtd)
+    for rows, dtd in walk_levels(8, 8, False, _dtd, jobs):
+        handle(rows, dtd)
     if report.counts.get("equality_n8"):
         report.violations.append("equality-at-n8")
     if corpus:
-        stream = list(_from_corpus(corpus, GraphClass.ALL_CONNECTED))
-        for g in stream:
+        graphs = list(_from_corpus(corpus, GraphClass.ALL_CONNECTED))
+        for g in graphs:
             if g.n < 8:
                 report.violations.append(f"corpus-order-below-8:{to_graph6(g)}")
-        for g, dtd in map_solver([g for g in stream if g.n >= 8], jobs=jobs):
-            handle(g, dtd)
+        graphs = [g for g in graphs if g.n >= 8]
+        for g, dtd in zip(graphs, sweep(graphs, _dtd, jobs)):
+            handle(g.bits, dtd)
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
 
@@ -280,33 +283,33 @@ def check_clawfree_theorem(max_n: int = 8, corpus: Optional[str] = None, jobs: i
         universe += f" + corpus {corpus}"
     report = VerificationReport(theorem="clawfree-bound", universe=universe)
 
-    def handle(g: Graph, dtd: int) -> None:
+    def handle(rows: Tuple[int, ...], dtd: Optional[int]) -> None:
         report.checked += 1
-        exc = exceptional_member(g)
-        if exc is not None:
+        if dtd is None:
             report.counts["exceptional"] = report.counts.get("exceptional", 0) + 1
             return
-        if 7 * dtd > 4 * g.n:
-            report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
+        n = len(rows)
+        if 7 * dtd > 4 * n:
+            report.violations.append(f"bound:{to_graph6(_graph(rows))} dtd={dtd}")
             return
-        if 7 * dtd < 4 * g.n:
+        if 7 * dtd < 4 * n:
             return
         report.counts["equality"] = report.counts.get("equality", 0) + 1
+        g = _graph(rows)
         if in_class(g, FamilyClass.CAL_H):
-            report.equality_cases.append((to_graph6(g), f"H({g.n // 7})"))
+            report.equality_cases.append((to_graph6(g), f"H({n // 7})"))
         elif in_class(g, FamilyClass.CAL_S):
             report.equality_cases.append((to_graph6(g), "S-list"))
         else:
             report.equality_cases.append((to_graph6(g), "unclassified"))
             report.violations.append(f"unclassified-equality:{to_graph6(g)}")
 
-    for n in range(2, max_n + 1):
-        for g, dtd in map_solver(connected_clawfree_graphs(n), jobs=jobs):
-            handle(g, dtd)
+    for rows, dtd in walk_levels(2, max_n, True, _dtd_unless_exceptional, jobs):
+        handle(rows, dtd)
     if corpus:
-        stream = _from_corpus(corpus, GraphClass.CONNECTED_CLAW_FREE)
-        for g, dtd in map_solver(stream, jobs=jobs):
-            handle(g, dtd)
+        graphs = list(_from_corpus(corpus, GraphClass.CONNECTED_CLAW_FREE))
+        for g, dtd in zip(graphs, sweep(graphs, _dtd_unless_exceptional, jobs)):
+            handle(g.bits, dtd)
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
 
@@ -323,17 +326,18 @@ def check_mindeg2_observation(max_n: int = 8, jobs: int = 1) -> VerificationRepo
     )
     c3 = generate(FamilyId("C", (3,)))
     c7 = generate(FamilyId("C", (7,)))
-    for n in range(3, max_n + 1):
-        pool = [g for g in connected_clawfree_graphs(n) if g.min_degree() >= 2]
-        for g, dtd in map_solver(pool, jobs=jobs):
-            report.checked += 1
-            if 7 * dtd < 4 * g.n:
-                continue
-            if is_isomorphic(g, c3) or is_isomorphic(g, c7):
-                report.counts["exceptions"] = report.counts.get("exceptions", 0) + 1
-                report.equality_cases.append((to_graph6(g), f"C({g.n})"))
-            else:
-                report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
+    for rows, dtd in walk_levels(3, max_n, True, _dtd_if_mindeg2, jobs):
+        if dtd is None:
+            continue
+        report.checked += 1
+        if 7 * dtd < 4 * len(rows):
+            continue
+        g = _graph(rows)
+        if is_isomorphic(g, c3) or is_isomorphic(g, c7):
+            report.counts["exceptions"] = report.counts.get("exceptions", 0) + 1
+            report.equality_cases.append((to_graph6(g), f"C({g.n})"))
+        else:
+            report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
 
@@ -348,43 +352,13 @@ def check_dtd_le_gt(max_n: int = 8, jobs: int = 1) -> VerificationReport:
         theorem="dtd-le-total",
         universe=f"all connected graphs, 2 <= n <= {max_n} (builtin)",
     )
-    for n in range(2, max_n + 1):
-        for g, dtd, gt in map_solver(connected_graphs(n), jobs=jobs, with_gt=True):
-            report.checked += 1
-            if dtd > gt:
-                report.violations.append(f"gap:{to_graph6(g)} dtd={dtd} gt={gt}")
-            elif dtd == gt:
-                report.counts["equality"] = report.counts.get("equality", 0) + 1
-            else:
-                report.counts["strict"] = report.counts.get("strict", 0) + 1
+    for rows, (dtd, gt) in walk_levels(2, max_n, False, _dtd_and_gt, jobs):
+        report.checked += 1
+        if dtd > gt:
+            report.violations.append(f"gap:{to_graph6(_graph(rows))} dtd={dtd} gt={gt}")
+        elif dtd == gt:
+            report.counts["equality"] = report.counts.get("equality", 0) + 1
+        else:
+            report.counts["strict"] = report.counts.get("strict", 0) + 1
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
-
-
-# -- heavy helper for the constructor sweep (picklable for worker pools) ---------
-
-
-def constructor_check_of_parent(parent: Tuple[int, ...]):
-    """Expand one claw-free parent's rows and run the constructor on every child.
-
-    Returns (children, failures, tag_counts); used by tests and scripts to
-    parallelize the exhaustive constructor sweep at the top order.
-    """
-    from .constructor import construct_dtd_clawfree
-    from .domination import is_dtd_set
-    from .enumeration import accepted_children
-
-    children = 0
-    failures = []
-    tags: Dict[str, int] = {}
-    for rows in accepted_children(parent, True):
-        n = len(rows)
-        g = Graph.from_bits(n, rows)
-        children += 1
-        if exceptional_member(g) is not None:
-            continue
-        witness, tag = construct_dtd_clawfree(g)
-        tags[tag] = tags.get(tag, 0) + 1
-        if not is_dtd_set(g, witness) or 7 * len(witness) > 4 * n:
-            failures.append(to_graph6(g))
-    return children, failures, tags

@@ -3,12 +3,11 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines as they complete.  The heaviest item is the exhaustive constructor
 sweep over all connected claw-free graphs through order 12 (about 1.9
-million graphs), which parallelizes over the available cores.
+million graphs), which the sweep engine shards over the available cores.
 """
 
 import os
 import random
-from multiprocessing import get_context
 
 import pytest
 
@@ -38,8 +37,8 @@ from dtdom import (
     leaves,
     to_graph6,
 )
-from dtdom.enumeration import connected_clawfree_graphs, connected_graphs, level_rows
-from dtdom.verify import constructor_check_of_parent
+from dtdom.enumeration import walk_levels
+from dtdom.verify import constructor_verdict
 from conftest import random_connected_graph
 
 DTD = DominationKind.DISJUNCTIVE_TOTAL_DOMINATION
@@ -159,38 +158,23 @@ def _random_corona_clawfree(rng: random.Random) -> Graph:
 
 
 def test_criterion_7_constructor_guarantee():
-    # exhaustive sweep through order 11 in-process
-    checked = 0
+    # exhaustive sweep through order 12: the engine expands each parent in
+    # a worker and runs the constructor on its children there
+    counts = {}
     tags = {}
-    for n in range(2, 12):
-        count = 0
-        for g in connected_clawfree_graphs(n):
-            count += 1
-            if exceptional_member(g) is not None:
-                continue
-            witness, tag = construct_dtd_clawfree(g)
-            tags[tag] = tags.get(tag, 0) + 1
-            assert is_dtd_set(g, witness), to_graph6(g)
-            assert 7 * len(witness) <= 4 * g.n, to_graph6(g)
-            checked += 1
-        assert count == CLAWFREE_COUNTS[n], n
-
-    # order 12 in parallel: each task expands one order-11 parent and runs
-    # the constructor on all of its accepted children
-    parents = level_rows(11, True)
-    total12 = 0
     failures = []
-    ctx = get_context("fork")
-    with ctx.Pool(JOBS) as pool:
-        for children, bad, wtags in pool.imap_unordered(
-            constructor_check_of_parent, parents, chunksize=64
-        ):
-            total12 += children
-            failures.extend(bad)
-            for k, v in wtags.items():
-                tags[k] = tags.get(k, 0) + v
+    for rows, verdict in walk_levels(2, 12, True, constructor_verdict, JOBS):
+        counts[len(rows)] = counts.get(len(rows), 0) + 1
+        if verdict is None:
+            continue
+        tag, ok = verdict
+        tags[tag] = tags.get(tag, 0) + 1
+        if not ok:
+            failures.append(to_graph6(Graph.from_bits(len(rows), rows)))
     assert not failures, failures[:5]
-    assert total12 == CLAWFREE_COUNTS[12]
+    assert counts == {n: CLAWFREE_COUNTS[n] for n in range(2, 13)}
+    checked = sum(tags.values())
+    total12 = CLAWFREE_COUNTS[12]
 
     # the generated equality families ride the extracted path end to end
     for t in range(1, 5):
@@ -212,7 +196,7 @@ def test_criterion_7_constructor_guarantee():
         assert is_dtd_set(g, witness)
         assert 7 * len(witness) <= 4 * g.n
     _pass(7, "constructor guarantee",
-          f"exhaustive n<=12 ({checked + total12} non-exceptional classes incl. "
+          f"exhaustive n<=12 ({checked} non-exceptional classes incl. "
           f"{total12} at order 12), H(1..4) via proof path, 100 corona graphs; tags {tags}")
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -106,6 +107,23 @@ def test_verify_max_n_zero_is_rejected(theorem, capsys):
     assert main(["verify", "--theorem", theorem, "--max-n", "0"]) == 2
 
 
+@pytest.mark.parametrize("theorem", ["census7", "graph"])
+def test_verify_max_n_is_rejected_for_fixed_universes(theorem, capsys):
+    assert main(["verify", "--theorem", theorem, "--max-n", "3"]) == 2
+    assert "--max-n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--theorem", "tree", "--max-n", "5"],
+    ["enumerate", "--n", "5"],
+], ids=["verify", "enumerate"])
+def test_jobs_outside_the_cores_is_rejected(command, capsys):
+    cores = len(os.sched_getaffinity(0))
+    for jobs in (0, cores + 1):
+        assert main(command + ["--jobs", str(jobs)]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
 def test_verify_census7_via_cli(capsys):
     rc = main(["verify", "--theorem", "census7", "--report", "json"])
     assert rc == 0
@@ -134,6 +152,15 @@ def test_enumerate_deterministic(tmp_path, capsys):
     assert out.read_text() == "".join(
         sorted(line + "\n" for line in out.read_text().strip().splitlines())
     )
+
+
+def test_enumerate_parallel_matches_serial(capsys):
+    outputs = []
+    for jobs in ("1", "2"):
+        assert main(["enumerate", "--n", "8", "--class", "clawfree", "--jobs", jobs]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 881
 
 
 def test_enumerate_cap(capsys):

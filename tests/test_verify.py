@@ -15,6 +15,8 @@ from dtdom import (
     generate_named,
     to_graph6,
 )
+from dtdom.enumeration import walk_levels
+from dtdom.verify import constructor_verdict
 
 
 def test_order7_census(census_report):
@@ -88,12 +90,33 @@ def test_graph_theorem_rejects_small_corpus_orders(tmp_path):
     assert any("corpus-order-below-8" in v for v in r.violations)
 
 
-def test_parallel_matches_serial():
-    serial = check_tree_theorem(max_n=9, jobs=1)
-    parallel = check_tree_theorem(max_n=9, jobs=2)
-    assert serial.counts == parallel.counts
-    assert serial.equality_cases == parallel.equality_cases
-    assert serial.violations == parallel.violations
+def _small_corpus(tmp_path):
+    names = ("T(3)", "F(3)", "G(3)", "C10", "P10", "C10'", "H(1)", "L(13)")
+    corpus = tmp_path / "mixed.g6"
+    corpus.write_text("\n".join(to_graph6(generate_named(x)) for x in names) + "\n")
+    return str(corpus)
+
+
+@pytest.mark.parametrize(
+    "theorem", ["census7", "tree", "graph", "clawfree", "mindeg2", "dtd-le-gt"]
+)
+def test_parallel_matches_serial(theorem, tmp_path):
+    corpus = _small_corpus(tmp_path)
+    run = {
+        "census7": lambda jobs: check_order7_census(jobs=jobs),
+        "tree": lambda jobs: check_tree_theorem(max_n=9, jobs=jobs),
+        "graph": lambda jobs: check_graph_theorem(corpus=corpus, jobs=jobs),
+        "clawfree": lambda jobs: check_clawfree_theorem(max_n=7, corpus=corpus, jobs=jobs),
+        "mindeg2": lambda jobs: check_mindeg2_observation(max_n=7, jobs=jobs),
+        "dtd-le-gt": lambda jobs: check_dtd_le_gt(max_n=6, jobs=jobs),
+    }[theorem]
+    reports = []
+    for jobs in (1, 2):
+        payload = json.loads(emit_report(run(jobs), "json"))
+        payload.pop("elapsed_ms")
+        reports.append(payload)
+    assert reports[0] == reports[1]
+    assert reports[0]["checked"] > 0
 
 
 def test_emit_report_formats():
@@ -118,15 +141,10 @@ def test_emit_report_deterministic(census_report):
     assert emit_report(census_report, "json") == emit_report(census_report, "json")
 
 
-def test_constructor_check_of_parent_covers_each_level():
-    from dtdom.enumeration import level_rows
-    from dtdom.verify import constructor_check_of_parent
-
+def test_constructor_verdict_covers_each_level():
     clawfree_counts = {2: 1, 3: 2, 4: 5, 5: 14, 6: 50, 7: 191, 8: 881}
-    for n in range(1, 8):
-        children = 0
-        for parent in level_rows(n, True):
-            got, failures, _ = constructor_check_of_parent(parent)
-            assert not failures, failures
-            children += got
-        assert children == clawfree_counts[n + 1], n
+    counts = {}
+    for rows, verdict in walk_levels(2, 8, True, constructor_verdict):
+        counts[len(rows)] = counts.get(len(rows), 0) + 1
+        assert verdict is None or verdict[1], rows
+    assert counts == clawfree_counts
