@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Optional, Tuple
 
 from .canon import isomorphism_map
 from .domination import DomainError, DominationKind, exact_number, is_dtd_set
@@ -35,6 +35,9 @@ from .graph import (
 )
 
 
+_G3 = FamilyId("G", (3,))
+
+
 class ProofPathError(RuntimeError):
     """Internal: the extracted case analysis did not apply; caller falls back."""
 
@@ -50,10 +53,7 @@ class FragmentKind(Enum):
     OTHER = "non-exceptional"
 
 
-_EXCEPTIONAL_KINDS = frozenset(
-    {FragmentKind.P2, FragmentKind.P3, FragmentKind.C3,
-     FragmentKind.P5, FragmentKind.P6, FragmentKind.G3}
-)
+_EXCEPTIONAL_KINDS = frozenset(FragmentKind) - {FragmentKind.P1, FragmentKind.OTHER}
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,8 @@ def _fragment_kind(g: Graph, vertices) -> FragmentKind:
         return FragmentKind.C3 if edges == 3 else FragmentKind.P3
     if k in (5, 6) and edges == k - 1 and _path_order(g, vertices):
         return FragmentKind.P5 if k == 5 else FragmentKind.P6
-    if k == 10 and edges == 10:
-        sub, _ = induced_subgraph(g, vertices)
-        if isomorphism_map(generate(FamilyId("G", (3,))), sub) is not None:
-            return FragmentKind.G3
+    if k == 10 and edges == 10 and exceptional_member(induced_subgraph(g, vertices)[0]) == _G3:
+        return FragmentKind.G3
     return FragmentKind.OTHER
 
 
@@ -132,19 +130,8 @@ def _g3_coordinates(g: Graph, vertices) -> dict:
     arms outward.
     """
     vs = _to_mask(vertices)
-    tri = None
-    for a in _from_mask(vs):
-        for b in _from_mask(g.bits[a] & vs):
-            if b <= a:
-                continue
-            for c in _from_mask(g.bits[a] & g.bits[b] & vs):
-                if c > b:
-                    tri = (a, b, c)
-                    break
-            if tri:
-                break
-        if tri:
-            break
+    tri = next(((a, b, c) for a in _from_mask(vs) for b in _from_mask(g.bits[a] & vs) if b > a
+                for c in _from_mask(g.bits[a] & g.bits[b] & vs) if c > b), None)
     if tri is None:
         raise ProofPathError("G3 fragment without triangle")
     off_tri = vs & ~_to_mask(tri)
@@ -240,70 +227,55 @@ def _build_decomposition(g: Graph, y: int, x: int, excluded, deep: bool, z) -> D
             FragmentRecord(vertices, kind, chosen, _attachment_profile(g, kind, vertices, chosen))
         )
     fragments.sort(key=lambda f: min(f.vertices))
-
-    # every clique vertex may touch at most one fragment (claw-freeness)
-    for w in X:
-        if sum(1 for comp in comps if g.bits[w] & comp) > 1:
-            raise GraphInputError(f"clique vertex {w} touches several fragments")
-    for a in X:
-        if xmask & ~g.bits[a] & ~(1 << a):
-            raise GraphInputError("X is not a clique; input has a claw")
-
-    chosen_for_exceptional = {
-        f.chosen for f in fragments if f.kind in _EXCEPTIONAL_KINDS
-    }
-    x1 = frozenset(X) - chosen_for_exceptional
-    p1_vertices = frozenset().union(
-        *[f.vertices for f in fragments if f.kind is FragmentKind.P1]
-    ) if any(f.kind is FragmentKind.P1 for f in fragments) else frozenset()
-    if deep:
-        Y = p1_vertices | x1 | {x, y, z}
-    else:
-        Y = p1_vertices | x1
+    # claw-freeness makes X a clique whose vertices each touch at most one
+    # fragment, so neither is re-checked here
+    x1 = frozenset(X) - {f.chosen for f in fragments if f.kind in _EXCEPTIONAL_KINDS}
+    p1_vertices = frozenset().union(*[f.vertices for f in fragments if f.kind is FragmentKind.P1])
+    Y = p1_vertices | x1 | ({x, y, z} if deep else frozenset())
     return Decomposition(y, x, frozenset(X), tuple(fragments), Y, deep, z)
+
+
+def _require_connected_claw_free(g: Graph, what: str) -> None:
+    """The input check of the public entry points; the proof path trusts it."""
+    if not is_connected(g):
+        raise GraphInputError(f"{what} needs a connected graph")
+    if not is_claw_free(g):
+        raise GraphInputError(f"{what} needs a claw-free graph")
+
+
+def _leaf_decomposition(g: Graph, y: int, error: type) -> Decomposition:
+    if g.degree(y) != 1:
+        raise error(f"vertex {y} is not a leaf")
+    # the leaf itself survives as a one-vertex fragment of G - X
+    return _build_decomposition(g, y, g.bits[y].bit_length() - 1, excluded=(), deep=False, z=None)
+
+
+def _deep_decomposition(g: Graph, z: int, error: type) -> Decomposition:
+    if g.degree(z) != 1:
+        raise error(f"vertex {z} is not a leaf")
+    y = g.bits[z].bit_length() - 1
+    if g.degree(y) != 2:
+        raise error(f"support {y} does not have degree 2")
+    x = (g.bits[y] & ~(1 << z)).bit_length() - 1
+    return _build_decomposition(g, y, x, excluded={y, z}, deep=True, z=z)
 
 
 def decompose(g: Graph, y: int) -> Decomposition:
     """Leaf-rooted decomposition: X = N[x] - y, fragments = components of G - X."""
-    if not is_connected(g):
-        raise GraphInputError("decomposition needs a connected graph")
-    if not is_claw_free(g):
-        raise GraphInputError("decomposition needs a claw-free graph")
-    if g.degree(y) != 1:
-        raise GraphInputError(f"vertex {y} is not a leaf")
-    (x,) = _from_mask(g.bits[y])
-    # the leaf itself survives as a one-vertex fragment of G - X
-    return _build_decomposition(g, y, x, excluded=(), deep=False, z=None)
+    _require_connected_claw_free(g, "decomposition")
+    return _leaf_decomposition(g, y, GraphInputError)
 
 
 def decompose_beyond_support(g: Graph, z: int) -> Decomposition:
     """Decomposition one step past a degree-2 support: the leaf z and its
     support y are set aside, X is built around y's other neighbor."""
-    if not is_connected(g):
-        raise GraphInputError("decomposition needs a connected graph")
-    if not is_claw_free(g):
-        raise GraphInputError("decomposition needs a claw-free graph")
-    if g.degree(z) != 1:
-        raise GraphInputError(f"vertex {z} is not a leaf")
-    (y,) = _from_mask(g.bits[z])
-    if g.degree(y) != 2:
-        raise GraphInputError(f"support {y} does not have degree 2")
-    (x,) = _from_mask(g.bits[y] & ~(1 << z))
-    return _build_decomposition(g, y, x, excluded={y, z}, deep=True, z=z)
+    _require_connected_claw_free(g, "decomposition")
+    return _deep_decomposition(g, z, GraphInputError)
 
 
 # -- the per-fragment selection procedure ------------------------------------------
 
 Solver = Callable[[FrozenSet[int]], FrozenSet[int]]
-
-
-def _exact_fragment_solver(g: Graph) -> Solver:
-    def solve(vertices: FrozenSet[int]) -> FrozenSet[int]:
-        sub, mapping = induced_subgraph(g, vertices)
-        back = {new: old for old, new in mapping.items()}
-        res = exact_number(sub, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION)
-        return frozenset(back[v] for v in res.witness)
-    return solve
 
 
 def _oriented_path(g: Graph, frag: FragmentRecord) -> List[int]:
@@ -387,7 +359,7 @@ def _select_for_fragment(g: Graph, frag: FragmentRecord, solve: Solver) -> Froze
 def algorithm_a(g: Graph, dec: Decomposition, solve_noneE: Optional[Solver] = None) -> FrozenSet[int]:
     """The literal per-fragment selection (steps seeded from |Y|, then one
     case per fragment shape); the result is not necessarily a DTD-set yet."""
-    solve = solve_noneE if solve_noneE is not None else _exact_fragment_solver(g)
+    solve = solve_noneE if solve_noneE is not None else _fragment_solver(g, 0)
     s = set()
     x1 = sorted(dec.Y & dec.X)
     if len(dec.Y) >= 4:
@@ -411,7 +383,7 @@ def algorithm_b(g: Graph, dec: Decomposition, solve_noneE: Optional[Solver] = No
     attached clique vertex."""
     if not dec.deep:
         raise GraphInputError("algorithm B needs the beyond-support decomposition")
-    solve = solve_noneE if solve_noneE is not None else _exact_fragment_solver(g)
+    solve = solve_noneE if solve_noneE is not None else _fragment_solver(g, 0)
     s = {dec.x, dec.y}
     for frag in dec.fragments:
         if frag.kind is FragmentKind.P1:
@@ -446,7 +418,7 @@ _CORE_SETS = {
 
 def _phase_one(g: Graph, leaf: int, solve: Solver, inner) -> Optional[FrozenSet[int]]:
     """First decomposition round; None signals the all-supports-deg-2 endpoint."""
-    dec = decompose(g, leaf)
+    dec = _leaf_decomposition(g, leaf, ProofPathError)
     s = algorithm_a(g, dec, solve)
     if len(s & dec.X) >= 2:
         return s
@@ -479,23 +451,19 @@ def _phase_one(g: Graph, leaf: int, solve: Solver, inner) -> Optional[FrozenSet[
         keep = [v for v in range(g.n) if v not in {z1, z2, z3, z4}]
         core, mapping = induced_subgraph(g, keep)
         back = {new: old for old, new in mapping.items()}
-        ten = generate(FamilyId("G", (3,)))
-        phi = isomorphism_map(core, ten) if core.n == 10 else None
+        phi = isomorphism_map(core, generate(_G3)) if core.n == 10 else None
         if phi is not None:
             anchor = phi[mapping[dec.y]]
             if anchor not in _CORE_SETS:
                 raise ProofPathError("peeled core leaf lands off the named arms")
-            inv = [0] * 10
-            for old, new in enumerate(phi):
-                inv[new] = old
-            special = {back[inv[t]] for t in _CORE_SETS[anchor]}
+            special = {back[phi.index(t)] for t in _CORE_SETS[anchor]}
             return frozenset(special | {z2, z3})
         return frozenset(inner(core, back) | {z2, z3})
     return None  # lone large fragment, no chains: caller decides what is next
 
 
 def _phase_two(g: Graph, leaf: int, solve: Solver) -> FrozenSet[int]:
-    dec = decompose_beyond_support(g, leaf)
+    dec = _deep_decomposition(g, leaf, ProofPathError)
     s = algorithm_b(g, dec, solve)
     x1 = dec.Y & dec.X
     if len(dec.Y) >= 4:
@@ -528,7 +496,7 @@ def _construct_inner(g: Graph, depth: int) -> FrozenSet[int]:
 
 
 def _proof_path(g: Graph, depth: int = 0) -> FrozenSet[int]:
-    solve = _exact_fragment_solver_recursive(g, depth)
+    solve = _fragment_solver(g, depth)
 
     def inner(core: Graph, back) -> FrozenSet[int]:
         if exceptional_member(core) is not None:
@@ -555,7 +523,9 @@ def _proof_path(g: Graph, depth: int = 0) -> FrozenSet[int]:
     return _phase_two(g, lvs[0], solve)
 
 
-def _exact_fragment_solver_recursive(g: Graph, depth: int) -> Solver:
+def _fragment_solver(g: Graph, depth: int) -> Solver:
+    """Solves a non-exceptional fragment with the builder one level down,
+    which is the exact solver on at most 11 vertices or minimum degree 2."""
     def solve(vertices: FrozenSet[int]) -> FrozenSet[int]:
         sub, mapping = induced_subgraph(g, vertices)
         back = {new: old for old, new in mapping.items()}
@@ -575,13 +545,16 @@ def construct_dtd_clawfree(g: Graph) -> Tuple[FrozenSet[int], str]:
     """
     if g.n < 2:
         raise GraphInputError("constructor needs n >= 2")
-    if not is_connected(g):
-        raise GraphInputError("constructor needs a connected graph")
-    if not is_claw_free(g):
-        raise GraphInputError("constructor needs a claw-free graph")
+    _require_connected_claw_free(g, "constructor")
     exceptional = exceptional_member(g)
     if exceptional is not None:
         raise DomainError(f"{exceptional} is an exceptional graph for the 4n/7 bound")
+    return _construct(g)
+
+
+def _construct(g: Graph) -> Tuple[FrozenSet[int], str]:
+    """``construct_dtd_clawfree`` past its input checks, for callers whose
+    universe already holds ``g`` connected, claw-free and non-exceptional."""
     if g.min_degree() >= 2:
         res = exact_number(g, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION)
         return res.witness, "exact-mindeg2"

@@ -383,11 +383,17 @@ _EXCEPTIONAL_IDS = (
 )
 
 
+# (order, edge count) -> (id, graph), built once; the six keys are distinct,
+# so a graph has at most one exceptional candidate
+_EXCEPTIONAL = {(g.n, g.edge_count): (fid, g)
+                for fid, g in ((fid, generate(fid)) for fid in _EXCEPTIONAL_IDS)}
+
+
 def exceptional_member(g: Graph) -> Optional[FamilyId]:
     """The exceptional-list member ``g`` is isomorphic to, if any."""
-    for fid in _EXCEPTIONAL_IDS:
-        if is_isomorphic(g, generate(fid)):
-            return fid
+    hit = _EXCEPTIONAL.get((g.n, g.edge_count))
+    if hit is not None and is_isomorphic(g, hit[1]):
+        return hit[0]
     return None
 
 

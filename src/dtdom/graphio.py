@@ -21,6 +21,8 @@ from .graph import Graph, GraphInputError
 def parse_edgelist(text: str) -> Graph:
     rows: List[Tuple[int, List[int]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.isascii():
+            raise GraphInputError(f"line {lineno}: non-ASCII character")
         line = raw.split("#", 1)[0].strip()
         if line:
             rows.append((lineno, line.split()))
@@ -105,6 +107,8 @@ def from_graph6(line: str) -> Graph:
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
+    if not s.isascii():
+        raise GraphInputError("non-ASCII character in graph6 string")
     data = s.encode("ascii")
     n, used = _decode_n(data)
     need = (n * (n - 1) // 2 + 5) // 6
@@ -131,7 +135,7 @@ def iter_graph6_file(path: str) -> Iterator[Graph]:
     """Stream the graphs of a one-per-line graph6 file."""
     if not os.path.exists(path):
         raise GraphInputError(f"graph6 file not found: {path}")
-    with open(path, "r", encoding="ascii") as handle:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
@@ -152,14 +156,18 @@ def load_graph(path: str, fmt: str = "edgelist") -> Graph:
         raise GraphInputError(f"unknown format: {fmt}")
     if not os.path.exists(path):
         raise GraphInputError(f"file not found: {path}")
-    with open(path, "r", encoding="ascii") as handle:
+    # a non-ASCII byte decodes to a lone surrogate, which the parsers reject
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         text = handle.read()
-    if fmt == "edgelist":
-        return parse_edgelist(text)
-    for line in text.splitlines():
-        if line.strip():
-            return from_graph6(line)
-    raise GraphInputError(f"{path}: no graph6 line found")
+    try:
+        if fmt == "edgelist":
+            return parse_edgelist(text)
+        for line in text.splitlines():
+            if line.strip():
+                return from_graph6(line)
+        raise GraphInputError("no graph6 line found")
+    except GraphInputError as exc:
+        raise GraphInputError(f"{path}: {exc}") from None
 
 
 def dump_graph(g: Graph, fmt: str = "edgelist") -> str:

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .constructor import construct_dtd_clawfree
+from .constructor import _construct
 from .domination import DominationKind, exact_number, is_dtd_set
 from .enumeration import GraphClass, _from_corpus, free_trees, sweep, walk_levels
 from .families import FamilyClass, FamilyId, exceptional_member, generate, in_class
@@ -112,12 +112,13 @@ def _graph(rows: Tuple[int, ...]) -> Graph:
 
 
 def constructor_verdict(g: Graph) -> Optional[Tuple[str, bool]]:
-    """The constructor's route tag on a claw-free ``g`` and whether its set
-    is a DTD-set of size at most 4n/7; None when ``g`` is exceptional.
-    The per-class check of the exhaustive constructor sweep."""
+    """The constructor's route tag on a connected claw-free ``g`` and whether
+    its set is a DTD-set of size at most 4n/7; None when ``g`` is exceptional.
+    The per-class check of the exhaustive constructor sweep, whose universe
+    already holds ``g`` connected and claw-free, so neither is re-checked."""
     if exceptional_member(g) is not None:
         return None
-    witness, tag = construct_dtd_clawfree(g)
+    witness, tag = _construct(g)
     return tag, is_dtd_set(g, witness) and 7 * len(witness) <= 4 * g.n
 
 

@@ -26,6 +26,21 @@ def test_compute_dtd(c7_file, capsys):
     assert capsys.readouterr().out.strip() == "valid"
 
 
+def test_non_ascii_edge_list_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "p3.el"
+    p.write_bytes("3 2\n# caf\u00e9\n0 1\n1 2\n".encode("utf-8"))
+    assert main(["compute", "--kind", "dtd", "--in", str(p)]) == 2
+    assert f"{p}: line 2: non-ASCII character" in capsys.readouterr().err
+
+
+def test_non_ascii_corpus_line_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "corpus.g6"
+    p.write_bytes("Bw\nB\u00e9\n".encode("utf-8"))
+    rc = main(["verify", "--theorem", "clawfree", "--max-n", "3", "--corpus", str(p)])
+    assert rc == 2
+    assert f"{p}:2: non-ASCII character" in capsys.readouterr().err
+
+
 def test_check_set_invalid(c7_file, capsys):
     rc = main(["check-set", "--kind", "dtd", "--in", c7_file, "--set", "0,1"])
     assert rc == 1

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from dtdom import (
@@ -19,7 +21,9 @@ from dtdom import (
     is_dtd_set,
     leaves,
 )
+from dtdom import families, graph
 from dtdom.enumeration import connected_clawfree_graphs
+from dtdom.verify import constructor_verdict
 
 DTD = DominationKind.DISJUNCTIVE_TOTAL_DOMINATION
 
@@ -192,6 +196,40 @@ def test_constructor_guards():
         construct_dtd_clawfree(generate_named("Star(3)"))  # claw
     with pytest.raises(GraphInputError):
         construct_dtd_clawfree(Graph(4, [(0, 1), (2, 3)]))  # disconnected
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` through every dtdom binding of it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "dtdom" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_constructor_verdict_trusts_its_universe(monkeypatch):
+    graphs = [g for n in range(2, 9) for g in connected_clawfree_graphs(n)]
+    exceptional = _count_calls(monkeypatch, families, "exceptional_member")
+    connected = _count_calls(monkeypatch, graph, "is_connected")
+    clawfree = _count_calls(monkeypatch, graph, "is_claw_free")
+    for g in graphs:
+        constructor_verdict(g)
+    assert [args[0] for args in exceptional] == graphs
+    assert not connected and not clawfree
+
+
+def test_constructor_checks_each_guard_once(monkeypatch):
+    connected = _count_calls(monkeypatch, graph, "is_connected")
+    clawfree = _count_calls(monkeypatch, graph, "is_claw_free")
+    _, tag = construct_dtd_clawfree(generate_named("H(5)"))
+    assert tag == "proof-path"
+    assert len(connected) == 1 and len(clawfree) == 1
 
 
 def test_constructor_mindeg2_route():

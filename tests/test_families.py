@@ -1,12 +1,16 @@
+import random
+
 import pytest
 
 from dtdom import (
     DominationKind,
     FamilyClass,
     FamilyId,
+    Graph,
     GraphInputError,
     canonical_form,
     classify,
+    connected_graphs,
     corona,
     dtd_reference_value,
     exact_number,
@@ -214,6 +218,26 @@ def test_exceptional_members():
         assert fid is not None, name
     assert exceptional_member(generate_named("P4")) is None
     assert str(exceptional_member(generate_named("G(3)"))) == "G(3)"
+
+
+def test_exceptional_member_matches_reference_loop():
+    six = [FamilyId("P", (2,)), FamilyId("P", (3,)), FamilyId("P", (5,)),
+           FamilyId("P", (6,)), FamilyId("C", (3,)), FamilyId("G", (3,))]
+
+    def reference(g):
+        return next((fid for fid in six if is_isomorphic(g, generate(fid))), None)
+
+    rnd = random.Random(3)
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    graphs.append(generate_named("C10"))  # G(3)'s order and edge count
+    for fid in six:
+        g = generate(fid)
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        graphs.append(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    for g in graphs:
+        assert exceptional_member(g) == reference(g), g
+    assert [exceptional_member(g) for g in graphs[-6:]] == six
 
 
 def test_g3_is_claw_free_but_larger_family_members_are_not():

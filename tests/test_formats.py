@@ -40,6 +40,8 @@ def test_graph6_errors():
         from_graph6("D")  # order 5 with missing body
     with pytest.raises(GraphInputError):
         from_graph6("B" + chr(20))
+    with pytest.raises(GraphInputError, match="non-ASCII"):
+        from_graph6("B\u00e9")
 
 
 def test_edgelist_round_trip(rng):
