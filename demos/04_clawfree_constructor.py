@@ -28,7 +28,7 @@ for frag in dec.fragments:
           f"attached at {frag.chosen} ({frag.attachment_profile})")
 
 # the equality family rides the extracted construction exactly
-for t in (1, 2, 3, 4):
+for t in (1, 2, 3, 4, 10):
     g = generate_named(f"H({t})")
     witness, tag = construct_dtd_clawfree(g)
     assert is_dtd_set(g, witness)

@@ -196,6 +196,8 @@ def _cmd_verify(args) -> int:
     max_n = args.max_n
     if theorem in ("census7", "graph") and max_n is not None:
         raise GraphInputError(f"--max-n does not apply to --theorem {theorem}")
+    if theorem not in ("graph", "clawfree") and args.corpus is not None:
+        raise GraphInputError(f"--corpus does not apply to --theorem {theorem}")
     if max_n is None:
         max_n = 12 if theorem == "tree" else 8
     if theorem == "census7":

@@ -2,7 +2,7 @@
 
 The machinery follows a leaf-rooted decomposition: around a leaf y with
 neighbor x, the closed neighborhood X = N[x] - y is a clique, the
-components of G - X are "fragments", and everyX-vertex touches at most
+components of G - X are "fragments", and every X-vertex touches at most
 one fragment.  A per-fragment selection procedure builds a vertex set S
 from the fragment census; the builder then augments S case by case until
 it disjunctively totally dominates, recursing into large fragments.  The
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, FrozenSet, List, Optional, Tuple
 
 from .canon import isomorphism_map
@@ -359,7 +360,7 @@ def _select_for_fragment(g: Graph, frag: FragmentRecord, solve: Solver) -> Froze
 def algorithm_a(g: Graph, dec: Decomposition, solve_noneE: Optional[Solver] = None) -> FrozenSet[int]:
     """The literal per-fragment selection (steps seeded from |Y|, then one
     case per fragment shape); the result is not necessarily a DTD-set yet."""
-    solve = solve_noneE if solve_noneE is not None else _fragment_solver(g, 0)
+    solve = solve_noneE if solve_noneE is not None else partial(_solve_within, g)
     s = set()
     x1 = sorted(dec.Y & dec.X)
     if len(dec.Y) >= 4:
@@ -383,7 +384,7 @@ def algorithm_b(g: Graph, dec: Decomposition, solve_noneE: Optional[Solver] = No
     attached clique vertex."""
     if not dec.deep:
         raise GraphInputError("algorithm B needs the beyond-support decomposition")
-    solve = solve_noneE if solve_noneE is not None else _fragment_solver(g, 0)
+    solve = solve_noneE if solve_noneE is not None else partial(_solve_within, g)
     s = {dec.x, dec.y}
     for frag in dec.fragments:
         if frag.kind is FragmentKind.P1:
@@ -416,55 +417,61 @@ _CORE_SETS = {
 }
 
 
-def _phase_one(g: Graph, leaf: int, solve: Solver, inner) -> Optional[FrozenSet[int]]:
+def _phase_one(g: Graph, leaf: int) -> Optional[FrozenSet[int]]:
     """First decomposition round; None signals the all-supports-deg-2 endpoint."""
     dec = _leaf_decomposition(g, leaf, ProofPathError)
-    s = algorithm_a(g, dec, solve)
-    if len(s & dec.X) >= 2:
-        return s
-    p6 = _first_fragment(dec, FragmentKind.P6)
-    if p6 is not None:
-        return s | {p6.chosen}
-    non_e = [f for f in dec.fragments
-             if f.kind is FragmentKind.OTHER]
-    k2 = _kind_count(dec, FragmentKind.P2)
-    k3 = _kind_count(dec, FragmentKind.P3)
-    if not non_e:
-        if k2 == 0:
-            return s
-        return s | {_first_fragment(dec, FragmentKind.P2).chosen}
-    if len(non_e) > 1:
-        raise ProofPathError("several large fragments beside a lone clique seed")
-    if k2 >= 1:
-        return s | {_first_fragment(dec, FragmentKind.P2).chosen}
-    if k3 >= 2:
-        return s
-    if k3 == 1:
-        frag = _first_fragment(dec, FragmentKind.P3)
-        z1 = frag.chosen
-        attach = _nbrs_in(g, z1, frag.vertices)
-        if len(attach) != 1:
-            raise ProofPathError("P3 chain attachment is not a single leaf")
-        z2 = next(iter(attach))
-        z3 = _p3_center(g, frag.vertices)
-        z4 = next(iter(frag.vertices - {z2, z3}))
-        keep = [v for v in range(g.n) if v not in {z1, z2, z3, z4}]
-        core, mapping = induced_subgraph(g, keep)
-        back = {new: old for old, new in mapping.items()}
-        phi = isomorphism_map(core, generate(_G3)) if core.n == 10 else None
-        if phi is not None:
-            anchor = phi[mapping[dec.y]]
-            if anchor not in _CORE_SETS:
-                raise ProofPathError("peeled core leaf lands off the named arms")
-            special = {back[phi.index(t)] for t in _CORE_SETS[anchor]}
-            return frozenset(special | {z2, z3})
-        return frozenset(inner(core, back) | {z2, z3})
-    return None  # lone large fragment, no chains: caller decides what is next
+    # a large fragment's set lies inside it and never meets X, so the route
+    # is chosen without it and the fragment is solved only on a route that
+    # keeps the selection
+    s = algorithm_a(g, dec, lambda vertices: frozenset())
+    large = [f.vertices for f in dec.fragments if f.kind is FragmentKind.OTHER]
+    if len(s & dec.X) < 2:
+        p6 = _first_fragment(dec, FragmentKind.P6)
+        p2 = _first_fragment(dec, FragmentKind.P2)
+        k3 = _kind_count(dec, FragmentKind.P3)
+        if p6 is not None:
+            s |= {p6.chosen}
+        elif len(large) > 1:
+            raise ProofPathError("several large fragments beside a lone clique seed")
+        elif p2 is not None:
+            s |= {p2.chosen}
+        elif large and k3 == 1:
+            return _peel_p3_chain(g, dec)
+        elif large and k3 == 0:
+            return None  # lone large fragment, no chains: caller decides what is next
+    for vertices in large:
+        s |= _solve_within(g, vertices)
+    return s
 
 
-def _phase_two(g: Graph, leaf: int, solve: Solver) -> FrozenSet[int]:
+def _peel_p3_chain(g: Graph, dec: Decomposition) -> FrozenSet[int]:
+    """Peel the P3 fragment and its clique vertex off as a four-vertex chain
+    and solve the core that is left."""
+    frag = _first_fragment(dec, FragmentKind.P3)
+    z1 = frag.chosen
+    attach = _nbrs_in(g, z1, frag.vertices)
+    if len(attach) != 1:
+        raise ProofPathError("P3 chain attachment is not a single leaf")
+    z2 = next(iter(attach))
+    z3 = _p3_center(g, frag.vertices)
+    z4 = next(iter(frag.vertices - {z2, z3}))
+    keep = [v for v in range(g.n) if v not in {z1, z2, z3, z4}]
+    core, mapping = induced_subgraph(g, keep)
+    phi = isomorphism_map(core, generate(_G3)) if core.n == 10 else None
+    if phi is not None:
+        anchor = phi[mapping[dec.y]]
+        if anchor not in _CORE_SETS:
+            raise ProofPathError("peeled core leaf lands off the named arms")
+        special = {keep[phi.index(t)] for t in _CORE_SETS[anchor]}
+        return frozenset(special | {z2, z3})
+    if exceptional_member(core) is not None:
+        raise ProofPathError("peeled core is an exceptional graph")
+    return _solve_within(g, keep) | {z2, z3}
+
+
+def _phase_two(g: Graph, leaf: int) -> FrozenSet[int]:
     dec = _deep_decomposition(g, leaf, ProofPathError)
-    s = algorithm_b(g, dec, solve)
+    s = algorithm_b(g, dec)
     x1 = dec.Y & dec.X
     if len(dec.Y) >= 4:
         if is_dtd_set(g, s):
@@ -486,29 +493,33 @@ def _phase_two(g: Graph, leaf: int, solve: Solver) -> FrozenSet[int]:
     return s | {others[0]}
 
 
-def _construct_inner(g: Graph, depth: int) -> FrozenSet[int]:
-    """Recursive builder on a connected claw-free non-exceptional subgraph."""
-    if depth > max(8, g.n):
-        raise ProofPathError("recursion exceeded the decomposition depth bound")
+def _construct_inner(g: Graph) -> FrozenSet[int]:
+    """Recursive builder on a connected claw-free non-exceptional subgraph.
+
+    Each recursive call is on a strictly smaller induced subgraph: a
+    component of G - X for a nonempty clique X, or g less the four vertices
+    of a peeled chain.  So the recursion ends as the paper's induction on n
+    does, and no counter bounds it.
+    """
     if g.n <= 11 or g.min_degree() >= 2:
         return exact_number(g, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION).witness
-    return _proof_path(g, depth)
+    return _proof_path(g)
 
 
-def _proof_path(g: Graph, depth: int = 0) -> FrozenSet[int]:
-    solve = _fragment_solver(g, depth)
+def _solve_within(g: Graph, vertices) -> FrozenSet[int]:
+    """The builder on the subgraph induced by ``vertices``, in g's vertex ids;
+    it is the exact solver on at most 11 vertices or minimum degree 2."""
+    order = sorted(vertices)  # induced_subgraph relabels in sorted order
+    witness = _construct_inner(induced_subgraph(g, order)[0])
+    return frozenset(order[v] for v in witness)
 
-    def inner(core: Graph, back) -> FrozenSet[int]:
-        if exceptional_member(core) is not None:
-            raise ProofPathError("peeled core is an exceptional graph")
-        witness = _construct_inner(core, depth + 1)
-        return frozenset(back[v] for v in witness)
 
+def _proof_path(g: Graph) -> FrozenSet[int]:
     lvs = sorted(leaves(g))
     if not lvs:
         raise ProofPathError("no leaf to root the decomposition")
     leaf_mask = _to_mask(lvs)
-    result = _phase_one(g, lvs[0], solve, inner)
+    result = _phase_one(g, lvs[0])
     if result is not None:
         return result
     # the endpoint forces the chosen support to have degree 2; a support of
@@ -516,22 +527,11 @@ def _proof_path(g: Graph, depth: int = 0) -> FrozenSet[int]:
     for v in range(g.n):
         nb_leaves = _from_mask(g.bits[v] & leaf_mask)
         if nb_leaves and g.degree(v) >= 3 and nb_leaves[0] != lvs[0]:
-            rerooted = _phase_one(g, nb_leaves[0], solve, inner)
+            rerooted = _phase_one(g, nb_leaves[0])
             if rerooted is not None:
                 return rerooted
             raise ProofPathError("high-degree support still reached the endpoint")
-    return _phase_two(g, lvs[0], solve)
-
-
-def _fragment_solver(g: Graph, depth: int) -> Solver:
-    """Solves a non-exceptional fragment with the builder one level down,
-    which is the exact solver on at most 11 vertices or minimum degree 2."""
-    def solve(vertices: FrozenSet[int]) -> FrozenSet[int]:
-        sub, mapping = induced_subgraph(g, vertices)
-        back = {new: old for old, new in mapping.items()}
-        witness = _construct_inner(sub, depth + 1)
-        return frozenset(back[v] for v in witness)
-    return solve
+    return _phase_two(g, lvs[0])
 
 
 def construct_dtd_clawfree(g: Graph) -> Tuple[FrozenSet[int], str]:

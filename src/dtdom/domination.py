@@ -91,23 +91,24 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
     solved globally.
     """
     n = g.n
-    total_kind = kind is not DominationKind.DOMINATION
-    if total_kind:
+    if kind is DominationKind.DOMINATION:
+        # a dominating set is a total dominating set over closed neighborhoods
+        nbr = [row | 1 << v for v, row in enumerate(g.bits)]
+    else:
         for v in range(n):
             if not g.bits[v]:
                 raise DomainError(f"vertex {v} is isolated; {kind.value} undefined")
+        nbr = g.bits
     if n == 0:
         return SolveResult(kind, 0, frozenset(), 0)
 
-    nbr = g.bits
     d2 = distance2_bits(g) if kind is DominationKind.DISJUNCTIVE_TOTAL_DOMINATION else None
     full = (1 << n) - 1
-    dom_kind = kind is DominationKind.DOMINATION
     explored = 0
 
     unit_cap = 1
     for w in range(n):
-        cap = nbr[w].bit_count() + (1 if dom_kind else 0)
+        cap = nbr[w].bit_count()
         if d2 is not None:
             cap += d2[w].bit_count()
         unit_cap = max(unit_cap, cap)
@@ -119,12 +120,7 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
             nonlocal explored
             explored += 1
             while True:
-                if dom_kind:
-                    covered = smask | adjcov
-                elif d2 is None:
-                    covered = adjcov
-                else:
-                    covered = adjcov | d2two
+                covered = adjcov if d2 is None else adjcov | d2two
                 unc = full & ~covered
                 if not unc:
                     return smask
@@ -139,8 +135,6 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
                     v = low.bit_length() - 1
                     u ^= low
                     avail_n = nbr[v] & ~blocked
-                    if dom_kind:
-                        avail_n |= low & ~blocked
                     if d2 is None:
                         if not avail_n:
                             return None
@@ -185,8 +179,6 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
                 w = low.bit_length() - 1
                 a ^= low
                 reach = nbr[w]
-                if dom_kind:
-                    reach |= low
                 if d2 is not None:
                     reach |= d2[w]
                 gain = (reach & unc).bit_count()
@@ -203,8 +195,6 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
                 v = low.bit_length() - 1
                 u ^= low
                 opts = nbr[v] & ~blocked
-                if dom_kind:
-                    opts |= low & ~blocked
                 if d2 is not None:
                     need = 1 if (d2one >> v) & 1 else 2
                     avail_d = d2[v] & ~blocked

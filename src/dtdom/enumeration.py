@@ -28,7 +28,13 @@ from functools import partial
 from multiprocessing import get_context
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .canon import anchored_profile, certificate
+from .canon import (
+    _refine,
+    _relabeled_rows,
+    anchored_profile,
+    automorphism_generators,
+    certificate,
+)
 from .graph import Graph, GraphInputError, _component_masks
 from .graphio import iter_graph6_file
 
@@ -289,8 +295,6 @@ def _deletion_check(parent, pdeg, comps, mask, msize):
 
 def _refine_is_discrete(n: int, rows) -> bool:
     """Discrete refinement proves the graph rigid (no duplicates possible)."""
-    from .canon import _refine
-
     parts = _refine(n, rows, [(1 << n) - 1], None)
     return all(not cell & (cell - 1) for cell in parts)
 
@@ -301,8 +305,6 @@ def _orbit_representative_masks(n: int, parent, masks: List[int]) -> List[int]:
     Generators may be incomplete, so this only shrinks the duplicate load;
     the bucket net downstream stays responsible for exactness.
     """
-    from .canon import automorphism_generators
-
     gens = automorphism_generators(n, parent)
     if not gens:
         return masks
@@ -345,23 +347,7 @@ def accepted_children(parent: Tuple[int, ...], clawfree: bool) -> List[Tuple[int
     pdeg = [r.bit_count() for r in parent]
     if any(pdeg[u] > pdeg[u + 1] for u in range(n - 1)):
         # degree-ascending labels let the walk's size caps bite immediately
-        order = sorted(range(n), key=pdeg.__getitem__)
-        pos = [0] * n
-        for i, u in enumerate(order):
-            pos[i] = u
-        inv = [0] * n
-        for i, u in enumerate(order):
-            inv[u] = i
-        relabeled = []
-        for i in range(n):
-            row = parent[pos[i]]
-            acc = 0
-            while row:
-                low = row & -row
-                row ^= low
-                acc |= 1 << inv[low.bit_length() - 1]
-            relabeled.append(acc)
-        parent = tuple(relabeled)
+        parent = _relabeled_rows(n, parent, sorted(range(n), key=pdeg.__getitem__))
         pdeg = [r.bit_count() for r in parent]
     full = (1 << n) - 1
     comps = [_component_masks(parent, full & ~(1 << u)) for u in range(n)]

@@ -177,7 +177,7 @@ def test_criterion_7_constructor_guarantee():
     total12 = CLAWFREE_COUNTS[12]
 
     # the generated equality families ride the extracted path end to end
-    for t in range(1, 5):
+    for t in range(1, 9):
         g = generate(FamilyId("H", (t,)))
         witness, tag = construct_dtd_clawfree(g)
         assert tag == "proof-path", t
@@ -197,7 +197,7 @@ def test_criterion_7_constructor_guarantee():
         assert 7 * len(witness) <= 4 * g.n
     _pass(7, "constructor guarantee",
           f"exhaustive n<=12 ({checked} non-exceptional classes incl. "
-          f"{total12} at order 12), H(1..4) via proof path, 100 corona graphs; tags {tags}")
+          f"{total12} at order 12), H(1..8) via proof path, 100 corona graphs; tags {tags}")
 
 
 def test_criterion_8_relate_gap_constructions():

@@ -128,6 +128,14 @@ def test_verify_max_n_is_rejected_for_fixed_universes(theorem, capsys):
     assert "--max-n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theorem", ["census7", "tree", "mindeg2", "dtd-le-gt"])
+def test_verify_corpus_is_rejected_where_unused(theorem, tmp_path, capsys):
+    # only graph and clawfree read a corpus; elsewhere it would be ignored
+    missing = tmp_path / "absent.g6"
+    assert main(["verify", "--theorem", theorem, "--corpus", str(missing)]) == 2
+    assert "--corpus" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["verify", "--theorem", "tree", "--max-n", "5"],
     ["enumerate", "--n", "5"],

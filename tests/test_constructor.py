@@ -21,7 +21,7 @@ from dtdom import (
     is_dtd_set,
     leaves,
 )
-from dtdom import families, graph
+from dtdom import domination, families, graph
 from dtdom.enumeration import connected_clawfree_graphs
 from dtdom.verify import constructor_verdict
 
@@ -170,7 +170,7 @@ def test_algorithm_b_seeds_and_bare_fragments():
 # -- the bounded builder ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 4])
+@pytest.mark.parametrize("t", range(1, 11))
 def test_constructor_achieves_equality_on_h_family(t):
     g = generate_named(f"H({t})")
     witness, tag = construct_dtd_clawfree(g)
@@ -230,6 +230,24 @@ def test_constructor_checks_each_guard_once(monkeypatch):
     _, tag = construct_dtd_clawfree(generate_named("H(5)"))
     assert tag == "proof-path"
     assert len(connected) == 1 and len(clawfree) == 1
+
+
+def test_constructor_solves_h_family_without_blowup(monkeypatch):
+    # each large fragment is solved once, and only on a route that keeps it
+    calls = _count_calls(monkeypatch, domination, "exact_number")
+    for t in range(2, 11):
+        calls.clear()
+        construct_dtd_clawfree(generate_named(f"H({t})"))
+        assert len(calls) <= t, t
+
+
+@pytest.mark.parametrize("n", [40, 300])
+def test_constructor_proof_path_on_long_paths(n):
+    # the proof path nests about n/3 levels of recursion on a path
+    g = generate_named(f"P{n}")
+    witness, tag = construct_dtd_clawfree(g)
+    assert tag == "proof-path"
+    assert is_dtd_set(g, witness) and 7 * len(witness) <= 4 * n
 
 
 def test_constructor_mindeg2_route():
