@@ -110,11 +110,17 @@ def certificate(n: int, rows: Sequence[int], anchor: Optional[int] = None) -> Tu
 
 
 def automorphism_generators(n: int, rows: Sequence[int]) -> List[Tuple[int, ...]]:
-    """Automorphisms discovered during the canonical search.
+    """Automorphisms discovered during the canonical search; they generate Aut(G).
 
-    Every returned permutation is a genuine automorphism; the list is not
-    guaranteed to generate the full group, so it may only be used where
-    under-merged orbits merely cost work, never correctness.
+    Every returned permutation is a genuine automorphism, and together they
+    generate the full group (McKay, "Practical graph isomorphism", 1981).
+    The search keeps the first leaf, and every later leaf with the same
+    relabeled rows yields the automorphism between the two.  A branch is
+    pruned only by found automorphisms that fix its prefix, so by induction
+    on depth every node of the search tree is the image of an explored node
+    under the found group H.  Any automorphism maps the first leaf to a leaf
+    with the same rows, which is then an H-image of an explored one, so it
+    lies in H.  An empty list means the graph is rigid.
     """
     return _search(n, rows, None)[2]
 
@@ -210,6 +216,8 @@ def _search(n: int, rows: Sequence[int], anchor: Optional[int]):
                 best_order = order
             prev = leaf_seen.get(cand)
             if prev is None:
+                # the cap only bounds memory: the first leaf is always stored,
+                # and automorphism_generators' completeness rests on that
                 if len(leaf_seen) < 256:
                     leaf_seen[cand] = order
             elif prev != order:

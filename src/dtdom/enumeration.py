@@ -9,8 +9,10 @@ global seen-set: a candidate is kept only when the new vertex is the
 designated deletion point of the child, decided over non-cutvertices by the
 invariant chain (degree, sorted neighbor degrees, rooted BFS profile,
 rooted refinement profile, anchored certificate).  Duplicates can then only
-come from automorphic neighborhoods of the same parent, handled by orbit
-merging and a small per-parent bucket of anchored certificates.
+come from automorphic neighborhoods of the same parent, and one mask per
+orbit of the parent's full automorphism group removes them all: acceptance
+is constant on an orbit, and two accepted masks in different orbits give
+non-isomorphic children.  There is no second dedup step.
 
 Trees come from the classic level-sequence successor algorithm over
 centroid-rooted layouts, linear work per tree.
@@ -29,7 +31,6 @@ from multiprocessing import get_context
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .canon import (
-    _refine,
     _relabeled_rows,
     anchored_profile,
     automorphism_generators,
@@ -213,7 +214,7 @@ def _bfs_signature(rows: Sequence[int], degs: Sequence[int], src: int) -> Tuple:
     return tuple(sig)
 
 
-def _deletion_check(parent, pdeg, comps, mask, msize):
+def _deletion_check(parent, pdeg, comps, mask, msize) -> bool:
     """Is the new vertex the canonical deletion point of parent+mask?
 
     The new vertex (index n) is never a cutvertex; an old vertex u stays
@@ -222,9 +223,8 @@ def _deletion_check(parent, pdeg, comps, mask, msize):
     alone.  Candidates are compared on the invariant chain (degree, sorted
     neighbor degrees, rooted BFS profile, rooted refinement profile,
     anchored certificate); full certificates arbitrate only final ties.
-
-    Returns ``(accepted, profile_or_None, certificate_or_None)`` so the
-    caller can reuse whatever the decision had to compute as dedup keys.
+    Every link is an invariant of the vertex-rooted child, so the answer is
+    the same for every mask in one orbit of the parent's automorphisms.
     """
     n = len(parent)
 
@@ -241,11 +241,11 @@ def _deletion_check(parent, pdeg, comps, mask, msize):
     for u in range(n):
         du = pdeg[u] + (mask >> u & 1)
         if du < msize and noncut(u):
-            return False, None, None  # a smaller-degree non-cutvertex wins
+            return False  # a smaller-degree non-cutvertex wins
         if du == msize and noncut(u):
             ties.append(u)
     if not ties:
-        return True, None, None
+        return True
 
     vbit = 1 << n
     child = [parent[u] | vbit if mask >> u & 1 else parent[u] for u in range(n)]
@@ -257,53 +257,48 @@ def _deletion_check(parent, pdeg, comps, mask, msize):
     for u in ties:
         key_u = _neighbor_degrees(child, degs, u)
         if key_u < key_new:
-            return False, None, None
+            return False
         if key_u == key_new:
             final.append(u)
     if not final:
-        return True, None, None
+        return True
     sig_new = _bfs_signature(child, degs, n)
     last = []
     for u in final:
         sig_u = _bfs_signature(child, degs, u)
         if sig_u < sig_new:
-            return False, None, None
+            return False
         if sig_u == sig_new:
             last.append(u)
     if not last:
-        return True, None, None
+        return True
     inv_new, cert_new = anchored_profile(n + 1, child, n)
     remaining = []
     for u in last:
         inv_u, cert_u = anchored_profile(n + 1, child, u)
         if inv_u < inv_new:
-            return False, None, None
+            return False
         if inv_u == inv_new:
             if cert_new is not None:
                 # equal profiles imply equal discreteness, so cert_u is set
                 if cert_u < cert_new:
-                    return False, None, None
+                    return False
             else:
                 remaining.append(u)
     if cert_new is None and remaining:
         cert_new = certificate(n + 1, child, anchor=n)
         for u in remaining:
             if certificate(n + 1, child, anchor=u) < cert_new:
-                return False, None, None
-    return True, inv_new, cert_new
-
-
-def _refine_is_discrete(n: int, rows) -> bool:
-    """Discrete refinement proves the graph rigid (no duplicates possible)."""
-    parts = _refine(n, rows, [(1 << n) - 1], None)
-    return all(not cell & (cell - 1) for cell in parts)
+                return False
+    return True
 
 
 def _orbit_representative_masks(n: int, parent, masks: List[int]) -> List[int]:
-    """Keep one mask per discovered automorphism orbit of the parent.
+    """Keep the first mask of each orbit of the parent's automorphism group.
 
-    Generators may be incomplete, so this only shrinks the duplicate load;
-    the bucket net downstream stays responsible for exactness.
+    :func:`canon.automorphism_generators` generates the full group, so the
+    orbits are exact, and no two kept masks that pass the deletion check
+    give isomorphic children.
     """
     gens = automorphism_generators(n, parent)
     if not gens:
@@ -337,10 +332,9 @@ def accepted_children(parent: Tuple[int, ...], clawfree: bool) -> List[Tuple[int
     """Children of one parent, pairwise non-isomorphic across the whole level.
 
     The canonical-deletion rule leaves only duplicates caused by automorphic
-    neighborhoods of this same parent.  Mask orbits under discovered parent
-    automorphisms are merged up front when the mask list is large; accepted
-    children are then bucketed by a cheap rooted invariant, and anchored
-    certificates arbitrate only inside a bucket collision.
+    neighborhoods of this same parent, so the candidate masks are cut to one
+    per orbit of the parent's automorphism group, and each mask that passes
+    the deletion check yields one child.
     """
     n = len(parent)
     vbit = 1 << n
@@ -357,43 +351,13 @@ def accepted_children(parent: Tuple[int, ...], clawfree: bool) -> List[Tuple[int
             noncut |= 1 << u
     nonadj = _nonadj_pairs(parent) if clawfree else None
     masks = _candidate_masks(parent, pdeg, noncut, nonadj)
-    if len(masks) >= 16 and not _refine_is_discrete(n, parent):
+    if len(masks) >= 2:
         masks = _orbit_representative_masks(n, parent, masks)
-    buckets = {}
     out = []
     for mask in masks:
-        accepted, prof, cert = _deletion_check(
-            parent, pdeg, comps, mask, mask.bit_count()
-        )
-        if not accepted:
-            continue
-        child = [parent[u] | vbit if mask >> u & 1 else parent[u] for u in range(n)]
-        child.append(mask)
-        degs = [pdeg[u] + (mask >> u & 1) for u in range(n)]
-        degs.append(mask.bit_count())
-        sig = _bfs_signature(child, degs, n)
-        bucket = buckets.get(sig)
-        if bucket is None:
-            buckets[sig] = [[child, prof, cert]]
-            out.append(tuple(child))
-            continue
-        if prof is None:
-            prof, cert = anchored_profile(n + 1, child, n)
-        duplicate = False
-        for item in bucket:
-            if item[1] is None:
-                item[1], item[2] = anchored_profile(n + 1, item[0], n)
-            if item[1] != prof:
-                continue
-            if cert is None:
-                cert = certificate(n + 1, child, anchor=n)
-            if item[2] is None:
-                item[2] = certificate(n + 1, item[0], anchor=n)
-            if item[2] == cert:
-                duplicate = True
-                break
-        if not duplicate:
-            bucket.append([child, prof, cert])
+        if _deletion_check(parent, pdeg, comps, mask, mask.bit_count()):
+            child = [parent[u] | vbit if mask >> u & 1 else parent[u] for u in range(n)]
+            child.append(mask)
             out.append(tuple(child))
     return out
 

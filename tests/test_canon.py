@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 
@@ -9,7 +11,7 @@ from dtdom import (
     is_isomorphic,
     isomorphism_map,
 )
-from dtdom.canon import _refine, certificate
+from dtdom.canon import _refine, automorphism_generators, certificate
 from conftest import random_graph, to_networkx
 
 
@@ -93,3 +95,45 @@ def test_distinguishes_close_pairs():
     g2 = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])  # 2 triangles
     assert not is_isomorphic(g1, g2)
     assert canonical_form(g1) != canonical_form(g2)
+
+
+def _group_order(n, gens):
+    """Size of the permutation group generated by ``gens`` (by closure)."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for s in gens:
+            q = tuple(s[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return len(group)
+
+
+def test_automorphism_generators_generate_full_group():
+    # canonical augmentation merges masks by the orbits of these generators,
+    # so they must generate the whole group, not just a subgroup
+    rng = random.Random(6170)
+    graphs = [g for g in nx.graph_atlas_g()[1:] if nx.is_connected(g)]
+    graphs += [
+        nx.petersen_graph(),
+        nx.hypercube_graph(4),
+        nx.cycle_graph(12),
+        nx.complete_bipartite_graph(4, 4),
+        nx.circulant_graph(10, [1, 3]),
+    ]
+    for h in graphs:
+        h = nx.convert_node_labels_to_integers(h)
+        n = h.number_of_nodes()
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = nx.relabel_nodes(h, dict(enumerate(perm)))
+        g = Graph(n, list(h.edges()))
+        gens = automorphism_generators(n, g.bits)
+        for s in gens:
+            assert all(g.has_edge(s[u], s[v]) for u, v in g.edges())
+        matcher = nx.algorithms.isomorphism.GraphMatcher(h, h)
+        want = sum(1 for _ in matcher.isomorphisms_iter())
+        assert _group_order(n, gens) == want, sorted(g.edges())

@@ -1,3 +1,5 @@
+import hashlib
+
 import networkx as nx
 import pytest
 
@@ -15,6 +17,7 @@ from dtdom import (
     is_tree,
     to_graph6,
 )
+from dtdom.enumeration import walk_levels
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 CLAWFREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 14, 6: 50, 7: 191, 8: 881,
@@ -111,6 +114,22 @@ def test_determinism():
     first = [to_graph6(g) for g in connected_clawfree_graphs(6)]
     second = [to_graph6(g) for g in connected_clawfree_graphs(6)]
     assert first == second
+
+
+# sha256 of the ordered row stream of walk_levels(1, hi), one line per class
+# ("rows[0] rows[1] ...\n"); pins the order of the classes, not just their count
+STREAM_DIGESTS = {
+    (True, 9): "e03e6b728f62659a9f0c7d512cd63d4413d49830ee43f96279fa25f7407e90f1",
+    (False, 7): "416507ee34c33786855bdf25ab65e30575c37ace9540bcf235916b387f969eb1",
+}
+
+
+@pytest.mark.parametrize("clawfree,hi", sorted(STREAM_DIGESTS))
+def test_stream_order_is_pinned(clawfree, hi):
+    h = hashlib.sha256()
+    for rows, _ in walk_levels(1, hi, clawfree, lambda g: None):
+        h.update((" ".join(map(str, rows)) + "\n").encode())
+    assert h.hexdigest() == STREAM_DIGESTS[clawfree, hi]
 
 
 def test_builtin_caps():
