@@ -189,9 +189,15 @@ def bfs_distances(g: Graph) -> DistanceTable:
     return DistanceTable(tuple(rows))
 
 
+def _distance2_row(rows: Sequence[int], v: int) -> int:
+    """Bitmask of the vertices at distance exactly 2 from ``v``."""
+    row = rows[v]
+    return _nbhd(rows, row) & ~row & ~(1 << v)
+
+
 def distance2_bits(g: Graph) -> Tuple[int, ...]:
     """Per-vertex bitmask of vertices at distance exactly 2."""
-    return tuple(_nbhd(g.bits, row) & ~row & ~(1 << v) for v, row in enumerate(g.bits))
+    return tuple(_distance2_row(g.bits, v) for v in range(g.n))
 
 
 # -- connectivity ----------------------------------------------------------

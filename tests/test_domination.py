@@ -1,3 +1,7 @@
+import hashlib
+import random
+from itertools import combinations
+
 import pytest
 
 from dtdom import (
@@ -17,7 +21,9 @@ from dtdom import (
     is_total_dominating_set,
     support_exchange,
 )
+from dtdom.domination import _cannot_cover, _weight_rows
 from dtdom.enumeration import connected_graphs
+from dtdom.graph import distance2_bits
 from conftest import brute_force_minimum, random_connected_graph, random_graph
 
 DOM = DominationKind.DOMINATION
@@ -120,13 +126,83 @@ def test_solver_matches_brute_force_random(rng):
 
 def test_no_smaller_set_exists_small(rng):
     # re-search below the reported value finds nothing (witness minimality)
-    from itertools import combinations
-
     for _ in range(15):
         g = random_connected_graph(rng.randrange(3, 8), rng)
         res = exact_number(g, DTD)
         for smaller in combinations(range(g.n), res.value - 1):
             assert not is_dtd_set(g, frozenset(smaller))
+
+
+def _partial_state(g, kind, smask):
+    """The solver's view of a partial set: its rows, distance-2 rows,
+    uncovered vertices and the vertices with one distance-2 member."""
+    nbr = [row | 1 << v for v, row in enumerate(g.bits)] if kind is DOM else g.bits
+    d2 = distance2_bits(g) if kind is DTD else None
+    adjcov = d2one = d2two = 0
+    for w in range(g.n):
+        if smask >> w & 1:
+            adjcov |= nbr[w]
+            if d2 is not None:
+                d2two |= d2[w] & d2one
+                d2one |= d2[w]
+    return nbr, d2, ((1 << g.n) - 1) & ~(adjcov | d2two), d2one
+
+
+def test_coverage_bound_never_prunes_a_completion():
+    rng = random.Random(20261018)
+    checks = {DOM: is_dominating_set, TDOM: is_total_dominating_set, DTD: is_dtd_set}
+    states = pruned = 0
+    while states < 3000:
+        g = random_graph(rng.randint(2, 9), rng.choice((0.25, 0.4, 0.6)), rng)
+        kind = rng.choice((DOM, TDOM, DTD))
+        if kind is not DOM and not all(g.bits):
+            continue
+        smask = sum(1 << v for v in range(g.n) if rng.random() < 0.2)
+        banned = sum(1 << v for v in range(g.n) if rng.random() < 0.2) & ~smask
+        nbr, d2, unc, d2one = _partial_state(g, kind, smask)
+        if not unc:
+            continue
+        states += 1
+        budget = rng.randint(1, g.n)
+        avail = ((1 << g.n) - 1) & ~smask & ~banned
+        if not _cannot_cover(_weight_rows(nbr, d2), unc, d2one, avail, budget):
+            continue
+        pruned += 1
+        s = [v for v in range(g.n) if smask >> v & 1]
+        free = [v for v in range(g.n) if avail >> v & 1]
+        for size in range(1, min(budget, len(free)) + 1):
+            for extra in combinations(free, size):
+                assert not checks[kind](g, s + list(extra)), (kind, sorted(g.edges()), s, extra)
+    assert pruned > 300
+
+
+def _cycle_plus_chords(n, chords, rng):
+    edges = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    while len(edges) < n + chords:
+        u, v = sorted(rng.sample(range(n), 2))
+        if v - u not in (1, n - 1):
+            edges.add((u, v))
+    return Graph(n, sorted(edges))
+
+
+# sha256 over "kind value witness\n" for every kind and graph of the corpus
+# below, recorded before the coverage bound replaced the unit-capacity bound;
+# pins every witness, not only the values
+SOLVER_DIGEST = "d93d996441a9ce7a14acfe45b70cd9467b9f2bef1afb4240d093b98aa3165c12"
+
+
+def test_solver_outputs_are_pinned():
+    rng = random.Random(7)
+    corpus = [random_connected_graph(rng.randint(2, 14), rng) for _ in range(300)]
+    corpus += [_cycle_plus_chords(rng.randint(18, 24), rng.randint(1, 4), rng) for _ in range(30)]
+    corpus += [generate_named(f"{family}{n}") for family in "CP" for n in range(3, 31)]
+    h = hashlib.sha256()
+    for g in corpus:
+        for kind in (DOM, TDOM, DTD):
+            res = exact_number(g, kind)
+            witness = " ".join(map(str, sorted(res.witness)))
+            h.update(f"{kind.value} {res.value} {witness}\n".encode())
+    assert h.hexdigest() == SOLVER_DIGEST
 
 
 # -- closed forms -----------------------------------------------------------------
@@ -156,12 +232,14 @@ def test_formula_domain(fn):
 
 
 def test_formulas_match_solver_small():
-    for n in range(3, 13):
+    for n in range(3, 41):
         cn = generate_named(f"C{n}")
         pn = generate_named(f"P{n}")
         assert dtd_cycle_formula(n) == exact_number(cn, DTD).value
         assert dtd_path_formula(n) == exact_number(pn, DTD).value
         assert gt_cycle_formula(n) == exact_number(cn, TDOM).value
+    # the coverage bound settles C45 in 6,482 nodes; the unit-capacity bound took 112,436
+    assert exact_number(generate_named("C45"), DTD).explored < 20_000
 
 
 def test_cycle_witness_examples():
