@@ -2,7 +2,8 @@
 
 Exit codes: 0 success or verification pass, 1 verification failure,
 2 input error, 3 domain error (isolated vertex for a total variant,
-exceptional graph handed to the constructor).
+exceptional graph handed to the constructor, leafy input too deep for the
+constructor's proof path).
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ import sys
 from typing import List, Optional
 
 from .constructor import construct_dtd_clawfree, greedy_dtd
-from .domination import (
-    DomainError,
-    DominationKind,
-    dtd_uncovered,
-    exact_number,
-)
+from .domination import DomainError, DominationKind, _uncovered, exact_number
 from .enumeration import GraphClass, free_trees, sweep, walk_levels
 from .families import generate_named
 from .graph import GraphInputError
@@ -137,19 +133,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_check_set(args) -> int:
     g = load_graph(args.infile, args.format)
-    s = _parse_set(args.candidate, g.n)
-    kind = _KINDS[args.kind]
-    smask = 0
-    for u in s:
-        smask |= 1 << u
-    if kind is DominationKind.DOMINATION:
-        uncovered = frozenset(
-            v for v in range(g.n) if v not in s and not g.bits[v] & smask
-        )
-    elif kind is DominationKind.TOTAL_DOMINATION:
-        uncovered = frozenset(v for v in range(g.n) if not g.bits[v] & smask)
-    else:
-        uncovered = dtd_uncovered(g, s)
+    uncovered = _uncovered(g, _parse_set(args.candidate, g.n), _KINDS[args.kind])
     if not uncovered:
         print("valid")
         return 0

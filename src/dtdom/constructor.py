@@ -541,7 +541,9 @@ def construct_dtd_clawfree(g: Graph) -> Tuple[FrozenSet[int], str]:
     with a leaf runs the decomposition path (whatever its order, so the
     equality families are produced by the extraction itself); the candidate
     is verified and the exact solver stands behind any failure.  The method
-    tag records which route produced the returned set.
+    tag records which route produced the returned set.  A leafy input whose
+    proof path outgrows the interpreter's recursion limit (P700 does) raises
+    DomainError.
     """
     if g.n < 2:
         raise GraphInputError("constructor needs n >= 2")
@@ -563,10 +565,16 @@ def _construct(g: Graph) -> Tuple[FrozenSet[int], str]:
         return res.witness, "exact-small"
     try:
         cand = _proof_path(g)
-        if is_dtd_set(g, cand) and 7 * len(cand) <= 4 * g.n:
-            return cand, "proof-path"
     except ProofPathError:
-        pass
+        cand = None
+    except RecursionError:
+        # each proof-path level peels at least three vertices and nests four
+        # frames, so a long leafy input can outgrow the interpreter's stack
+        raise DomainError(
+            f"the proof path on order {g.n} nests past the interpreter's recursion limit"
+        ) from None
+    if cand is not None and is_dtd_set(g, cand) and 7 * len(cand) <= 4 * g.n:
+        return cand, "proof-path"
     res = exact_number(g, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION)
     return res.witness, "fallback-exact"
 

@@ -2,7 +2,10 @@
 
 Three set kinds are covered: dominating sets, total dominating sets, and
 disjunctive total dominating sets (every vertex has a neighbor in the set
-or at least two set members at distance exactly 2).  The exact solver is
+or at least two set members at distance exactly 2).  They differ only in
+their rows: dom is total domination over closed neighborhoods, and tdom is
+dtd with empty distance-2 rows.  So one uncovered-set predicate
+(``_uncovered``) and one exact search serve all three.  The exact solver is
 an ascending-cardinality search with logically forced-vertex propagation
 and a coverage bound over the best remaining candidates (see
 ``_cannot_cover``); nothing heuristic prunes a feasible branch, so its
@@ -49,40 +52,44 @@ class SolveResult:
 # -- predicates ---------------------------------------------------------------
 
 
-def is_dominating_set(g: Graph, s: Iterable[int]) -> bool:
-    """Every vertex outside ``s`` has a neighbor in ``s``."""
-    smask = _to_mask(s)
-    for v in range(g.n):
-        if not (smask >> v) & 1 and not (g.bits[v] & smask):
-            return False
-    return True
+def _uncovered(g: Graph, s: Iterable[int], kind: DominationKind) -> FrozenSet[int]:
+    """Vertices of ``g`` that ``s`` fails to dominate in the sense of ``kind``.
 
-
-def is_total_dominating_set(g: Graph, s: Iterable[int]) -> bool:
-    """Every vertex of ``g``, members of ``s`` included, has a neighbor in ``s``."""
-    smask = _to_mask(s)
-    return all(g.bits[v] & smask for v in range(g.n))
-
-
-def dtd_uncovered(g: Graph, s: Iterable[int]) -> FrozenSet[int]:
-    """Vertices violating the disjunctive total domination condition.
-
-    The distance-2 row is built only for vertices with no neighbor in ``s``.
+    A vertex is covered by a member among its neighbors (its closed
+    neighborhood for dom) or, for dtd, by two members at distance 2.  The
+    distance-2 row is built only for vertices with no neighbor in ``s``.
     """
     smask = _to_mask(s)
+    closed = 1 if kind is DominationKind.DOMINATION else 0
+    disjunctive = kind is DominationKind.DISJUNCTIVE_TOTAL_DOMINATION
     bad = []
-    for v in range(g.n):
-        if g.bits[v] & smask:
+    for v, row in enumerate(g.bits):
+        if (row | closed << v) & smask:
             continue
-        if (_distance2_row(g.bits, v) & smask).bit_count() >= 2:
+        if disjunctive and (_distance2_row(g.bits, v) & smask).bit_count() >= 2:
             continue
         bad.append(v)
     return frozenset(bad)
 
 
+def is_dominating_set(g: Graph, s: Iterable[int]) -> bool:
+    """Every vertex outside ``s`` has a neighbor in ``s``."""
+    return not _uncovered(g, s, DominationKind.DOMINATION)
+
+
+def is_total_dominating_set(g: Graph, s: Iterable[int]) -> bool:
+    """Every vertex of ``g``, members of ``s`` included, has a neighbor in ``s``."""
+    return not _uncovered(g, s, DominationKind.TOTAL_DOMINATION)
+
+
+def dtd_uncovered(g: Graph, s: Iterable[int]) -> FrozenSet[int]:
+    """Vertices violating the disjunctive total domination condition."""
+    return _uncovered(g, s, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION)
+
+
 def is_dtd_set(g: Graph, s: Iterable[int]) -> bool:
     """Every vertex has a neighbor in ``s`` or two ``s``-members at distance 2."""
-    return not dtd_uncovered(g, s)
+    return not _uncovered(g, s, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION)
 
 
 # -- exact solver --------------------------------------------------------------
@@ -95,11 +102,9 @@ def _weight_rows(nbr, d2) -> list:
     Against the mask of ``_cannot_cover`` its popcount is w's doubled weight:
     2 for each uncovered neighbor, 2 for each uncovered vertex at distance 2
     that already has one distance-2 member, and 1 for each other uncovered
-    vertex at distance 2.  ``d2`` is None for dom and tdom.
+    vertex at distance 2.  For dom and tdom the distance-2 rows are empty.
     """
     n = len(nbr)
-    if d2 is None:
-        return [r | r << n for r in nbr]
     return [r | e | r << n | e << 2 * n for r, e in zip(nbr, d2)]
 
 
@@ -128,8 +133,11 @@ def _cannot_cover(rows, unc, d2one, avail, budget) -> bool:
 def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
     """Exact minimum cardinality with witness, by ascending-cardinality search.
 
-    A branch with at least two vertices left to add is cut when those
-    ``k - |S|`` vertices cannot cover the uncovered ones (``_cannot_cover``),
+    One search serves all three kinds.  A vertex is covered by one member
+    among its rows ``nbr`` (closed neighborhoods for dom) or by two members
+    among its distance-2 rows ``d2``, which are empty for dom and tdom.  A
+    branch with at least two vertices left to add is cut when those
+    ``budget`` vertices cannot cover the uncovered ones (``_cannot_cover``),
     and k starts at the least value the same bound allows at the root.  The
     cost grows exponentially with n: DTD on C45 takes 6,482 nodes and on P60
     125,012.  For the total variants every vertex must have a neighbor
@@ -147,119 +155,89 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
         nbr = g.bits
     if n == 0:
         return SolveResult(kind, 0, frozenset(), 0)
-
-    d2 = distance2_bits(g) if kind is DominationKind.DISJUNCTIVE_TOTAL_DOMINATION else None
+    d2 = distance2_bits(g) if kind is DominationKind.DISJUNCTIVE_TOTAL_DOMINATION else (0,) * n
     full = (1 << n) - 1
     rows = _weight_rows(nbr, d2)
     explored = 0
 
-    def search(k: int) -> Optional[int]:
+    def rec(smask: int, banned: int, budget: int, adjcov: int, d2one: int, d2two: int) -> Optional[int]:
         nonlocal explored
-
-        def rec(smask: int, banned: int, size: int, adjcov: int, d2one: int, d2two: int) -> Optional[int]:
-            nonlocal explored
-            explored += 1
-            while True:
-                covered = adjcov if d2 is None else adjcov | d2two
-                unc = full & ~covered
-                if not unc:
-                    return smask
-                budget = k - size
-                if budget == 0:
-                    return None
-                blocked = banned | smask
-                forced = 0
-                u = unc
-                while u:
-                    low = u & -u
-                    v = low.bit_length() - 1
-                    u ^= low
-                    avail_n = nbr[v] & ~blocked
-                    if d2 is None:
-                        if not avail_n:
-                            return None
-                        if not (avail_n & (avail_n - 1)):
-                            forced |= avail_n
-                    else:
-                        need = 1 if (d2one >> v) & 1 else 2
-                        avail_d = d2[v] & ~blocked
-                        cnt_d = avail_d.bit_count()
-                        d2_viable = cnt_d >= need and need <= budget
-                        if not avail_n:
-                            if not d2_viable:
-                                return None
-                            if cnt_d == need:
-                                forced |= avail_d
-                        elif not (avail_n & (avail_n - 1)) and not d2_viable:
-                            forced |= avail_n
-                forced &= ~smask
-                if not forced:
-                    break
-                if size + forced.bit_count() > k:
-                    return None
-                f = forced
-                while f:
-                    low = f & -f
-                    w = low.bit_length() - 1
-                    f ^= low
-                    smask |= low
-                    adjcov |= nbr[w]
-                    if d2 is not None:
-                        dw = d2[w]
-                        d2two |= dw & d2one
-                        d2one |= dw
-                    size += 1
-
-            # coverage bound over the budget best candidates; at budget 1 each
-            # child fails in its first forced-vertex pass unless it covers
-            # everything, which is cheaper than computing the weights
-            if budget > 1 and _cannot_cover(rows, unc, d2one, full & ~blocked, budget):
+        explored += 1
+        while True:
+            unc = full & ~(adjcov | d2two)
+            if not unc:
+                return smask
+            if budget == 0:
                 return None
-
-            # branch on the uncovered vertex with fewest helpers
-            pick, pick_opts, pick_cnt = -1, 0, 1 << 30
+            free = full & ~(banned | smask)
+            # one pass over the uncovered vertices: fail on one with no
+            # option, collect the forced vertices, and note the first vertex
+            # with the fewest options to branch on when nothing is forced
+            forced = 0
+            pick_opts, pick_cnt = 0, n + 1
             u = unc
             while u:
                 low = u & -u
                 v = low.bit_length() - 1
                 u ^= low
-                opts = nbr[v] & ~blocked
-                if d2 is not None:
+                opts = nbr[v] & free
+                avail_d = d2[v] & free
+                if avail_d:
+                    # v needs two members at distance 2, or one more if it has one
                     need = 1 if (d2one >> v) & 1 else 2
-                    avail_d = d2[v] & ~blocked
-                    if avail_d.bit_count() >= need and need <= budget:
+                    cnt_d = avail_d.bit_count()
+                    if cnt_d >= need and need <= budget:
+                        if not opts and cnt_d == need:
+                            forced |= avail_d
                         opts |= avail_d
+                if not opts:
+                    return None
                 cnt = opts.bit_count()
-                if cnt < pick_cnt:
-                    pick, pick_opts, pick_cnt = v, opts, cnt
-                    if cnt <= 2:
-                        break
-            tried = 0
-            o = pick_opts
-            while o:
-                low = o & -o
+                if cnt == 1:
+                    forced |= opts
+                elif cnt < pick_cnt:
+                    pick_opts, pick_cnt = opts, cnt
+            if not forced:
+                break
+            budget -= forced.bit_count()
+            if budget < 0:
+                return None
+            f = forced
+            while f:
+                low = f & -f
                 w = low.bit_length() - 1
-                o ^= low
-                adj2 = adjcov | nbr[w]
-                one2, two2 = d2one, d2two
-                if d2 is not None:
-                    dw = d2[w]
-                    two2 |= dw & one2
-                    one2 |= dw
-                hit = rec(smask | low, banned | tried, size + 1, adj2, one2, two2)
-                if hit is not None:
-                    return hit
-                tried |= low
-            return None
+                f ^= low
+                smask |= low
+                adjcov |= nbr[w]
+                d2two |= d2[w] & d2one
+                d2one |= d2[w]
 
-        return rec(0, 0, 0, 0, 0, 0)
+        # coverage bound over the budget best candidates; at budget 1 each
+        # child fails in its first forced-vertex pass unless it covers
+        # everything, which is cheaper than computing the weights
+        if budget > 1 and _cannot_cover(rows, unc, d2one, free, budget):
+            return None
+        tried = 0
+        o = pick_opts
+        while o:
+            low = o & -o
+            w = low.bit_length() - 1
+            o ^= low
+            dw = d2[w]
+            hit = rec(
+                smask | low, banned | tried, budget - 1, adjcov | nbr[w], d2one | dw, d2two | dw & d2one
+            )
+            if hit is not None:
+                return hit
+            tried |= low
+        return None
 
     # the least k whose k largest root weights reach 2n; at the root every
     # vertex is uncovered and none has a distance-2 member yet
     weights = sorted([(r & (full | full << n)).bit_count() for r in rows], reverse=True)
     lower = next(k for k, reach in enumerate(accumulate(weights), 1) if reach >= 2 * n)
     for k in range(lower, n + 1):
-        hit = search(k)
+        hit = rec(0, 0, k, 0, 0, 0)
         if hit is not None:
             return SolveResult(kind, hit.bit_count(), bits_to_vertices(hit), explored)
     raise DomainError("no feasible set exists")  # unreachable after isolation check
@@ -356,23 +334,19 @@ def support_exchange(
         )
     w = non_leaf[0]
 
-    out = s
-    if v not in out:
+    def swap_in(out: FrozenSet[int], x: int) -> FrozenSet[int]:
         swappable = [u for u in nbrs if u in lv and u in out]
         if not swappable:
             raise GraphInputError("no leaf neighbor of v available to swap")
-        out = (out - {swappable[0]}) | {v}
+        out = (out - {swappable[0]}) | {x}
         if not is_dtd_set(g, out):
             raise GraphInputError("exchange broke the set; s was not minimum")
+        return out
 
+    out = s if v in s else swap_in(s, v)
     if include_degree2_neighbor:
         if g.degree(w) != 2:
             raise GraphInputError(f"neighbor {w} has degree {g.degree(w)}, need 2")
         if w not in out:
-            swappable = [u for u in nbrs if u in lv and u in out]
-            if not swappable:
-                raise GraphInputError("no leaf neighbor of v available to swap")
-            out = (out - {swappable[0]}) | {w}
-            if not is_dtd_set(g, out):
-                raise GraphInputError("exchange broke the set; s was not minimum")
+            out = swap_in(out, w)
     return out

@@ -1,11 +1,16 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dtdom.cli import main
 from dtdom import generate_named, to_graph6
 from dtdom.graphio import dump_graph
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -48,6 +53,21 @@ def test_check_set_invalid(c7_file, capsys):
     assert "invalid" in out and "uncovered: 3,4,5" in out
 
 
+@pytest.mark.parametrize(
+    "kind,valid,invalid,uncovered",
+    [
+        # dom counts a member as covering itself, tdom does not
+        ("dom", "0,3,5", "0,1", "3,4,5"),
+        ("tdom", "0,1,4,5", "0,3,5", "0,3,5"),
+    ],
+)
+def test_check_set_dom_and_tdom(c7_file, capsys, kind, valid, invalid, uncovered):
+    assert main(["check-set", "--kind", kind, "--in", c7_file, "--set", valid]) == 0
+    assert capsys.readouterr().out.strip() == "valid"
+    assert main(["check-set", "--kind", kind, "--in", c7_file, "--set", invalid]) == 1
+    assert capsys.readouterr().out.splitlines() == ["invalid", f"uncovered: {uncovered}"]
+
+
 def test_check_set_malformed(c7_file, capsys):
     assert main(["check-set", "--kind", "dtd", "--in", c7_file, "--set", "0,x"]) == 2
     assert "x" in capsys.readouterr().err
@@ -85,6 +105,21 @@ def test_construct_exceptional_exit_code(tmp_path, capsys):
     p6.write_text(dump_graph(generate_named("P6"), "edgelist"))
     assert main(["construct", "--in", str(p6)]) == 3
     assert "P(6)" in capsys.readouterr().err
+
+
+def test_construct_too_deep_is_a_domain_error(tmp_path):
+    # the proof path on P1000 outgrows the default recursion limit; the
+    # process must end on the typed error, not on a traceback
+    el = tmp_path / "p1000.el"
+    el.write_text(dump_graph(generate_named("P1000"), "edgelist"))
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dtdom.cli", "construct", "--in", str(el)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("domain error: ") and "Traceback" not in proc.stderr
 
 
 def test_construct_and_greedy(tmp_path, capsys):

@@ -250,6 +250,12 @@ def test_constructor_proof_path_on_long_paths(n):
     assert is_dtd_set(g, witness) and 7 * len(witness) <= 4 * n
 
 
+def test_constructor_too_deep_is_a_domain_error():
+    # P1000 nests the proof path past the default recursion limit
+    with pytest.raises(DomainError, match="recursion limit"):
+        construct_dtd_clawfree(generate_named("P1000"))
+
+
 def test_constructor_mindeg2_route():
     c7 = generate_named("C7")
     witness, tag = construct_dtd_clawfree(c7)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 from itertools import combinations
@@ -137,14 +138,13 @@ def _partial_state(g, kind, smask):
     """The solver's view of a partial set: its rows, distance-2 rows,
     uncovered vertices and the vertices with one distance-2 member."""
     nbr = [row | 1 << v for v, row in enumerate(g.bits)] if kind is DOM else g.bits
-    d2 = distance2_bits(g) if kind is DTD else None
+    d2 = distance2_bits(g) if kind is DTD else (0,) * g.n
     adjcov = d2one = d2two = 0
     for w in range(g.n):
         if smask >> w & 1:
             adjcov |= nbr[w]
-            if d2 is not None:
-                d2two |= d2[w] & d2one
-                d2one |= d2[w]
+            d2two |= d2[w] & d2one
+            d2one |= d2[w]
     return nbr, d2, ((1 << g.n) - 1) & ~(adjcov | d2two), d2one
 
 
@@ -189,20 +189,33 @@ def _cycle_plus_chords(n, chords, rng):
 # below, recorded before the coverage bound replaced the unit-capacity bound;
 # pins every witness, not only the values
 SOLVER_DIGEST = "d93d996441a9ce7a14acfe45b70cd9467b9f2bef1afb4240d093b98aa3165c12"
+# sha256 over "kind explored\n" on the same corpus, recorded before the three
+# kinds shared one search; pins the search tree, not only its result
+NODES_DIGEST = "5f753349bdcfd160f9e8dde9bb47a40585ec622874a8ace813b17f0b7b41924b"
 
 
-def test_solver_outputs_are_pinned():
+@functools.lru_cache(maxsize=1)
+def _pinned_corpus_results():
     rng = random.Random(7)
     corpus = [random_connected_graph(rng.randint(2, 14), rng) for _ in range(300)]
     corpus += [_cycle_plus_chords(rng.randint(18, 24), rng.randint(1, 4), rng) for _ in range(30)]
     corpus += [generate_named(f"{family}{n}") for family in "CP" for n in range(3, 31)]
+    return [exact_number(g, kind) for g in corpus for kind in (DOM, TDOM, DTD)]
+
+
+def test_solver_outputs_are_pinned():
     h = hashlib.sha256()
-    for g in corpus:
-        for kind in (DOM, TDOM, DTD):
-            res = exact_number(g, kind)
-            witness = " ".join(map(str, sorted(res.witness)))
-            h.update(f"{kind.value} {res.value} {witness}\n".encode())
+    for res in _pinned_corpus_results():
+        witness = " ".join(map(str, sorted(res.witness)))
+        h.update(f"{res.kind.value} {res.value} {witness}\n".encode())
     assert h.hexdigest() == SOLVER_DIGEST
+
+
+def test_solver_node_counts_are_pinned():
+    h = hashlib.sha256()
+    for res in _pinned_corpus_results():
+        h.update(f"{res.kind.value} {res.explored}\n".encode())
+    assert h.hexdigest() == NODES_DIGEST
 
 
 # -- closed forms -----------------------------------------------------------------
