@@ -378,13 +378,13 @@ def algorithm_a(g: Graph, dec: Decomposition, solve_noneE: Optional[Solver] = No
     return frozenset(s)
 
 
-def algorithm_b(g: Graph, dec: Decomposition, solve_noneE: Optional[Solver] = None) -> FrozenSet[int]:
+def algorithm_b(g: Graph, dec: Decomposition) -> FrozenSet[int]:
     """The modified selection for the decomposition past a degree-2 support:
     both x and y are seeded, and each bare-vertex fragment contributes its
     attached clique vertex."""
     if not dec.deep:
         raise GraphInputError("algorithm B needs the beyond-support decomposition")
-    solve = solve_noneE if solve_noneE is not None else partial(_solve_within, g)
+    solve = partial(_solve_within, g)
     s = {dec.x, dec.y}
     for frag in dec.fragments:
         if frag.kind is FragmentKind.P1:
@@ -560,9 +560,6 @@ def _construct(g: Graph) -> Tuple[FrozenSet[int], str]:
     if g.min_degree() >= 2:
         res = exact_number(g, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION)
         return res.witness, "exact-mindeg2"
-    if g.n <= 3:
-        res = exact_number(g, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION)
-        return res.witness, "exact-small"
     try:
         cand = _proof_path(g)
     except ProofPathError:
@@ -600,6 +597,8 @@ def greedy_dtd(g: Graph) -> FrozenSet[int]:
         if covered == full:
             break
         unc = full & ~covered
+        # an uncovered u has a neighbour outside S (else u is covered), and
+        # that neighbour's gain counts u, so the best gain is at least 1
         best_gain, best_v = -1, -1
         for w in range(g.n):
             if (smask >> w) & 1:
@@ -608,10 +607,6 @@ def greedy_dtd(g: Graph) -> FrozenSet[int]:
             gain += (d2[w] & d2one & unc).bit_count()
             if gain > best_gain:
                 best_gain, best_v = gain, w
-        if best_gain <= 0:
-            # fall back to any neighbor of an uncovered vertex
-            u = (unc & -unc).bit_length() - 1
-            best_v = _from_mask(g.bits[u])[0]
         smask |= 1 << best_v
         adjcov |= g.bits[best_v]
         d2two |= d2[best_v] & d2one

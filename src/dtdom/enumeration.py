@@ -19,7 +19,10 @@ centroid-rooted layouts, linear work per tree.
 
 Because parents are independent units of work, :func:`walk_levels` shards
 each level by parent over :func:`sweep`, the package's one parallel path,
-and runs a per-class check next to each expansion.
+and runs a per-class check next to each expansion.  It is the only code
+that expands levels: the unchecked levels it builds on the way to its first
+checked one go into a cache bounded by order (:data:`LEVEL_CACHE_MAX`), so
+a later walk starts from them, and :func:`level_rows` reads the same cache.
 """
 
 from __future__ import annotations
@@ -365,6 +368,10 @@ def accepted_children(parent: Tuple[int, ...], clawfree: bool) -> List[Tuple[int
 # -- the sweep engine -------------------------------------------------------------
 
 SWEEP_CHUNKSIZE = 16  # work items per task sent to a worker
+# Deepest order whose unchecked level is kept.  Claw-free levels 1..10 hold
+# 32,028 classes (about 8 MB); claw-free order 11 alone has 184,749.
+LEVEL_CACHE_MAX = 10
+_LEVELS: Dict[Tuple[int, bool], List[Tuple[int, ...]]] = {}  # (order, clawfree) -> rows
 
 
 def sweep(items: Iterable, work: Callable, jobs: int = 1) -> Iterator:
@@ -394,24 +401,28 @@ def _expand(parent: Tuple[int, ...], clawfree: bool, check: Optional[Callable]):
 
 
 def walk_levels(
-    lo: int, hi: int, clawfree: bool, check: Callable[[Graph], object], jobs: int = 1
+    lo: int, hi: int, clawfree: bool, check: Optional[Callable[[Graph], object]], jobs: int = 1
 ) -> Iterator[Tuple[Tuple[int, ...], object]]:
-    """Yield ``(rows, check(graph))`` for every class of order ``lo..hi``.
+    """Yield ``(rows, check(graph))`` for every class of order ``lo..hi``
+    (``(rows, None)`` when ``check`` is None).
 
     One :func:`sweep` per level: each work item expands one order-(n-1)
     parent with :func:`accepted_children` and runs ``check`` on its children
     next to that expansion, since canonical augmentation makes parents
-    independent.  Only the current level's rows stay in this process, as
-    the next level's parents, and classes come out in :func:`level_rows`
-    order whatever ``jobs`` is.  Levels below ``lo`` are expanded unchecked.
+    independent.  Classes come out in the same order whatever ``jobs`` is.
+    The walk starts from the deepest cached level below ``lo``, and each
+    level below ``lo`` that it expands (unchecked) is cached up to order
+    :data:`LEVEL_CACHE_MAX`.  Checked levels are never cached: only the
+    current one stays in this process, as the next level's parents.
     """
     limit = CLAW_FREE_MAX if clawfree else ALL_CONNECTED_MAX
     if not 1 <= lo <= hi <= limit:
         raise GraphInputError(f"builtin enumeration supports 1 <= n <= {limit}")
-    level = [(0,)]
+    start = max((n for n in range(2, lo) if (n, clawfree) in _LEVELS), default=1)
+    level = _LEVELS.get((start, clawfree), [(0,)])
     if lo == 1:
-        yield level[0], check(Graph.from_bits(1, level[0]))
-    for n in range(2, hi + 1):
+        yield level[0], None if check is None else check(Graph.from_bits(1, level[0]))
+    for n in range(start + 1, hi + 1):
         work = partial(_expand, clawfree=clawfree, check=check if n >= lo else None)
         parents, level = level, []
         for children in sweep(parents, work, jobs):
@@ -420,46 +431,31 @@ def walk_levels(
                     level.append(rows)
                 if n >= lo:
                     yield rows, value
-
-
-_LEVEL_CACHE: Dict[Tuple[int, bool], List[Tuple[int, ...]]] = {}
-_LEVEL_CACHE_MAX = {False: ALL_CONNECTED_MAX, True: 11}
+        if n < lo and n <= LEVEL_CACHE_MAX:
+            _LEVELS[n, clawfree] = level
 
 
 def level_rows(n: int, clawfree: bool) -> List[Tuple[int, ...]]:
-    """All classes at order n as canonical bitmask rows (cached)."""
-    limit = CLAW_FREE_MAX if clawfree else ALL_CONNECTED_MAX
-    if not 1 <= n <= limit:
-        raise GraphInputError(f"builtin enumeration supports 1 <= n <= {limit}")
-    key = (n, clawfree)
-    cached = _LEVEL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if n == 1:
-        rows = [(0,)]
-    else:
-        rows = []
-        for parent in level_rows(n - 1, clawfree):
-            rows.extend(accepted_children(parent, clawfree))
-    if n <= _LEVEL_CACHE_MAX[clawfree]:
-        _LEVEL_CACHE[key] = rows
+    """All classes at order n as canonical bitmask rows, in
+    :func:`walk_levels` order (cached up to order :data:`LEVEL_CACHE_MAX`)."""
+    rows = _LEVELS.get((n, clawfree))
+    if rows is None:
+        rows = [r for r, _ in walk_levels(n, n, clawfree, None)]
+        if n <= LEVEL_CACHE_MAX:
+            _LEVELS[n, clawfree] = rows
     return rows
-
-
-def _as_is(g: Graph) -> Graph:
-    return g
 
 
 def connected_graphs(n: int) -> Iterator[Graph]:
     """All connected graphs of order n up to isomorphism (n <= 8 builtin)."""
-    for _, g in walk_levels(n, n, False, _as_is):
-        yield g
+    for rows, _ in walk_levels(n, n, False, None):
+        yield Graph.from_bits(n, rows)
 
 
 def connected_clawfree_graphs(n: int) -> Iterator[Graph]:
     """All connected claw-free graphs of order n up to isomorphism (n <= 12)."""
-    for _, g in walk_levels(n, n, True, _as_is):
-        yield g
+    for rows, _ in walk_levels(n, n, True, None):
+        yield Graph.from_bits(n, rows)
 
 
 # -- free trees ------------------------------------------------------------------

@@ -157,6 +157,7 @@ def _random_corona_clawfree(rng: random.Random) -> Graph:
             return out
 
 
+@pytest.mark.slow
 def test_criterion_7_constructor_guarantee():
     # exhaustive sweep through order 12: the engine expands each parent in
     # a worker and runs the constructor on its children there

@@ -17,7 +17,8 @@ from dtdom import (
     is_tree,
     to_graph6,
 )
-from dtdom.enumeration import walk_levels
+from dtdom import enumeration
+from dtdom.enumeration import level_rows, walk_levels
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 CLAWFREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 14, 6: 50, 7: 191, 8: 881,
@@ -130,6 +131,27 @@ def test_stream_order_is_pinned(clawfree, hi):
     for rows, _ in walk_levels(1, hi, clawfree, lambda g: None):
         h.update((" ".join(map(str, rows)) + "\n").encode())
     assert h.hexdigest() == STREAM_DIGESTS[clawfree, hi]
+
+
+def test_walk_starts_from_cached_levels(monkeypatch):
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    assert sum(1 for _ in connected_clawfree_graphs(9)) == CLAWFREE_COUNTS[9]
+    real = enumeration.accepted_children
+    parents = []
+
+    def counted(parent, clawfree):
+        parents.append(parent)
+        return real(parent, clawfree)
+
+    monkeypatch.setattr(enumeration, "accepted_children", counted)
+    rows9 = [r for r, _ in walk_levels(9, 9, True, None)]
+    assert len(rows9) == CLAWFREE_COUNTS[9]
+    # only the cached order-8 level is expanded again, not levels 1..8
+    assert len(parents) == CLAWFREE_COUNTS[8]
+    assert level_rows(9, True) == rows9
+    for clawfree, hi in ((True, 8), (False, 7)):
+        for n in range(1, hi + 1):
+            assert level_rows(n, clawfree) == [r for r, _ in walk_levels(n, n, clawfree, None)]
 
 
 def test_builtin_caps():
