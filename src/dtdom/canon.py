@@ -146,27 +146,32 @@ def isomorphism_map(g1: Graph, g2: Graph) -> Optional[List[int]]:
 
 
 def anchored_profile(n: int, rows: Sequence[int], u: int):
-    """Cheap invariant of the vertex-rooted graph, with a certificate bonus.
+    """Cheap invariant of the vertex-rooted graph, and the anchored search's first leaf.
 
-    Returns ``(invariant, certificate_or_None)``: the invariant is the
-    (size, degree) profile of the refinement seeded at ``u``, and when the
-    refinement is already discrete the full anchored certificate falls out
-    for the price of one relabeling and is returned too.
+    Returns ``(invariant, leaf)``.  The invariant is the (size, degree)
+    profile of the refinement seeded at ``u``; it has ``n`` entries exactly
+    when that refinement is discrete.  ``leaf`` is the relabeled rows at the
+    end of the first path of ``certificate(n, rows, anchor=u)``: individualize
+    the lowest vertex of the first non-singleton cell, refine, repeat.  When
+    the refinement is already discrete that is the only leaf, so ``leaf`` is
+    the anchored certificate.  Otherwise it depends on the labeling, but
+    equal leaves of two roots still prove them automorphic: the two leaf
+    orders, matched position by position, map one root (position 0) to the
+    other and preserve every edge.
     """
     full = (1 << n) - 1
     ub = 1 << u
     parts = _refine(n, rows, [ub, full ^ ub] if full ^ ub else [ub], None)
-    inv = []
-    discrete = True
-    for c in parts:
-        sz = c.bit_count()
-        if sz > 1:
-            discrete = False
-        inv.append((sz, rows[(c & -c).bit_length() - 1].bit_count()))
-    if discrete:
-        order = [c.bit_length() - 1 for c in parts]
-        return tuple(inv), _relabeled_rows(n, rows, order)
-    return tuple(inv), None
+    inv = tuple((c.bit_count(), rows[(c & -c).bit_length() - 1].bit_count()) for c in parts)
+    idx = 1
+    while idx < len(parts):
+        cell = parts[idx]
+        if cell & (cell - 1):
+            low = cell & -cell
+            # cells before idx are singletons and stay so; idx becomes one
+            parts = _refine(n, rows, parts[:idx] + [low, cell ^ low] + parts[idx + 1 :], [low])
+        idx += 1
+    return inv, _relabeled_rows(n, rows, [c.bit_length() - 1 for c in parts])
 
 
 def _search(n: int, rows: Sequence[int], anchor: Optional[int]):

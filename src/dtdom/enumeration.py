@@ -8,11 +8,12 @@ A canonical-deletion rule makes the generation isomorphism-exact without a
 global seen-set: a candidate is kept only when the new vertex is the
 designated deletion point of the child, decided over non-cutvertices by the
 invariant chain (degree, sorted neighbor degrees, rooted BFS profile,
-rooted refinement profile, anchored certificate).  Duplicates can then only
-come from automorphic neighborhoods of the same parent, and one mask per
-orbit of the parent's full automorphism group removes them all: acceptance
-is constant on an orbit, and two accepted masks in different orbits give
-non-isomorphic children.  There is no second dedup step.
+rooted refinement profile, anchored first leaf; full certificates only when
+first leaves differ).  Duplicates can then only come from automorphic
+neighborhoods of the same parent, and one mask per orbit of the parent's
+full automorphism group removes them all: acceptance is constant on an
+orbit, and two accepted masks in different orbits give non-isomorphic
+children.  There is no second dedup step.
 
 Trees come from the classic level-sequence successor algorithm over
 centroid-rooted layouts, linear work per tree.
@@ -225,9 +226,14 @@ def _deletion_check(parent, pdeg, comps, mask, msize) -> bool:
     new vertex then re-links them), or parent-u is empty and u is off-mask
     alone.  Candidates are compared on the invariant chain (degree, sorted
     neighbor degrees, rooted BFS profile, rooted refinement profile,
-    anchored certificate); full certificates arbitrate only final ties.
-    Every link is an invariant of the vertex-rooted child, so the answer is
-    the same for every mask in one orbit of the parent's automorphisms.
+    anchored certificate); the new vertex must be least.  The last link
+    starts from the anchored search's first leaf (:func:`canon.anchored_profile`):
+    a vertex whose first leaf equals the new vertex's is automorphic to it
+    and cannot win, a discrete refinement's leaf is the certificate itself,
+    and full anchored certificates are searched only for ties whose first
+    leaves differ.  Every link is an invariant of the vertex-rooted child,
+    so the answer is the same for every mask in one orbit of the parent's
+    automorphisms.
     """
     n = len(parent)
 
@@ -275,22 +281,22 @@ def _deletion_check(parent, pdeg, comps, mask, msize) -> bool:
             last.append(u)
     if not last:
         return True
-    inv_new, cert_new = anchored_profile(n + 1, child, n)
-    remaining = []
+    inv_new, leaf_new = anchored_profile(n + 1, child, n)
+    discrete = len(inv_new) == n + 1  # then every leaf is a certificate
+    differ = []
     for u in last:
-        inv_u, cert_u = anchored_profile(n + 1, child, u)
+        inv_u, leaf_u = anchored_profile(n + 1, child, u)
         if inv_u < inv_new:
             return False
-        if inv_u == inv_new:
-            if cert_new is not None:
-                # equal profiles imply equal discreteness, so cert_u is set
-                if cert_u < cert_new:
-                    return False
-            else:
-                remaining.append(u)
-    if cert_new is None and remaining:
+        # equal leaves make u automorphic to the new vertex: no rejection
+        if inv_u == inv_new and leaf_u != leaf_new:
+            if not discrete:
+                differ.append(u)
+            elif leaf_u < leaf_new:
+                return False
+    if differ:
         cert_new = certificate(n + 1, child, anchor=n)
-        for u in remaining:
+        for u in differ:
             if certificate(n + 1, child, anchor=u) < cert_new:
                 return False
     return True

@@ -273,15 +273,21 @@ def find_claw(g: Graph) -> Optional[Tuple[int, int, int, int]]:
     for center, row in enumerate(bits):
         if row.bit_count() < 3:
             continue
-        for a in _from_mask(row):
-            # neighbors of center after a and not adjacent to a
-            later = row & ~((2 << a) - 1) & ~bits[a]
+        r = row
+        while r:
+            la = r & -r
+            r ^= la  # now the neighbors of center after a
+            a = la.bit_length() - 1
+            later = r & ~bits[a]
             if not later & (later - 1):
                 continue  # fewer than two: no claw with a as its first leaf
-            for b in _from_mask(later):
-                third = later & ~bits[b] & ~((2 << b) - 1)
+            m = later
+            while m:
+                lb = m & -m
+                m ^= lb
+                third = m & ~bits[lb.bit_length() - 1]
                 if third:
-                    return (center, a, b, (third & -third).bit_length() - 1)
+                    return (center, a, lb.bit_length() - 1, (third & -third).bit_length() - 1)
     return None
 
 

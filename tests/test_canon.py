@@ -11,7 +11,7 @@ from dtdom import (
     is_isomorphic,
     isomorphism_map,
 )
-from dtdom.canon import _refine, automorphism_generators, certificate
+from dtdom.canon import _refine, anchored_profile, automorphism_generators, certificate
 from conftest import random_graph, to_networkx
 
 
@@ -87,6 +87,35 @@ def test_incremental_refinement_matches_scratch(rng):
         v = cell & -cell
         split = base[:cell_idx] + [v, cell ^ v] + base[cell_idx + 1 :]
         assert _refine(n, g.bits, split, [v]) == _refine(n, g.bits, split, None)
+
+
+def test_anchored_first_leaf_properties(rng):
+    # canonical deletion skips a tied vertex whose first leaf equals the new
+    # vertex's, so equal leaves must imply equal anchored certificates
+    automorphic = 0
+    for i in range(150):
+        n = rng.randrange(1, 11)
+        g = random_graph(n, rng.choice((0.2, 0.5, 0.8)), rng)
+        if i % 3 == 0:
+            # two copies side by side, so distinct roots are often automorphic
+            h = random_graph(n // 2, 0.5, rng)
+            n = 2 * h.n
+            g = Graph(n, list(h.edges()) + [(u + h.n, v + h.n) for u, v in h.edges()])
+        certs = [certificate(n, g.bits, u) for u in range(n)]
+        profiles = [anchored_profile(n, g.bits, u) for u in range(n)]
+        for u, (inv, leaf) in enumerate(profiles):
+            if len(inv) == n:
+                assert leaf == certs[u]
+            for w in range(u + 1, n):
+                if profiles[w][1] == leaf:
+                    assert certs[w] == certs[u]
+                    automorphic += 1
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = g.relabel(perm)
+        for u in range(n):
+            assert anchored_profile(n, h.bits, perm[u])[0] == profiles[u][0]
+    assert automorphic
 
 
 def test_distinguishes_close_pairs():

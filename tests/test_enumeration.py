@@ -18,7 +18,17 @@ from dtdom import (
     to_graph6,
 )
 from dtdom import enumeration
-from dtdom.enumeration import level_rows, walk_levels
+from dtdom.canon import _relabeled_rows, anchored_profile, certificate
+from dtdom.enumeration import (
+    _bfs_signature,
+    _candidate_masks,
+    _deletion_check,
+    _neighbor_degrees,
+    _nonadj_pairs,
+    level_rows,
+    walk_levels,
+)
+from dtdom.graph import _component_masks
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 CLAWFREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 14, 6: 50, 7: 191, 8: 881,
@@ -122,6 +132,8 @@ def test_determinism():
 STREAM_DIGESTS = {
     (True, 9): "e03e6b728f62659a9f0c7d512cd63d4413d49830ee43f96279fa25f7407e90f1",
     (False, 7): "416507ee34c33786855bdf25ab65e30575c37ace9540bcf235916b387f969eb1",
+    (False, 8): "900f9be2bd90f6ff005491b2962d74894781db5a854d9038584bccf2fca4b46e",
+    (True, 10): "9e506db2843701a21602e325667ca61a552d23b1beca395b043bfb6b594e67c2",
 }
 
 
@@ -152,6 +164,60 @@ def test_walk_starts_from_cached_levels(monkeypatch):
     for clawfree, hi in ((True, 8), (False, 7)):
         for n in range(1, hi + 1):
             assert level_rows(n, clawfree) == [r for r, _ in walk_levels(n, n, clawfree, None)]
+
+
+def _full_certificate_rule(parent, mask):
+    """The canonical-deletion rule with no shortcut: the new vertex must
+    minimize (degree, sorted neighbor degrees, rooted BFS profile, rooted
+    refinement profile, anchored certificate) over the child's non-cut
+    vertices, each link compared only among the ties of the ones before."""
+    n = len(parent)
+    child = [parent[u] | 1 << n if mask >> u & 1 else parent[u] for u in range(n)] + [mask]
+    degs = [r.bit_count() for r in child]
+    links = (
+        lambda u: degs[u],
+        lambda u: _neighbor_degrees(child, degs, u),
+        lambda u: _bfs_signature(child, degs, u),
+        lambda u: anchored_profile(n + 1, child, u)[0],
+        lambda u: certificate(n + 1, child, anchor=u),
+    )
+    full = (1 << n + 1) - 1
+    ties = [u for u in range(n) if len(_component_masks(child, full & ~(1 << u))) == 1]
+    for key in links:
+        key_new = key(n)
+        keys = [key(u) for u in ties]
+        if any(k < key_new for k in keys):
+            return False
+        ties = [u for u, k in zip(ties, keys) if k == key_new]
+    return True
+
+
+def test_deletion_check_matches_full_certificate_rule(monkeypatch):
+    real = enumeration.certificate
+    fallbacks = []
+
+    def counted(*args, **kwargs):
+        fallbacks.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "certificate", counted)
+    checked = 0
+    for parent in level_rows(8, True):
+        # the same parent set-up as accepted_children, before orbit merging
+        n = len(parent)
+        pdeg = [r.bit_count() for r in parent]
+        parent = _relabeled_rows(n, parent, sorted(range(n), key=pdeg.__getitem__))
+        pdeg = [r.bit_count() for r in parent]
+        comps = [_component_masks(parent, ((1 << n) - 1) & ~(1 << u)) for u in range(n)]
+        noncut = sum(1 << u for u in range(n) if len(comps[u]) <= 1)
+        for mask in _candidate_masks(parent, pdeg, noncut, _nonadj_pairs(parent)):
+            got = _deletion_check(parent, pdeg, comps, mask, mask.bit_count())
+            assert got == _full_certificate_rule(parent, mask), (parent, mask)
+            checked += 1
+    assert checked == 12305
+    # the order-9 children Hu[z^nw and HvLZ^^q have tied vertices whose
+    # first leaves differ, so the full-certificate fallback must have run
+    assert fallbacks
 
 
 def test_builtin_caps():
