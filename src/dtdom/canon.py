@@ -4,10 +4,12 @@ Certificates come from individualization-refinement over vertex bitmask
 rows: refine to an equitable ordered partition (cells kept as bitmasks),
 branch on the first non-singleton cell, and keep the lexicographically
 smallest relabeled adjacency.  After individualizing inside an equitable
-partition only the new singleton needs to re-enter the splitter queue,
-and automorphisms discovered at equal-certificate leaves prune sibling
-branches, which keeps symmetric graphs (cliques, cycles) cheap.  Intended
-for n <= 16; everything in this package stays well inside that.
+partition only the new singleton needs to re-enter the splitter queue.
+Automorphisms prune sibling branches: the transpositions of twin vertices
+(equal open or closed neighbourhoods) are known before the search starts,
+and the others are discovered at equal-certificate leaves, which keeps
+symmetric graphs (cliques, cycles, blown-up vertices) cheap.  Intended for
+n <= 16; everything in this package stays well inside that.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ def _refine(n: int, rows: Sequence[int], parts: List[int], queue) -> List[int]:
                         )
                     if repl:
                         parts[i : i + 1] = repl
+                        if len(parts) == n:
+                            return parts  # discrete: nothing left to split
                         work.extend(repl)
                         i += len(repl)
                         continue
@@ -85,16 +89,18 @@ def _refine(n: int, rows: Sequence[int], parts: List[int], queue) -> List[int]:
 
 def _relabeled_rows(n: int, rows: Sequence[int], order: Sequence[int]) -> Tuple[int, ...]:
     """Adjacency rows after relabeling vertex ``order[i]`` to ``i``."""
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
+    image = [0] * n  # bit of each vertex's new label
+    bit = 1
+    for v in order:
+        image[v] = bit
+        bit <<= 1
     out = []
     for v in order:
         row = rows[v]
         acc = 0
         while row:
             low = row & -row
-            acc |= 1 << pos[low.bit_length() - 1]
+            acc |= image[low.bit_length() - 1]
             row ^= low
         out.append(acc)
     return tuple(out)
@@ -114,13 +120,17 @@ def automorphism_generators(n: int, rows: Sequence[int]) -> List[Tuple[int, ...]
 
     Every returned permutation is a genuine automorphism, and together they
     generate the full group (McKay, "Practical graph isomorphism", 1981).
-    The search keeps the first leaf, and every later leaf with the same
-    relabeled rows yields the automorphism between the two.  A branch is
-    pruned only by found automorphisms that fix its prefix, so by induction
-    on depth every node of the search tree is the image of an explored node
-    under the found group H.  Any automorphism maps the first leaf to a leaf
-    with the same rows, which is then an H-image of an explored one, so it
-    lies in H.  An empty list means the graph is rigid.
+    The list starts with the twin transpositions the search is seeded with
+    (see :func:`_twin_transpositions`); every later leaf with the same
+    relabeled rows as the first leaf adds the automorphism between the two.
+    Let H be the group all of them generate.  A branch is pruned only by
+    known automorphisms that fix its prefix, seeded or found, so by
+    induction on depth every node of the search tree is the image of an
+    explored node under H.  Any automorphism maps the first leaf to a leaf
+    with the same rows, which is then an H-image of an explored one; that
+    explored leaf has the same rows too, so its automorphism from the first
+    leaf was found, and the automorphism lies in H.  An empty list means
+    the graph is rigid.
     """
     return _search(n, rows, None)[2]
 
@@ -174,6 +184,31 @@ def anchored_profile(n: int, rows: Sequence[int], u: int):
     return inv, _relabeled_rows(n, rows, [c.bit_length() - 1 for c in parts])
 
 
+def _twin_transpositions(n: int, rows: Sequence[int], anchor: Optional[int]) -> List[Tuple[int, ...]]:
+    """Transpositions of consecutive members of each twin class, anchor left out.
+
+    Twins have equal open or equal closed neighbourhoods, and swapping two
+    of them is an automorphism; the consecutive swaps of a class generate
+    its full symmetric group.  One dict keys both kinds, because N(u) never
+    equals N[w]: w in N[w] = N(u) would make u adjacent to w, and then u in
+    N[w] = N(u).
+    """
+    last = {}
+    out = []
+    for v in range(n):
+        if v == anchor:
+            continue
+        r = rows[v]
+        for key in (r, r | 1 << v):
+            u = last.get(key)
+            last[key] = v
+            if u is not None:
+                sigma = list(range(n))
+                sigma[u], sigma[v] = v, u
+                out.append(tuple(sigma))
+    return out
+
+
 def _search(n: int, rows: Sequence[int], anchor: Optional[int]):
     if n == 0:
         return (), [], []
@@ -186,7 +221,9 @@ def _search(n: int, rows: Sequence[int], anchor: Optional[int]):
 
     best: Optional[Tuple[int, ...]] = None
     best_order: Optional[List[int]] = None
-    generators: List[Tuple[int, ...]] = []
+    # known automorphisms that fix the anchor; pruning by them skips only
+    # subtrees that come after an explored image, so never the first best leaf
+    generators: List[Tuple[int, ...]] = _twin_transpositions(n, rows, anchor)
     leaf_seen = {}
 
     def in_known_orbit(v: int, done: List[int], prefix: Tuple[int, ...]) -> bool:

@@ -9,11 +9,14 @@ global seen-set: a candidate is kept only when the new vertex is the
 designated deletion point of the child, decided over non-cutvertices by the
 invariant chain (degree, sorted neighbor degrees, rooted BFS profile,
 rooted refinement profile, anchored first leaf; full certificates only when
-first leaves differ).  Duplicates can then only come from automorphic
-neighborhoods of the same parent, and one mask per orbit of the parent's
-full automorphism group removes them all: acceptance is constant on an
-orbit, and two accepted masks in different orbits give non-isomorphic
-children.  There is no second dedup step.
+first leaves differ).  Twins, vertices with equal open or equal closed
+neighbourhoods, are swapped by an automorphism and so tie on every link:
+a twin of the new vertex is never compared, and of the other tied vertices
+only the first of each twin class is.  Duplicates can then only come from
+automorphic neighborhoods of the same parent, and one mask per orbit of
+the parent's full automorphism group removes them all: acceptance is
+constant on an orbit, and two accepted masks in different orbits give
+non-isomorphic children.  There is no second dedup step.
 
 Trees come from the classic level-sequence successor algorithm over
 centroid-rooted layouts, linear work per tree.
@@ -28,6 +31,7 @@ a later walk starts from them, and :func:`level_rows` reads the same cache.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -35,6 +39,7 @@ from multiprocessing import get_context
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .canon import (
+    _refine,
     _relabeled_rows,
     anchored_profile,
     automorphism_generators,
@@ -73,7 +78,7 @@ def _candidate_masks(
     rows: Sequence[int],
     pdeg: Sequence[int],
     noncut: int,
-    nonadj_pairs,
+    claw_pairs,
 ) -> List[int]:
     """Nonempty new-vertex neighborhoods that can possibly be accepted.
 
@@ -83,99 +88,97 @@ def _candidate_masks(
     because the new vertex (degree = mask size) must minimize degree over
     non-cutvertices to be the canonical deletion point.
 
-    Claw pruning (when ``nonadj_pairs`` is given): the new vertex centers a
-    claw exactly when the mask holds an independent triple (monotone), and a
-    mask vertex w centers one exactly when some non-adjacent pair inside
-    N(w) misses the mask; those pairs are carried as open obligations and a
-    branch dies once an obligation can no longer be hit.
+    Claw pruning (when ``claw_pairs`` is given, see :func:`_claw_pairs`): the
+    new vertex centers a claw exactly when the mask holds an independent
+    triple (monotone), and a mask vertex w centers one exactly when some
+    non-adjacent pair inside N(w) misses the mask; those pairs are carried
+    as open obligations, one bit each, and a branch dies once an obligation
+    can no longer be hit.
     """
     n = len(rows)
+    ncdeg = [pdeg[v] if noncut >> v & 1 else _BIG for v in range(n)]
     # minimum non-cut parent degree over the suffix [v, n)
     suffix = [_BIG] * (n + 1)
     for v in range(n - 1, -1, -1):
-        d = pdeg[v] if noncut >> v & 1 else _BIG
+        d = ncdeg[v]
         suffix[v] = d if d < suffix[v + 1] else suffix[v + 1]
     out: List[int] = []
     # node: next vertex, mask, size, min degree over swallowed non-cuts,
-    #       min degree over skipped non-cuts, open pairs
-    stack = [(0, 0, 0, _BIG, _BIG, ())]
-    clawfree = nonadj_pairs is not None
+    #       min degree over skipped non-cuts, open pairs, pairs the mask hits
+    stack = [(0, 0, 0, _BIG, _BIG, 0, 0)]
+    clawfree = claw_pairs is not None
+    if clawfree:
+        inside, hits, below, top = claw_pairs
     while stack:
-        start, mask, msize, min_in, min_out, pairs = stack.pop()
-        if mask and not pairs and msize <= (
-            min_out if min_out < suffix[start] else suffix[start]
-        ):
-            out.append(mask)
+        start, mask, msize, min_in, min_out, pairs, hit = stack.pop()
+        if pairs:
+            # the open pair with the lowest higher end t is hit by t or never
+            end = top[(pairs & -pairs).bit_length() - 1] + 1
+        else:
+            end = n
+            if mask and msize <= (min_out if min_out < suffix[start] else suffix[start]):
+                out.append(mask)
         cur_out = min_out
         s = msize + 1
-        for v in range(start, n):
+        for v in range(start, end):
             if s > cur_out:
                 break  # every further candidate skips the same cheap vertex
-            vnoncut = noncut >> v & 1
-            nmin_in = min_in
-            if vnoncut and pdeg[v] < nmin_in:
-                nmin_in = pdeg[v]
-            if s >= 2 and s > nmin_in + 1:
+            d = ncdeg[v]
+            nmin_in = d if d < min_in else min_in
+            if s > nmin_in + 1:
                 pass  # swallowed non-cutvertex would beat the new vertex
+            elif not clawfree:
+                stack.append((v + 1, mask | 1 << v, s, nmin_in, cur_out, 0, 0))
             else:
+                # mask stays triple-free iff v's non-neighbors in it form a clique
                 row = rows[v]
-                dead = False
-                if clawfree:
-                    # mask stays triple-free iff v's non-neighbors in it
-                    # form a clique
-                    nn = mask & ~row
-                    while nn:
-                        low = nn & -nn
-                        nn ^= low
-                        if nn & ~rows[low.bit_length() - 1]:
-                            dead = True
-                            break
-                if not dead:
-                    vb = 1 << v
-                    nm = mask | vb
-                    limit = vb << 1  # pairs entirely below v+1 die unhit
-                    live = []
-                    for pm in pairs:
-                        if pm & nm:
-                            continue
-                        if pm < limit:
-                            dead = True
-                            break
-                        live.append(pm)
-                    if not dead and clawfree:
-                        for pm in nonadj_pairs[v]:
-                            if pm & nm:
-                                continue
-                            if pm < limit:
-                                dead = True
-                                break
-                            live.append(pm)
-                    if not dead:
-                        stack.append((v + 1, nm, s, nmin_in, cur_out, tuple(live)))
-            if vnoncut and pdeg[v] < cur_out:
-                cur_out = pdeg[v]
+                nn = mask & ~row
+                while nn:
+                    low = nn & -nn
+                    nn ^= low
+                    if nn & ~rows[low.bit_length() - 1]:
+                        break
+                else:
+                    nhit = hit | hits[v]
+                    npairs = (pairs | inside[v]) & ~nhit
+                    # none of v's new pairs is dead, and an open pair leaves
+                    # room for one more vertex under both degree caps
+                    if not npairs & below[v] and not (npairs and (s >= cur_out or s > nmin_in)):
+                        stack.append((v + 1, mask | 1 << v, s, nmin_in, cur_out, npairs, nhit))
+            if d < cur_out:
+                cur_out = d
     return out
 
 
-def _nonadj_pairs(rows: Sequence[int]) -> List[List[int]]:
-    """Per vertex: two-bit masks of the non-adjacent pairs in its neighborhood."""
-    out = []
-    for w in range(len(rows)):
-        nb = []
-        r = rows[w]
-        while r:
-            low = r & -r
-            nb.append(low.bit_length() - 1)
-            r ^= low
-        lst = []
-        for i in range(len(nb) - 1):
-            a = nb[i]
-            for j in range(i + 1, len(nb)):
-                b = nb[j]
-                if not rows[a] >> b & 1:
-                    lst.append((1 << a) | (1 << b))
-        out.append(lst)
-    return out
+def _claw_pairs(rows: Sequence[int]):
+    """Bit-indexed non-adjacent pairs, for :func:`_candidate_masks`.
+
+    Each non-adjacent pair gets one bit, in order of its higher endpoint.
+    Per vertex v: the pairs inside N(v), the pairs with v as an endpoint,
+    and the pairs whose higher endpoint is at most v; per bit, the pair's
+    higher endpoint.
+    """
+    n = len(rows)
+    inside = [0] * n
+    hits = [0] * n
+    below = [0] * n
+    top = []
+    bit = 1
+    for b in range(n):
+        rb = rows[b]
+        for a in range(b):
+            if not rb >> a & 1:
+                hits[a] |= bit
+                hits[b] |= bit
+                common = rows[a] & rb
+                while common:
+                    low = common & -common
+                    common ^= low
+                    inside[low.bit_length() - 1] |= bit
+                bit <<= 1
+                top.append(b)
+        below[b] = bit - 1
+    return inside, hits, below, top
 
 
 # -- canonical-deletion acceptance ----------------------------------------------
@@ -226,14 +229,18 @@ def _deletion_check(parent, pdeg, comps, mask, msize) -> bool:
     new vertex then re-links them), or parent-u is empty and u is off-mask
     alone.  Candidates are compared on the invariant chain (degree, sorted
     neighbor degrees, rooted BFS profile, rooted refinement profile,
-    anchored certificate); the new vertex must be least.  The last link
+    anchored certificate); the new vertex must be least.  Twins tie on every
+    link, so a twin of the new vertex (false: ``parent[u] == mask``; true:
+    ``parent[u] | 1 << u == mask``) is dropped from the ties, and of each
+    other twin class only the first vertex is kept.  The last link
     starts from the anchored search's first leaf (:func:`canon.anchored_profile`):
     a vertex whose first leaf equals the new vertex's is automorphic to it
     and cannot win, a discrete refinement's leaf is the certificate itself,
     and full anchored certificates are searched only for ties whose first
     leaves differ.  Every link is an invariant of the vertex-rooted child,
     so the answer is the same for every mask in one orbit of the parent's
-    automorphisms.
+    automorphisms.  The parent must be degree-ascending, as
+    :func:`_candidates` leaves it.
     """
     n = len(parent)
 
@@ -246,21 +253,52 @@ def _deletion_check(parent, pdeg, comps, mask, msize) -> bool:
                 return False
         return True
 
-    ties = []
-    for u in range(n):
-        du = pdeg[u] + (mask >> u & 1)
-        if du < msize and noncut(u):
+    # the parent is degree-ascending, so each parent-degree bound is a bit
+    # prefix; a vertex's child degree is one more on the mask
+    lt1 = (1 << bisect_left(pdeg, msize - 1)) - 1
+    lt = (1 << bisect_left(pdeg, msize)) - 1
+    le = (1 << bisect_right(pdeg, msize)) - 1
+    smaller = (lt & ~mask) | (lt1 & mask)
+    while smaller:
+        low = smaller & -smaller
+        smaller ^= low
+        if noncut(low.bit_length() - 1):
             return False  # a smaller-degree non-cutvertex wins
-        if du == msize and noncut(u):
+    # Twins (equal open or closed neighbourhoods) are swapped by a child
+    # automorphism, so only the first tie of each twin class is compared,
+    # and none of the new vertex's class: u with parent[u] == mask is its
+    # false twin, u with parent[u] | 1 << u == mask its true twin.  Old
+    # vertices are twins in the child exactly when they are twins in the
+    # parent and both in the mask or both out, and parent twins among the
+    # ties, with equal degree in parent and child, are always the latter.
+    tied = (le & ~lt & ~mask) | (lt & ~lt1 & mask)
+    seen = {mask}
+    ties = []
+    while tied:
+        low = tied & -tied
+        tied ^= low
+        u = low.bit_length() - 1
+        r = parent[u]
+        rc = r | low
+        if r not in seen and rc not in seen and noncut(u):
             ties.append(u)
+        seen.add(r)
+        seen.add(rc)
     if not ties:
         return True
 
     vbit = 1 << n
-    child = [parent[u] | vbit if mask >> u & 1 else parent[u] for u in range(n)]
+    child = list(parent)
     child.append(mask)
-    degs = [pdeg[u] + (mask >> u & 1) for u in range(n)]
+    degs = list(pdeg)
     degs.append(msize)
+    m = mask
+    while m:
+        low = m & -m
+        m ^= low
+        u = low.bit_length() - 1
+        child[u] |= vbit
+        degs[u] += 1
     key_new = _neighbor_degrees(child, degs, n)
     final = []
     for u in ties:
@@ -307,12 +345,24 @@ def _orbit_representative_masks(n: int, parent, masks: List[int]) -> List[int]:
 
     :func:`canon.automorphism_generators` generates the full group, so the
     orbits are exact, and no two kept masks that pass the deletion check
-    give isomorphic children.
+    give isomorphic children.  Automorphisms preserve the cells of the
+    parent's equitable partition, so masks in one orbit meet each cell in
+    as many vertices; when no two masks do, every mask is kept unsearched.
     """
+    cells = _refine(n, parent, [(1 << n) - 1], None)
+    singles = sum(c for c in cells if not c & (c - 1))
+    wide = [c for c in cells if c & (c - 1)]
+    sigs = {(m & singles, tuple([(m & c).bit_count() for c in wide])) for m in masks}
+    if len(sigs) == len(masks):
+        return masks
     gens = automorphism_generators(n, parent)
     if not gens:
         return masks
-    tables = [[1 << s[u] for u in range(n)] for s in gens]
+    # each generator as (its moved points, bit images); fixed bits map to themselves
+    tables = []
+    for s in gens:
+        moved = sum(1 << u for u in range(n) if s[u] != u)
+        tables.append((moved, [1 << s[u] for u in range(n)]))
     seen = set()
     kept = []
     for mask in masks:
@@ -323,9 +373,9 @@ def _orbit_representative_masks(n: int, parent, masks: List[int]) -> List[int]:
         frontier = [mask]
         while frontier:
             m = frontier.pop()
-            for table in tables:
-                im = 0
-                mm = m
+            for moved, table in tables:
+                im = m & ~moved
+                mm = m & moved
                 while mm:
                     low = mm & -mm
                     mm ^= low
@@ -337,16 +387,11 @@ def _orbit_representative_masks(n: int, parent, masks: List[int]) -> List[int]:
     return kept
 
 
-def accepted_children(parent: Tuple[int, ...], clawfree: bool) -> List[Tuple[int, ...]]:
-    """Children of one parent, pairwise non-isomorphic across the whole level.
-
-    The canonical-deletion rule leaves only duplicates caused by automorphic
-    neighborhoods of this same parent, so the candidate masks are cut to one
-    per orbit of the parent's automorphism group, and each mask that passes
-    the deletion check yields one child.
-    """
+def _candidates(parent: Tuple[int, ...], clawfree: bool):
+    """One parent's set-up: its degree-ascending relabeling, degrees, the
+    components of parent-u for every u, and the candidate masks in walk
+    order, before orbit merging."""
     n = len(parent)
-    vbit = 1 << n
     pdeg = [r.bit_count() for r in parent]
     if any(pdeg[u] > pdeg[u + 1] for u in range(n - 1)):
         # degree-ascending labels let the walk's size caps bite immediately
@@ -358,8 +403,21 @@ def accepted_children(parent: Tuple[int, ...], clawfree: bool) -> List[Tuple[int
     for u in range(n):
         if len(comps[u]) <= 1:
             noncut |= 1 << u
-    nonadj = _nonadj_pairs(parent) if clawfree else None
-    masks = _candidate_masks(parent, pdeg, noncut, nonadj)
+    masks = _candidate_masks(parent, pdeg, noncut, _claw_pairs(parent) if clawfree else None)
+    return parent, pdeg, comps, masks
+
+
+def accepted_children(parent: Tuple[int, ...], clawfree: bool) -> List[Tuple[int, ...]]:
+    """Children of one parent, pairwise non-isomorphic across the whole level.
+
+    The canonical-deletion rule leaves only duplicates caused by automorphic
+    neighborhoods of this same parent, so the candidate masks are cut to one
+    per orbit of the parent's automorphism group, and each mask that passes
+    the deletion check yields one child.
+    """
+    parent, pdeg, comps, masks = _candidates(parent, clawfree)
+    n = len(parent)
+    vbit = 1 << n
     if len(masks) >= 2:
         masks = _orbit_representative_masks(n, parent, masks)
     out = []

@@ -138,7 +138,12 @@ def _reach(rows: Sequence[int], seed: int, within: int) -> int:
     """Mask of the vertices joined to the ``seed`` mask by paths inside ``within``."""
     comp = frontier = seed
     while frontier:
-        frontier = _nbhd(rows, frontier) & within & ~comp
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & within & ~comp
         comp |= frontier
     return comp
 
@@ -197,7 +202,17 @@ def _distance2_row(rows: Sequence[int], v: int) -> int:
 
 def distance2_bits(g: Graph) -> Tuple[int, ...]:
     """Per-vertex bitmask of vertices at distance exactly 2."""
-    return tuple(_distance2_row(g.bits, v) for v in range(g.n))
+    rows = g.bits
+    out = []
+    for v, row in enumerate(rows):
+        reach = 0
+        r = row
+        while r:
+            low = r & -r
+            reach |= rows[low.bit_length() - 1]
+            r ^= low
+        out.append(reach & ~row & ~(1 << v))
+    return tuple(out)
 
 
 # -- connectivity ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import networkx as nx
@@ -152,6 +153,13 @@ def test_automorphism_generators_generate_full_group():
         nx.cycle_graph(12),
         nx.complete_bipartite_graph(4, 4),
         nx.circulant_graph(10, [1, 3]),
+        # twin-heavy graphs, whose twin transpositions seed the search
+        nx.complete_graph(7),
+        nx.star_graph(6),
+        nx.complete_multipartite_graph(2, 2, 2),
+        nx.complete_multipartite_graph(2, 2, 2, 2),
+        nx.corona_product(nx.complete_graph(5), nx.empty_graph(1)),
+        nx.line_graph(nx.complete_bipartite_graph(3, 3)),
     ]
     for h in graphs:
         h = nx.convert_node_labels_to_integers(h)
@@ -166,3 +174,71 @@ def test_automorphism_generators_generate_full_group():
         matcher = nx.algorithms.isomorphism.GraphMatcher(h, h)
         want = sum(1 for _ in matcher.isomorphisms_iter())
         assert _group_order(n, gens) == want, sorted(g.edges())
+
+
+def _twin_rich_corpus(rng):
+    """Seeded graphs of order <= 12, a third of them built from twin classes:
+    each vertex of a small random graph blown up into a clique or an
+    independent set, so most vertices have a true or a false twin."""
+    graphs = [
+        Graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)]),  # K7
+        Graph(7, [(0, v) for v in range(1, 7)]),  # K_{1,6}
+        Graph(9, [(u, v) for u in range(9) for v in range(u + 1, 9)
+                  if u % 3 == v % 3 or u // 3 == v // 3]),  # L(K_{3,3})
+    ]
+    for i in range(150):
+        if i % 3:
+            n = rng.randrange(1, 11)
+            graphs.append(random_graph(n, rng.choice((0.2, 0.5, 0.8)), rng))
+            continue
+        base = random_graph(rng.randrange(2, 5), 0.6, rng)
+        sizes = [rng.choice((1, 2, 2, 3)) for _ in range(base.n)]
+        cliques = [rng.random() < 0.5 for _ in range(base.n)]
+        blocks, n = [], 0
+        for s in sizes:
+            blocks.append(range(n, n + s))
+            n += s
+        edges = []
+        for a in range(base.n):
+            if cliques[a]:
+                edges += [(u, v) for u in blocks[a] for v in blocks[a] if u < v]
+            for b in range(a + 1, base.n):
+                if base.has_edge(a, b):
+                    edges += [(u, v) for u in blocks[a] for v in blocks[b]]
+        g = Graph(n, edges)
+        # keep _group_order's closure small: no twin class beyond 4 vertices
+        classes = {}
+        for u in range(n):
+            for key in (g.bits[u], g.bits[u] | 1 << u):
+                classes[key] = classes.get(key, 0) + 1
+        if max(classes.values()) <= 4:
+            graphs.append(g)
+    return graphs
+
+
+# sha256 of the canon outputs on _twin_rich_corpus(random.Random(1998)),
+# computed before the canonical search was seeded with twin transpositions:
+# seeding may prune only branches whose leaves an explored branch repeats
+CANON_DIGEST = "dd0a90117f40e710ea03c92a0ccb95f9e4160079898d6d521832abb6ca3cf26a"
+
+
+def _canon_outputs_digest():
+    rng = random.Random(1998)
+    h = hashlib.sha256()
+    for g in _twin_rich_corpus(rng):
+        n = g.n
+        p1, p2 = list(range(n)), list(range(n))
+        rng.shuffle(p1)
+        rng.shuffle(p2)
+        out = (
+            certificate(n, g.bits),
+            [certificate(n, g.bits, u) for u in range(n)],
+            isomorphism_map(g.relabel(p1), g.relabel(p2)),
+            _group_order(n, automorphism_generators(n, g.bits)),
+        )
+        h.update((repr(out) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_canon_outputs_are_pinned():
+    assert _canon_outputs_digest() == CANON_DIGEST

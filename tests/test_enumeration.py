@@ -18,13 +18,12 @@ from dtdom import (
     to_graph6,
 )
 from dtdom import enumeration
-from dtdom.canon import _relabeled_rows, anchored_profile, certificate
+from dtdom.canon import anchored_profile, certificate
 from dtdom.enumeration import (
     _bfs_signature,
-    _candidate_masks,
+    _candidates,
     _deletion_check,
     _neighbor_degrees,
-    _nonadj_pairs,
     level_rows,
     walk_levels,
 )
@@ -145,6 +144,21 @@ def test_stream_order_is_pinned(clawfree, hi):
     assert h.hexdigest() == STREAM_DIGESTS[clawfree, hi]
 
 
+# sha256 of the ordered candidate masks of every claw-free parent of order
+# <= 9 and every connected parent of order <= 7, one line per parent
+CANDIDATE_DIGEST = "a109bbfc590a21fc6ce086eccc1474e2016e78256c10f0c7936f53d27c60fd55"
+
+
+def test_candidate_masks_are_pinned():
+    h = hashlib.sha256()
+    for clawfree, hi in ((True, 9), (False, 7)):
+        for n in range(1, hi + 1):
+            for parent in level_rows(n, clawfree):
+                masks = _candidates(parent, clawfree)[3]
+                h.update((" ".join(map(str, masks)) + "\n").encode())
+    assert h.hexdigest() == CANDIDATE_DIGEST
+
+
 def test_walk_starts_from_cached_levels(monkeypatch):
     monkeypatch.setattr(enumeration, "_LEVELS", {})
     assert sum(1 for _ in connected_clawfree_graphs(9)) == CLAWFREE_COUNTS[9]
@@ -204,13 +218,8 @@ def test_deletion_check_matches_full_certificate_rule(monkeypatch):
     checked = 0
     for parent in level_rows(8, True):
         # the same parent set-up as accepted_children, before orbit merging
-        n = len(parent)
-        pdeg = [r.bit_count() for r in parent]
-        parent = _relabeled_rows(n, parent, sorted(range(n), key=pdeg.__getitem__))
-        pdeg = [r.bit_count() for r in parent]
-        comps = [_component_masks(parent, ((1 << n) - 1) & ~(1 << u)) for u in range(n)]
-        noncut = sum(1 << u for u in range(n) if len(comps[u]) <= 1)
-        for mask in _candidate_masks(parent, pdeg, noncut, _nonadj_pairs(parent)):
+        parent, pdeg, comps, masks = _candidates(parent, True)
+        for mask in masks:
             got = _deletion_check(parent, pdeg, comps, mask, mask.bit_count())
             assert got == _full_certificate_rule(parent, mask), (parent, mask)
             checked += 1
