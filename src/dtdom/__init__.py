@@ -43,9 +43,7 @@ from .domination import (
     DominationKind,
     SolveResult,
     cycle_witness,
-    dominating_number,
     dtd_cycle_formula,
-    dtd_number,
     dtd_path_formula,
     dtd_uncovered,
     exact_number,
@@ -54,7 +52,6 @@ from .domination import (
     is_dtd_set,
     is_total_dominating_set,
     support_exchange,
-    total_domination_number,
 )
 from .families import (
     FamilyClass,

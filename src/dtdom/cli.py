@@ -9,6 +9,7 @@ constructor's proof path).
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from typing import List, Optional
@@ -33,6 +34,15 @@ _KINDS = {
     "dom": DominationKind.DOMINATION,
     "tdom": DominationKind.TOTAL_DOMINATION,
     "dtd": DominationKind.DISJUNCTIVE_TOTAL_DOMINATION,
+}
+
+_THEOREMS = {
+    "census7": check_order7_census,
+    "tree": check_tree_theorem,
+    "graph": check_graph_theorem,
+    "clawfree": check_clawfree_theorem,
+    "mindeg2": check_mindeg2_observation,
+    "dtd-le-gt": check_dtd_le_gt,
 }
 
 _CLASSES = {
@@ -99,11 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--greedy", action="store_true", help="greedy baseline instead")
 
     p = sub.add_parser("verify", help="run a theorem checker")
-    p.add_argument(
-        "--theorem",
-        choices=["census7", "tree", "graph", "clawfree", "mindeg2", "dtd-le-gt"],
-        required=True,
-    )
+    p.add_argument("--theorem", choices=list(_THEOREMS), required=True)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--corpus", default=None, help="graph6 file for deeper orders")
     p.add_argument("--jobs", type=int, default=1, help="worker processes, 1..usable cores")
@@ -169,27 +175,17 @@ def _jobs(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    theorem = args.theorem
-    jobs = _jobs(args)
-    max_n = args.max_n
-    if theorem in ("census7", "graph") and max_n is not None:
-        raise GraphInputError(f"--max-n does not apply to --theorem {theorem}")
-    if theorem not in ("graph", "clawfree") and args.corpus is not None:
-        raise GraphInputError(f"--corpus does not apply to --theorem {theorem}")
-    if max_n is None:
-        max_n = 12 if theorem == "tree" else 8
-    if theorem == "census7":
-        report = check_order7_census(jobs=jobs)
-    elif theorem == "tree":
-        report = check_tree_theorem(max_n=max_n, jobs=jobs)
-    elif theorem == "graph":
-        report = check_graph_theorem(corpus=args.corpus, jobs=jobs)
-    elif theorem == "clawfree":
-        report = check_clawfree_theorem(max_n=max_n, corpus=args.corpus, jobs=jobs)
-    elif theorem == "mindeg2":
-        report = check_mindeg2_observation(max_n=max_n, jobs=jobs)
-    else:
-        report = check_dtd_le_gt(max_n=max_n, jobs=jobs)
+    check = _THEOREMS[args.theorem]
+    kwargs = {"jobs": _jobs(args)}
+    accepted = inspect.signature(check).parameters
+    for option, name in (("--max-n", "max_n"), ("--corpus", "corpus")):
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name not in accepted:
+            raise GraphInputError(f"{option} does not apply to --theorem {args.theorem}")
+        kwargs[name] = value
+    report = check(**kwargs)
     sys.stdout.write(emit_report(report, args.report))
     if args.report == "json":
         sys.stdout.write("\n")

@@ -243,18 +243,6 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
     raise DomainError("no feasible set exists")  # unreachable after isolation check
 
 
-def dominating_number(g: Graph) -> int:
-    return exact_number(g, DominationKind.DOMINATION).value
-
-
-def total_domination_number(g: Graph) -> int:
-    return exact_number(g, DominationKind.TOTAL_DOMINATION).value
-
-
-def dtd_number(g: Graph) -> int:
-    return exact_number(g, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION).value
-
-
 # -- closed forms for paths and cycles -----------------------------------------
 
 

@@ -635,7 +635,7 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[Graph]:
 def _from_corpus(path: str, klass: GraphClass, n: Optional[int] = None) -> Iterator[Graph]:
     """Graphs of a graph6 file in ``klass`` (of order ``n`` when given), in
     file order, keeping the first of each isomorphism class."""
-    from .graph import is_claw_free, is_connected, is_tree
+    from .graph import is_claw_free, is_connected
 
     seen = set()
     for g in iter_graph6_file(path):
@@ -643,7 +643,7 @@ def _from_corpus(path: str, klass: GraphClass, n: Optional[int] = None) -> Itera
             continue
         if klass is GraphClass.CONNECTED_CLAW_FREE and not is_claw_free(g):
             continue
-        if klass is GraphClass.TREES and not is_tree(g):
+        if klass is GraphClass.TREES and g.edge_count != g.n - 1:
             continue
         cert = certificate(g.n, g.bits)
         if cert in seen:

@@ -3,7 +3,14 @@
 Vertex numbering is part of the contract so that witnesses reproduce
 across runs; each builder documents its layout.  Family ids are small
 frozen records expressible as strings ("T(4)", "L(13)", "C10'", ...),
-which is also the grammar the command line accepts.
+which is also the grammar the command line accepts; one kind table holds
+each kind's builder and argument rules.
+
+The characterization classes are named once: :func:`members` lists the ids
+of a class's members of a given order, and :func:`first_match` finds the
+first listed id whose member is isomorphic to a graph.  :func:`in_class`,
+:func:`classify` and the checkers in :mod:`dtdom.verify` are built on these
+two, so no other module holds a family list.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .canon import is_isomorphic
 from .graph import Graph, GraphInputError
@@ -72,11 +79,12 @@ def corona(h: Graph, k: int) -> Graph:
 
 # -- the extremal families ------------------------------------------------------
 
+# The builders below run only through ``generate``, on ids whose arguments
+# ``FamilyId`` has already checked against the kind table.
+
 
 def _t_family(k: int) -> Graph:
     """T_k: star center 0; leg i is 0-(1+3i)-(2+3i)-(3+3i), leaf outermost."""
-    if k < 1:
-        raise GraphInputError("T(k) needs k >= 1")
     edges = []
     for i in range(k):
         a, b, c = 1 + 3 * i, 2 + 3 * i, 3 + 3 * i
@@ -87,8 +95,6 @@ def _t_family(k: int) -> Graph:
 def _f_family(k: int) -> Graph:
     """F_k: T_k with the center-edge of leg 0 re-hung on leg 1's inner vertex
     (delete 0-1, add 1-4)."""
-    if k < 2:
-        raise GraphInputError("F(k) needs k >= 2")
     base = _t_family(k)
     edges = [e for e in base.edges() if e != (0, 1)]
     edges.append((1, 4))
@@ -97,8 +103,6 @@ def _f_family(k: int) -> Graph:
 
 def _g_family(k: int) -> Graph:
     """G_k: T_k plus the edge 1-4 joining two neighbors of the center."""
-    if k < 2:
-        raise GraphInputError("G(k) needs k >= 2")
     base = _t_family(k)
     return base.with_edge(1, 4)
 
@@ -113,8 +117,6 @@ def _h_family(t: int) -> Graph:
     """H_t: clique on {0, 7, 14, ...}; unit j adds the two arms
     7j-(7j+1)-(7j+2)-(7j+3) and 7j-(7j+4)-(7j+5)-(7j+6) with the triangle
     edge (7j+1, 7j+4)."""
-    if t < 1:
-        raise GraphInputError("H(t) needs t >= 1")
     edges = [(7 * i, 7 * j) for i in range(t) for j in range(i + 1, t)]
     for j in range(t):
         v = 7 * j
@@ -136,8 +138,6 @@ def _c10_double_prime() -> Graph:
 def _relate_gadget(k: int) -> Graph:
     """K_{2,k+2} with hubs 0,1 joined, mids 2..k+3, and a pendant leaf
     (mid + k + 2) on every mid vertex."""
-    if k < 1:
-        raise GraphInputError("RelateGadget(k) needs k >= 1")
     edges = [(0, 1)]
     for m in range(2, k + 4):
         edges += [(0, m), (1, m), (m, m + k + 2)]
@@ -184,31 +184,30 @@ _L_EDGES: Dict[int, List[Tuple[int, int]]] = {
 
 
 def _l_family(i: int) -> Graph:
-    if i not in _L_EDGES:
-        raise GraphInputError("L(i) needs 1 <= i <= 14")
     n = 14 if i >= 13 else 7
     return Graph(n, _L_EDGES[i])
 
 
 # -- family ids ----------------------------------------------------------------
 
-# kind -> (argument count, minimum values)
-_ARITY = {
-    "P": (1, (1,)),
-    "C": (1, (3,)),
-    "K": (1, (1,)),
-    "Star": (1, (1,)),
-    "DoubleStar": (2, (1, 1)),
-    "T": (1, (1,)),
-    "F": (1, (2,)),
-    "G": (1, (2,)),
-    "TStar": (0, ()),
-    "H": (1, (1,)),
-    "L": (1, (1,)),
-    "C10'": (0, ()),
-    "C10''": (0, ()),
-    "RelateGadget": (1, (1,)),
-    "Corona": (2, ()),
+# kind -> (builder, argument count, minimum values); Corona's arguments are
+# checked separately, since its first one is itself a family id
+_KINDS = {
+    "P": (path, 1, (1,)),
+    "C": (cycle, 1, (3,)),
+    "K": (complete, 1, (1,)),
+    "Star": (star, 1, (1,)),
+    "DoubleStar": (double_star, 2, (1, 1)),
+    "T": (_t_family, 1, (1,)),
+    "F": (_f_family, 1, (2,)),
+    "G": (_g_family, 1, (2,)),
+    "TStar": (_t_star, 0, ()),
+    "H": (_h_family, 1, (1,)),
+    "L": (_l_family, 1, (1,)),
+    "C10'": (_c10_prime, 0, ()),
+    "C10''": (_c10_double_prime, 0, ()),
+    "RelateGadget": (_relate_gadget, 1, (1,)),
+    "Corona": (lambda inner, k: corona(generate(inner), k), 2, ()),
 }
 
 _NAME_ALIASES = {
@@ -235,9 +234,9 @@ class FamilyId:
     args: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _ARITY:
+        if self.kind not in _KINDS:
             raise GraphInputError(f"unknown family: {self.kind}")
-        arity, minima = _ARITY[self.kind]
+        _, arity, minima = _KINDS[self.kind]
         if len(self.args) != arity:
             raise GraphInputError(
                 f"{self.kind} takes {arity} argument(s), got {len(self.args)}"
@@ -265,7 +264,7 @@ def parse_family_id(text: str) -> FamilyId:
     """Parse ids like 'T(4)', 'L(13)', "C10'", 'P7', 'Corona(K3,2)'."""
     s = text.strip()
     low = s.lower()
-    if low in _NAME_ALIASES and _ARITY[_NAME_ALIASES[low]][0] == 0:
+    if low in _NAME_ALIASES and _KINDS[_NAME_ALIASES[low]][1] == 0:
         return FamilyId(_NAME_ALIASES[low])
     m = re.fullmatch(r"([A-Za-z*']+)\s*\(\s*(.*?)\s*\)", s)
     if m:
@@ -297,38 +296,7 @@ def parse_family_id(text: str) -> FamilyId:
 
 def generate(fid: FamilyId) -> Graph:
     """Build the tagged family member with its documented fixed numbering."""
-    k = fid.kind
-    if k == "P":
-        return path(fid.args[0])
-    if k == "C":
-        return cycle(fid.args[0])
-    if k == "K":
-        return complete(fid.args[0])
-    if k == "Star":
-        return star(fid.args[0])
-    if k == "DoubleStar":
-        return double_star(*fid.args)
-    if k == "T":
-        return _t_family(fid.args[0])
-    if k == "F":
-        return _f_family(fid.args[0])
-    if k == "G":
-        return _g_family(fid.args[0])
-    if k == "TStar":
-        return _t_star()
-    if k == "H":
-        return _h_family(fid.args[0])
-    if k == "L":
-        return _l_family(fid.args[0])
-    if k == "C10'":
-        return _c10_prime()
-    if k == "C10''":
-        return _c10_double_prime()
-    if k == "RelateGadget":
-        return _relate_gadget(fid.args[0])
-    if k == "Corona":
-        return corona(generate(fid.args[0]), fid.args[1])
-    raise GraphInputError(f"unknown family: {k}")  # unreachable
+    return _KINDS[fid.kind][0](*fid.args)
 
 
 def generate_named(text: str) -> Graph:
@@ -397,64 +365,41 @@ def exceptional_member(g: Graph) -> Optional[FamilyId]:
     return None
 
 
-def _is_path_graph(g: Graph) -> bool:
-    from .graph import is_connected
-
-    if g.n == 0 or not is_connected(g):
-        return False
-    if g.n <= 2:
-        return g.edge_count == g.n - 1
-    degs = sorted(g.degrees())
-    return g.edge_count == g.n - 1 and degs[:2] == [1, 1] and degs[2:] == [2] * (g.n - 2)
+# the classes with one member at each order 3k+1 (k at least the kind's minimum)
+_ORDER_3K_PLUS_1 = {FamilyClass.CAL_T: "T", FamilyClass.CAL_F: "F", FamilyClass.CAL_G: "G"}
 
 
-def _is_cycle_graph(g: Graph) -> bool:
-    from .graph import is_connected
+def members(cls: FamilyClass, n: int) -> List[FamilyId]:
+    """The ids of the members of ``cls`` of order ``n``, in report order."""
+    if cls in _ORDER_3K_PLUS_1:
+        kind = _ORDER_3K_PLUS_1[cls]
+        k, rest = divmod(n - 1, 3)
+        return [FamilyId(kind, (k,))] if rest == 0 and k >= _KINDS[kind][2][0] else []
+    if cls is FamilyClass.CAL_H:
+        return [FamilyId("H", (n // 7,))] if n >= 7 and n % 7 == 0 else []
+    if cls is FamilyClass.CAL_E:
+        return [fid for fid, g in _EXCEPTIONAL.values() if g.n == n]
+    if cls is FamilyClass.CAL_S1:
+        indices = _S1_INDICES if n == 7 else ()
+    elif cls is FamilyClass.CAL_S:
+        indices = _S1_INDICES if n == 7 else (13, 14) if n == 14 else ()
+    elif cls is FamilyClass.CAL_L:
+        indices = range(1, 13) if n == 7 else ()
+    else:
+        raise GraphInputError(f"unknown class: {cls}")
+    return [FamilyId("L", (i,)) for i in indices]
 
-    return g.n >= 3 and all(d == 2 for d in g.degrees()) and is_connected(g)
 
-
-def _is_star_graph(g: Graph) -> bool:
-    if g.n < 2 or g.edge_count != g.n - 1:
-        return False
-    degs = sorted(g.degrees())
-    return degs[-1] == g.n - 1 and all(d == 1 for d in degs[:-1])
-
-
-def _is_double_star(g: Graph) -> Optional[Tuple[int, int]]:
-    from .graph import is_tree
-
-    if g.n < 4 or not is_tree(g):
-        return None
-    centers = [v for v in range(g.n) if g.degree(v) > 1]
-    if len(centers) != 2 or not g.has_edge(*centers):
-        return None
-    r, s = sorted(g.degree(c) - 1 for c in centers)
-    return (r, s) if r >= 1 else None
+def first_match(g: Graph, fids: Iterable[FamilyId]) -> Optional[FamilyId]:
+    """The first of ``fids`` whose member is isomorphic to ``g``, if any."""
+    return next((fid for fid in fids if is_isomorphic(g, generate(fid))), None)
 
 
 def in_class(g: Graph, cls: FamilyClass) -> bool:
     """Is ``g`` isomorphic to a member of the named characterization class?"""
-    n = g.n
-    if cls is FamilyClass.CAL_T:
-        return n >= 4 and n % 3 == 1 and is_isomorphic(g, _t_family((n - 1) // 3))
-    if cls is FamilyClass.CAL_F:
-        return n >= 7 and n % 3 == 1 and is_isomorphic(g, _f_family((n - 1) // 3))
-    if cls is FamilyClass.CAL_G:
-        return n >= 7 and n % 3 == 1 and is_isomorphic(g, _g_family((n - 1) // 3))
-    if cls is FamilyClass.CAL_H:
-        return n >= 7 and n % 7 == 0 and is_isomorphic(g, _h_family(n // 7))
     if cls is FamilyClass.CAL_E:
         return exceptional_member(g) is not None
-    if cls is FamilyClass.CAL_S1:
-        return n == 7 and any(is_isomorphic(g, _l_family(i)) for i in _S1_INDICES)
-    if cls is FamilyClass.CAL_S:
-        if n == 7:
-            return in_class(g, FamilyClass.CAL_S1)
-        return n == 14 and (is_isomorphic(g, _l_family(13)) or is_isomorphic(g, _l_family(14)))
-    if cls is FamilyClass.CAL_L:
-        return n == 7 and any(is_isomorphic(g, _l_family(i)) for i in range(1, 13))
-    raise GraphInputError(f"unknown class: {cls}")
+    return first_match(g, members(cls, g.n)) is not None
 
 
 def classify(g: Graph) -> Optional[FamilyId]:
@@ -464,42 +409,22 @@ def classify(g: Graph) -> Optional[FamilyId]:
     classifies as L(1).  Returns None when nothing matches.
     """
     n = g.n
+    candidates = members(FamilyClass.CAL_L, n)
     if n == 7:
-        for i in range(1, 13):
-            if is_isomorphic(g, _l_family(i)):
-                return FamilyId("L", (i,))
-        if is_isomorphic(g, _t_star()):
-            return FamilyId("TStar")
+        candidates.append(FamilyId("TStar"))
     if n == 14:
-        for i in (13, 14):
-            if is_isomorphic(g, _l_family(i)):
-                return FamilyId("L", (i,))
+        candidates += members(FamilyClass.CAL_S, n)
     if n == 10:
-        if is_isomorphic(g, _c10_prime()):
-            return FamilyId("C10'")
-        if is_isomorphic(g, _c10_double_prime()):
-            return FamilyId("C10''")
-    if _is_path_graph(g):
-        return FamilyId("P", (n,))
-    if _is_cycle_graph(g):
-        return FamilyId("C", (n,))
-    if n >= 1 and g.edge_count == n * (n - 1) // 2 and n >= 2:
-        return FamilyId("K", (n,))
-    if _is_star_graph(g):
-        return FamilyId("Star", (n - 1,))
-    ds = _is_double_star(g)
-    if ds:
-        return FamilyId("DoubleStar", ds)
-    if n % 3 == 1 and n >= 4:
-        k = (n - 1) // 3
-        if is_isomorphic(g, _t_family(k)):
-            return FamilyId("T", (k,))
-        if k >= 2 and is_isomorphic(g, _f_family(k)):
-            return FamilyId("F", (k,))
-        if k >= 2 and is_isomorphic(g, _g_family(k)):
-            return FamilyId("G", (k,))
-    if n % 7 == 0 and n >= 7 and is_isomorphic(g, _h_family(n // 7)):
-        return FamilyId("H", (n // 7,))
-    if n >= 8 and n % 2 == 0 and is_isomorphic(g, _relate_gadget((n - 6) // 2)):
-        return FamilyId("RelateGadget", ((n - 6) // 2,))
-    return None
+        candidates += [FamilyId("C10'"), FamilyId("C10''")]
+    if n >= 1:
+        candidates.append(FamilyId("P", (n,)))
+    if n >= 3:
+        candidates.append(FamilyId("C", (n,)))
+    if n >= 4:  # smaller complete graphs and stars are paths or the triangle
+        candidates += [FamilyId("K", (n,)), FamilyId("Star", (n - 1,))]
+    candidates += [FamilyId("DoubleStar", (r, n - 2 - r)) for r in range(1, n // 2)]
+    for cls in (FamilyClass.CAL_T, FamilyClass.CAL_F, FamilyClass.CAL_G, FamilyClass.CAL_H):
+        candidates += members(cls, n)
+    if n >= 8 and n % 2 == 0:
+        candidates.append(FamilyId("RelateGadget", ((n - 6) // 2,)))
+    return first_match(g, candidates)

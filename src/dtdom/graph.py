@@ -82,7 +82,7 @@ class Graph:
         return sum(row.bit_count() for row in self.bits) // 2
 
     def with_edge(self, u: int, v: int) -> "Graph":
-        """New graph with one extra edge (used by the spanning-subgraph tests)."""
+        """New graph with one extra edge (``families`` builds G(k), C10' and C10'' with it)."""
         if u == v:
             raise GraphInputError(f"loop edge at vertex {u}")
         return Graph(self.n, list(self.edges()) + [(u, v)])

@@ -5,8 +5,10 @@ graph6 corpus), evaluates the exact solvers, and emits a structured
 report.  A report passes exactly when its violation list is empty; an
 equality case that matches no expected family is itself recorded as a
 violation, because that is precisely what would falsify the
-characterization being checked.  Reports identify graphs by graph6
-strings so results reproduce across machines.
+characterization being checked.  Equality cases are matched against
+:func:`~dtdom.families.members` with :func:`~dtdom.families.first_match`,
+so the expected families come from the one table in ``families``.  Reports
+identify graphs by graph6 strings so results reproduce across machines.
 
 Builtin universes run through :func:`~dtdom.enumeration.walk_levels`, which
 shards each level by its order-(n-1) parents and solves every class next to
@@ -26,10 +28,9 @@ from typing import Dict, List, Optional, Tuple
 from .constructor import _construct
 from .domination import DominationKind, exact_number, is_dtd_set
 from .enumeration import GraphClass, _from_corpus, free_trees, sweep, walk_levels
-from .families import FamilyClass, FamilyId, exceptional_member, generate, in_class
+from .families import FamilyClass, FamilyId, exceptional_member, first_match, members
 from .graph import Graph, GraphInputError, is_claw_free
 from .graphio import to_graph6
-from .canon import is_isomorphic
 
 
 DTD = DominationKind.DISJUNCTIVE_TOTAL_DOMINATION
@@ -142,41 +143,30 @@ def check_order7_census(jobs: int = 1) -> VerificationReport:
     report.expect_count("total_domination_4", len(gt4), 20)
     clawfree = [(g, dtd) for g, dtd in gt4 if is_claw_free(g)]
     report.expect_count("clawfree_total_domination_4", len(clawfree), 12)
-    l_members = {i: generate(FamilyId("L", (i,))) for i in range(1, 13)}
+    l_members = members(FamilyClass.CAL_L, 7)
     matched = set()
     s1_found = set()
     for g, dtd in clawfree:
-        hit = next((i for i, lg in l_members.items() if is_isomorphic(g, lg)), None)
+        hit = first_match(g, l_members)
         if hit is None:
             report.violations.append(f"unexpected-member:{to_graph6(g)}")
             continue
         matched.add(hit)
-        report.equality_cases.append((to_graph6(g), str(FamilyId("L", (hit,)))))
+        report.equality_cases.append((to_graph6(g), str(hit)))
         if dtd == 4:
             s1_found.add(hit)
-    for i in sorted(set(l_members) - matched):
-        report.violations.append(f"missing-member:L({i})")
+    for fid in l_members:
+        if fid not in matched:
+            report.violations.append(f"missing-member:{fid}")
     report.expect_count("clawfree_dtd_4", len(s1_found), 6)
-    if s1_found != {1, 2, 3, 5, 6, 10} and len(s1_found) == 6:
-        report.violations.append(f"s1-mismatch:{sorted(s1_found)}")
+    if s1_found != set(members(FamilyClass.CAL_S1, 7)) and len(s1_found) == 6:
+        report.violations.append(f"s1-mismatch:{sorted(fid.args[0] for fid in s1_found)}")
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
 
 
-def _expected_tree_equality(n: int, include_small: bool = True) -> List[FamilyId]:
-    out: List[FamilyId] = []
-    if n % 3 != 1:
-        return out
-    k = (n - 1) // 3
-    if k >= 1:
-        out.append(FamilyId("T", (k,)))
-    if k >= 2:
-        out.append(FamilyId("F", (k,)))
-    if include_small and n == 4:
-        out.append(FamilyId("Star", (3,)))
-    if include_small and n == 7:
-        out.append(FamilyId("TStar"))
-    return out
+# the trees besides T(k) and F(k) that meet 2(n-1)/3: the star K_{1,3} and T*
+_SMALL_EQUALITY_TREES = {4: [FamilyId("Star", (3,))], 7: [FamilyId("TStar")]}
 
 
 def check_tree_theorem(max_n: int = 12, jobs: int = 1) -> VerificationReport:
@@ -189,15 +179,10 @@ def check_tree_theorem(max_n: int = 12, jobs: int = 1) -> VerificationReport:
         theorem="tree-characterization",
         universe=f"trees, 4 <= n <= {max_n} (builtin), excluding P5 and P6",
     )
-    p5, p6 = generate(FamilyId("P", (5,))), generate(FamilyId("P", (6,)))
     for n in range(4, max_n + 1):
-        trees = [
-            t
-            for t in free_trees(n)
-            if not (n == 5 and is_isomorphic(t, p5))
-            and not (n == 6 and is_isomorphic(t, p6))
-        ]
-        expected = _expected_tree_equality(n)
+        trees = [t for t in free_trees(n) if exceptional_member(t) is None]
+        remaining = members(FamilyClass.CAL_T, n) + members(FamilyClass.CAL_F, n)
+        remaining += _SMALL_EQUALITY_TREES.get(n, [])
         found: List[Graph] = []
         for g, dtd in zip(trees, sweep(trees, _dtd, jobs)):
             report.checked += 1
@@ -206,23 +191,21 @@ def check_tree_theorem(max_n: int = 12, jobs: int = 1) -> VerificationReport:
             elif 3 * dtd == 2 * (n - 1):
                 found.append(g)
         report.counts[f"equality_n{n}"] = len(found)
-        remaining = {str(fid): generate(fid) for fid in expected}
         for g in found:
-            hit = next(
-                (name for name, eg in remaining.items() if is_isomorphic(g, eg)), None
-            )
+            hit = first_match(g, remaining)
             if hit is None:
                 report.equality_cases.append((to_graph6(g), "unclassified"))
                 report.violations.append(f"unclassified-equality:{to_graph6(g)}")
             else:
-                del remaining[hit]
-                report.equality_cases.append((to_graph6(g), hit))
-            if n >= 8 and hit in ("Star(3)", "TStar"):
-                report.violations.append(f"large-order-small-family:{hit}")
-        for name in sorted(remaining):
+                remaining.remove(hit)
+                report.equality_cases.append((to_graph6(g), str(hit)))
+        for name in sorted(map(str, remaining)):
             report.violations.append(f"missing-equality:n={n} {name}")
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
+
+
+_GENERAL_EQUALITY = (FamilyClass.CAL_T, FamilyClass.CAL_F, FamilyClass.CAL_G)
 
 
 def check_graph_theorem(corpus: Optional[str] = None, jobs: int = 1) -> VerificationReport:
@@ -244,18 +227,13 @@ def check_graph_theorem(corpus: Optional[str] = None, jobs: int = 1) -> Verifica
         if 3 * dtd != 2 * (n - 1):
             return
         g = _graph(rows)
-        for cls, tag in (
-            (FamilyClass.CAL_T, "T"),
-            (FamilyClass.CAL_F, "F"),
-            (FamilyClass.CAL_G, "G"),
-        ):
-            if in_class(g, cls):
-                fid = f"{tag}({(n - 1) // 3})"
-                report.equality_cases.append((to_graph6(g), fid))
-                report.counts[f"equality_n{n}"] = report.counts.get(f"equality_n{n}", 0) + 1
-                return
-        report.equality_cases.append((to_graph6(g), "unclassified"))
-        report.violations.append(f"unclassified-equality:{to_graph6(g)}")
+        hit = first_match(g, [fid for cls in _GENERAL_EQUALITY for fid in members(cls, n)])
+        if hit is None:
+            report.equality_cases.append((to_graph6(g), "unclassified"))
+            report.violations.append(f"unclassified-equality:{to_graph6(g)}")
+            return
+        report.equality_cases.append((to_graph6(g), str(hit)))
+        report.counts[f"equality_n{n}"] = report.counts.get(f"equality_n{n}", 0) + 1
 
     for rows, dtd in walk_levels(8, 8, False, _dtd, jobs):
         handle(rows, dtd)
@@ -297,13 +275,13 @@ def check_clawfree_theorem(max_n: int = 8, corpus: Optional[str] = None, jobs: i
             return
         report.counts["equality"] = report.counts.get("equality", 0) + 1
         g = _graph(rows)
-        if in_class(g, FamilyClass.CAL_H):
-            report.equality_cases.append((to_graph6(g), f"H({n // 7})"))
-        elif in_class(g, FamilyClass.CAL_S):
-            report.equality_cases.append((to_graph6(g), "S-list"))
-        else:
+        hit = first_match(g, members(FamilyClass.CAL_H, n) + members(FamilyClass.CAL_S, n))
+        if hit is None:
             report.equality_cases.append((to_graph6(g), "unclassified"))
             report.violations.append(f"unclassified-equality:{to_graph6(g)}")
+        else:
+            label = str(hit) if hit.kind == "H" else FamilyClass.CAL_S.value
+            report.equality_cases.append((to_graph6(g), label))
 
     for rows, dtd in walk_levels(2, max_n, True, _dtd_unless_exceptional, jobs):
         handle(rows, dtd)
@@ -313,6 +291,9 @@ def check_clawfree_theorem(max_n: int = 8, corpus: Optional[str] = None, jobs: i
             handle(g.bits, dtd)
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
+
+
+_MINDEG2_EXCEPTIONS = (FamilyId("C", (3,)), FamilyId("C", (7,)))
 
 
 def check_mindeg2_observation(max_n: int = 8, jobs: int = 1) -> VerificationReport:
@@ -325,8 +306,6 @@ def check_mindeg2_observation(max_n: int = 8, jobs: int = 1) -> VerificationRepo
         theorem="clawfree-mindeg2-strict",
         universe=f"connected claw-free graphs with min degree 2, n <= {max_n} (builtin)",
     )
-    c3 = generate(FamilyId("C", (3,)))
-    c7 = generate(FamilyId("C", (7,)))
     for rows, dtd in walk_levels(3, max_n, True, _dtd_if_mindeg2, jobs):
         if dtd is None:
             continue
@@ -334,9 +313,10 @@ def check_mindeg2_observation(max_n: int = 8, jobs: int = 1) -> VerificationRepo
         if 7 * dtd < 4 * len(rows):
             continue
         g = _graph(rows)
-        if is_isomorphic(g, c3) or is_isomorphic(g, c7):
+        hit = first_match(g, _MINDEG2_EXCEPTIONS)
+        if hit is not None:
             report.counts["exceptions"] = report.counts.get("exceptions", 0) + 1
-            report.equality_cases.append((to_graph6(g), f"C({g.n})"))
+            report.equality_cases.append((to_graph6(g), str(hit)))
         else:
             report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)

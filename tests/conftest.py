@@ -1,4 +1,5 @@
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -56,6 +57,27 @@ def brute_force_minimum(g: Graph, kind: str):
             if all(covered(v, cset) for v in range(g.n)):
                 return k, frozenset(cset)
     return None
+
+
+def patch_bindings(monkeypatch, module, name, replacement):
+    """Replace ``module.name`` in every dtdom module bound to it."""
+    original = getattr(module, name)
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "dtdom" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` through every dtdom binding of it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    patch_bindings(monkeypatch, module, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -182,6 +182,12 @@ def test_jobs_outside_the_cores_is_rejected(command, capsys):
         assert "--jobs" in capsys.readouterr().err
 
 
+def test_verify_default_max_n_lives_in_the_checker(capsys):
+    assert main(["verify", "--theorem", "mindeg2", "--report", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["universe"].endswith("n <= 8 (builtin)")
+
+
 def test_verify_census7_via_cli(capsys):
     rc = main(["verify", "--theorem", "census7", "--report", "json"])
     assert rc == 0

@@ -1,5 +1,3 @@
-import sys
-
 import pytest
 
 from dtdom import (
@@ -24,6 +22,8 @@ from dtdom import (
 from dtdom import domination, families, graph
 from dtdom.enumeration import connected_clawfree_graphs
 from dtdom.verify import constructor_verdict
+
+from conftest import count_calls
 
 DTD = DominationKind.DISJUNCTIVE_TOTAL_DOMINATION
 
@@ -198,26 +198,11 @@ def test_constructor_guards():
         construct_dtd_clawfree(Graph(4, [(0, 1), (2, 3)]))  # disconnected
 
 
-def _count_calls(monkeypatch, module, name):
-    """Count the calls of ``module.name`` through every dtdom binding of it."""
-    original = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for modname, mod in list(sys.modules.items()):
-        if modname.split(".")[0] == "dtdom" and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
 def test_constructor_verdict_trusts_its_universe(monkeypatch):
     graphs = [g for n in range(2, 9) for g in connected_clawfree_graphs(n)]
-    exceptional = _count_calls(monkeypatch, families, "exceptional_member")
-    connected = _count_calls(monkeypatch, graph, "is_connected")
-    clawfree = _count_calls(monkeypatch, graph, "is_claw_free")
+    exceptional = count_calls(monkeypatch, families, "exceptional_member")
+    connected = count_calls(monkeypatch, graph, "is_connected")
+    clawfree = count_calls(monkeypatch, graph, "is_claw_free")
     for g in graphs:
         constructor_verdict(g)
     assert [args[0] for args in exceptional] == graphs
@@ -225,8 +210,8 @@ def test_constructor_verdict_trusts_its_universe(monkeypatch):
 
 
 def test_constructor_checks_each_guard_once(monkeypatch):
-    connected = _count_calls(monkeypatch, graph, "is_connected")
-    clawfree = _count_calls(monkeypatch, graph, "is_claw_free")
+    connected = count_calls(monkeypatch, graph, "is_connected")
+    clawfree = count_calls(monkeypatch, graph, "is_claw_free")
     _, tag = construct_dtd_clawfree(generate_named("H(5)"))
     assert tag == "proof-path"
     assert len(connected) == 1 and len(clawfree) == 1
@@ -234,7 +219,7 @@ def test_constructor_checks_each_guard_once(monkeypatch):
 
 def test_constructor_solves_h_family_without_blowup(monkeypatch):
     # each large fragment is solved once, and only on a route that keeps it
-    calls = _count_calls(monkeypatch, domination, "exact_number")
+    calls = count_calls(monkeypatch, domination, "exact_number")
     for t in range(2, 11):
         calls.clear()
         construct_dtd_clawfree(generate_named(f"H({t})"))

@@ -17,7 +17,7 @@ from dtdom import (
     is_tree,
     to_graph6,
 )
-from dtdom import enumeration
+from dtdom import enumeration, graph
 from dtdom.canon import anchored_profile, certificate
 from dtdom.enumeration import (
     _bfs_signature,
@@ -28,6 +28,8 @@ from dtdom.enumeration import (
     walk_levels,
 )
 from dtdom.graph import _component_masks
+
+from conftest import count_calls
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 CLAWFREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 14, 6: 50, 7: 191, 8: 881,
@@ -255,3 +257,13 @@ def test_corpus_source(tmp_path):
     assert len(cf) == CLAWFREE_COUNTS[5]
     tr = list(enumerate_graphs(EnumSpec(5, GraphClass.TREES, str(path))))
     assert len(tr) == TREE_COUNTS[5]
+
+
+def test_trees_corpus_checks_connectivity_once(tmp_path, monkeypatch):
+    trees = list(free_trees(8))
+    path = tmp_path / "trees.g6"
+    path.write_text("\n".join(to_graph6(t) for t in trees) + "\n")
+    connected = count_calls(monkeypatch, graph, "is_connected")
+    got = list(enumerate_graphs(EnumSpec(8, GraphClass.TREES, str(path))))
+    assert got == trees
+    assert len(connected) == len(trees)

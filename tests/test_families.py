@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from dtdom import (
     GraphInputError,
     canonical_form,
     classify,
+    connected_clawfree_graphs,
     connected_graphs,
     corona,
     dtd_reference_value,
@@ -23,7 +25,10 @@ from dtdom import (
     is_isomorphic,
     is_tree,
     parse_family_id,
+    to_graph6,
 )
+
+from conftest import random_graph
 
 DTD = DominationKind.DISJUNCTIVE_TOTAL_DOMINATION
 TDOM = DominationKind.TOTAL_DOMINATION
@@ -244,3 +249,40 @@ def test_g3_is_claw_free_but_larger_family_members_are_not():
     assert is_claw_free(generate_named("G(3)"))
     for name in ("T(3)", "F(3)", "G(4)", "T(4)", "F(4)"):
         assert not is_claw_free(generate_named(name)), name
+
+
+# every named id the pinned corpus relabels: each kind, around each class's
+# order rules (3k+1, multiples of 7, the L list and its two sizes)
+_PINNED_IDS = (
+    [f"P{n}" for n in range(1, 15)] + [f"C{n}" for n in range(3, 15)]
+    + [f"K{n}" for n in range(1, 8)] + [f"Star({k})" for k in range(1, 9)]
+    + [f"S({r},{s})" for r in range(1, 5) for s in range(r, 5)]
+    + [f"T({k})" for k in range(1, 5)] + [f"F({k})" for k in range(2, 5)]
+    + [f"G({k})" for k in range(2, 5)] + [f"H({t})" for t in range(1, 4)]
+    + [f"L({i})" for i in range(1, 15)] + [f"RelateGadget({k})" for k in range(1, 4)]
+    + ["TStar", "C10'", "C10''", "Corona(K3,1)", "Corona(P4,1)", "Corona(C4,2)"]
+)
+
+CLASSIFICATION_DIGEST = "c1bfb3914bd6c133a27c279fc290659ac208e87e96dd477ea6705959928c7ead"
+
+
+def test_classification_is_pinned():
+    # classify and the eight in_class bits, computed before the family
+    # tables were merged into one member list and one matcher
+    rnd = random.Random(12)
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    graphs += [g for n in (8, 9) for g in connected_clawfree_graphs(n)]
+    for name in _PINNED_IDS:
+        g = generate_named(name)
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        graphs.append(g.relabel(perm))
+    for _ in range(300):
+        graphs.append(random_graph(rnd.randint(4, 14), rnd.choice((0.15, 0.3, 0.5)), rnd))
+    lines = []
+    for g in graphs:
+        bits = "".join("1" if in_class(g, cls) else "0" for cls in FamilyClass)
+        lines.append(f"{to_graph6(g)} {classify(g)} {bits}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert len(graphs) == 6758
+    assert digest == CLASSIFICATION_DIGEST

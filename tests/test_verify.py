@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from dtdom import (
+    FamilyClass,
     VerificationReport,
     check_clawfree_theorem,
     check_dtd_le_gt,
@@ -15,8 +17,11 @@ from dtdom import (
     generate_named,
     to_graph6,
 )
+from dtdom import canon, verify
 from dtdom.enumeration import walk_levels
 from dtdom.verify import constructor_verdict
+
+from conftest import patch_bindings
 
 
 def test_order7_census(census_report):
@@ -148,3 +153,58 @@ def test_constructor_verdict_covers_each_level():
         counts[len(rows)] = counts.get(len(rows), 0) + 1
         assert verdict is None or verdict[1], rows
     assert counts == clawfree_counts
+
+
+def _blind_matcher(monkeypatch, name):
+    """Make every dtdom binding of ``is_isomorphic`` deny a match with the
+    member ``name`` as built, so that its graph is left unclassified."""
+    hidden = generate_named(name)
+    original = canon.is_isomorphic
+
+    def blind(g1, g2):
+        return g2 != hidden and original(g1, g2)
+
+    patch_bindings(monkeypatch, canon, "is_isomorphic", blind)
+
+
+REPORTS_DIGEST = "50372f9cc8bb89f5d6a65c089396de54b0523bcfd7ee2425f4074bf1e1e41ab1"
+
+
+def test_reports_are_pinned(census_report, tmp_path, monkeypatch):
+    # the six theorems' JSON reports at small orders, computed before the
+    # checkers read the family tables; no real graph breaks a theorem, so the
+    # graph run hides G(3) from the matcher to pin the unclassified strings,
+    # and its corpus holds H(1), of order 7, to pin the order violation
+    corpus = _small_corpus(tmp_path)
+    reports = [
+        census_report,
+        check_tree_theorem(max_n=10),
+        check_clawfree_theorem(max_n=7, corpus=corpus),
+        check_mindeg2_observation(max_n=7),
+        check_dtd_le_gt(max_n=6),
+    ]
+    _blind_matcher(monkeypatch, "G(3)")
+    reports.append(check_graph_theorem(corpus=corpus))
+    assert "unclassified-equality:IhoGK?@?G" in reports[-1].violations
+    payloads = []
+    for r in reports:
+        payload = json.loads(emit_report(r, "json"))
+        payload.pop("elapsed_ms")
+        payload["universe"] = payload["universe"].replace(corpus, "<corpus>")
+        payloads.append(payload)
+    text = json.dumps(payloads, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORTS_DIGEST
+
+
+def test_graph_theorem_reads_the_family_table(tmp_path, monkeypatch):
+    g3 = to_graph6(generate_named("G(3)"))
+    corpus = tmp_path / "g3.g6"
+    corpus.write_text(g3 + "\n")
+    r = check_graph_theorem(corpus=str(corpus))
+    assert r.passed and r.equality_cases == [(g3, "G(3)")]
+    real = verify.members
+    monkeypatch.setattr(
+        verify, "members", lambda cls, n: [] if cls is FamilyClass.CAL_G else real(cls, n)
+    )
+    r = check_graph_theorem(corpus=str(corpus))
+    assert r.violations == [f"unclassified-equality:{g3}"]
