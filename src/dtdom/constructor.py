@@ -3,20 +3,25 @@
 The machinery follows a leaf-rooted decomposition: around a leaf y with
 neighbor x, the closed neighborhood X = N[x] - y is a clique, the
 components of G - X are "fragments", and every X-vertex touches at most
-one fragment.  A per-fragment selection procedure builds a vertex set S
-from the fragment census; the builder then augments S case by case until
-it disjunctively totally dominates, recursing into large fragments.  The
-final candidate is always verified against the exact solver's predicate
-and the 4n/7 size bound, with an unconditional exact-solver fallback, so
-the construction's guarantee never rests on the case analysis alone.
+one fragment.  One builder also roots it one step past a degree-2
+support, setting the leaf and its support aside.  Each fragment is
+classified once, when the decomposition is built: its kind, the clique
+vertex it hangs from, the profile of that attachment and the vertices the
+case analysis names (a path from its attachment end, G(3)'s coordinates).
+One selection loop reads those records -- Algorithm A on a leaf
+decomposition, Algorithm B past a support -- and builds a vertex set S;
+the builder then augments S case by case until it disjunctively totally
+dominates, recursing into large fragments.  The final candidate is always
+verified against the exact solver's predicate and the 4n/7 size bound,
+with an unconditional exact-solver fallback, so the construction's
+guarantee never rests on the case analysis alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from typing import Callable, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from .canon import isomorphism_map
 from .domination import DomainError, DominationKind, exact_number, is_dtd_set
@@ -63,6 +68,9 @@ class FragmentRecord:
     kind: FragmentKind
     chosen: int  # x_F, the designated X-vertex adjacent to this fragment
     attachment_profile: str
+    # the vertices the case analysis names: for P3, P5 and P6 the path from
+    # its attachment end; for G3 (w, w1, w2, w3, u1, u2, u3, v1, v2, v3)
+    named: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -79,161 +87,110 @@ class Decomposition:
 # -- fragment classification -----------------------------------------------------
 
 
-def _nbrs_in(g: Graph, v: int, vertices) -> FrozenSet[int]:
-    """N(v) restricted to ``vertices``."""
-    return bits_to_vertices(g.bits[v] & _to_mask(vertices))
-
-
-def _path_order(g: Graph, vertices) -> Optional[List[int]]:
-    """Vertices in path order, or None when the induced graph is not a path."""
-    vs = _to_mask(vertices)
+def _path_order(g: Graph, vs: int) -> Optional[List[int]]:
+    """The vertices of the tree on mask ``vs`` in path order from its lowest
+    end, or None when that tree is not a path."""
     members = _from_mask(vs)
-    degs = {v: (g.bits[v] & vs).bit_count() for v in members}
-    if len(members) == 1:
-        return members
-    ends = [v for v in members if degs[v] == 1]
-    if len(ends) != 2 or any(d > 2 for d in degs.values()):
+    degs = [(g.bits[v] & vs).bit_count() for v in members]
+    if max(degs) > 2:
         return None
-    order = [ends[0]]
+    order = [members[degs.index(1)]]
     prev = 0
-    cur = ends[0]
     while len(order) < len(members):
-        nxt = g.bits[cur] & vs & ~prev
-        if nxt.bit_count() != 1:
-            return None
-        prev, cur = 1 << cur, nxt.bit_length() - 1
-        order.append(cur)
+        nxt = g.bits[order[-1]] & vs & ~prev
+        prev = 1 << order[-1]
+        order.append(nxt.bit_length() - 1)
     return order
 
 
-def _fragment_kind(g: Graph, vertices) -> FragmentKind:
-    k = len(vertices)
-    if k == 1:
-        return FragmentKind.P1
-    if k == 2:
-        return FragmentKind.P2
-    vs = _to_mask(vertices)
-    edges = sum((g.bits[v] & vs).bit_count() for v in vertices) // 2
-    if k == 3:
-        return FragmentKind.C3 if edges == 3 else FragmentKind.P3
-    if k in (5, 6) and edges == k - 1 and _path_order(g, vertices):
-        return FragmentKind.P5 if k == 5 else FragmentKind.P6
-    if k == 10 and edges == 10 and exceptional_member(induced_subgraph(g, vertices)[0]) == _G3:
-        return FragmentKind.G3
-    return FragmentKind.OTHER
+def _oriented(order: List[int], adj: FrozenSet[int]) -> Tuple[int, ...]:
+    """The path ordered so the paper's case labels line up: the attachment
+    end (leaf, else support, else lowest) comes first."""
+    if order[-1] in adj and order[0] not in adj:
+        order.reverse()
+    elif order[0] not in adj and order[-1] not in adj:
+        if order[-2] in adj and order[1] not in adj:
+            order.reverse()
+    return tuple(order)
 
 
-def _g3_coordinates(g: Graph, vertices) -> dict:
-    """Map a G_3-shaped fragment onto named coordinates.
+def _g3_coordinates(g: Graph, vs: int, adj: FrozenSet[int]) -> Tuple[int, ...]:
+    """The named vertices (w, w1, w2, w3, u1, u2, u3, v1, v2, v3) of a
+    G(3)-shaped fragment.
 
     ``w`` is the triangle vertex with the three-vertex arm; ``u1``/``v1``
-    the other triangle vertices (lowest id first); ``*2``/``*3`` follow the
-    arms outward.
+    the other triangle vertices; the higher digits follow the arms outward.
+    The paper's symmetry names the attached two-vertex arm ``u``; when
+    neither is attached, ``u`` is the arm of the lower triangle vertex.
+    The fragment is isomorphic to G(3), so the triangle and the arms exist.
     """
-    vs = _to_mask(vertices)
-    tri = next(((a, b, c) for a in _from_mask(vs) for b in _from_mask(g.bits[a] & vs) if b > a
-                for c in _from_mask(g.bits[a] & g.bits[b] & vs) if c > b), None)
-    if tri is None:
-        raise ProofPathError("G3 fragment without triangle")
+    tri = next((a, b, c) for a in _from_mask(vs) for b in _from_mask(g.bits[a] & vs) if b > a
+               for c in _from_mask(g.bits[a] & g.bits[b] & vs) if c > b)
     off_tri = vs & ~_to_mask(tri)
-    arms = {}
+    arms = []
     for t in tri:
-        first = _from_mask(g.bits[t] & off_tri)
-        if len(first) != 1:
-            raise ProofPathError("G3 arm mismatch")
-        arm = [first[0]]
-        prev, cur = t, first[0]
-        while True:
-            nxt = _from_mask(g.bits[cur] & off_tri & ~(1 << prev))
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            arm.append(cur)
-        arms[t] = arm
-    w = next((t for t in tri if len(arms[t]) == 3), None)
-    if w is None or sorted(len(arms[t]) for t in tri) != [2, 2, 3]:
-        raise ProofPathError("G3 arm lengths mismatch")
-    others = sorted(t for t in tri if t != w)
-    coords = {"w": w, "w1": arms[w][0], "w2": arms[w][1], "w3": arms[w][2]}
-    for name, t in zip(("u", "v"), others):
-        coords[name + "1"] = t
-        coords[name + "2"] = arms[t][0]
-        coords[name + "3"] = arms[t][1]
-    return coords
+        arm, nxt = [t], g.bits[t] & off_tri
+        while nxt:
+            arm.append(nxt.bit_length() - 1)
+            nxt = g.bits[arm[-1]] & off_tri & ~(1 << arm[-2])
+        arms.append(arm)
+    w = next(arm for arm in arms if len(arm) == 4)
+    u, v = sorted(arm for arm in arms if len(arm) == 3)
+    if not adj & {u[1], u[2]} and adj & {v[1], v[2]}:
+        u, v = v, u
+    return tuple(w + u + v)
 
 
-def _p3_center(g: Graph, vertices) -> int:
-    """The middle vertex of a P3-shaped fragment."""
+def _classify(g: Graph, vertices: FrozenSet[int], chosen: int) -> FragmentRecord:
+    """The fragment's kind, its named vertices and the profile of its
+    attachment to ``chosen``, found once for both the profile and the
+    selection."""
+    k = len(vertices)
     vs = _to_mask(vertices)
-    return next(v for v in vertices if (g.bits[v] & vs).bit_count() == 2)
-
-
-def _attachment_profile(g: Graph, kind: FragmentKind, vertices, chosen: int) -> str:
-    adj = _nbrs_in(g, chosen, vertices)
-    if kind is FragmentKind.P1:
-        return "isolated"
-    if kind is FragmentKind.P2:
-        return "both-adjacent" if len(adj) == 2 else "one-adjacent"
-    if kind is FragmentKind.P3:
-        center = _p3_center(g, vertices)
-        if center in adj:
-            return "center-adjacent"
-        return "leaf-adjacent" if len(adj) == 1 else "unclassified"
-    if kind is FragmentKind.C3:
-        return "triangle"
-    if kind is FragmentKind.P5:
-        order = _path_order(g, vertices)
-        if order[0] in adj or order[-1] in adj:
-            return "leaf-adjacent"
-        return "interior-adjacent"
-    if kind is FragmentKind.P6:
-        order = _path_order(g, vertices)
-        if order[0] in adj or order[-1] in adj:
-            return "leaf-adjacent"
-        if order[1] in adj or order[-2] in adj:
-            return "support-adjacent"
-        return "interior-adjacent"
-    if kind is FragmentKind.G3:
-        c = _g3_coordinates(g, vertices)
-        if c["w3"] in adj:
-            return "leaf-w3"
-        if c["u3"] in adj or c["v3"] in adj:
-            return "leaf-arm"
-        if c["w2"] in adj:
-            return "support-w2"
-        if c["u2"] in adj or c["v2"] in adj:
-            return "support-arm"
-        if c["w1"] in adj:
-            return "center-w1"
-        return "center-arms"
-    return "non-exceptional"
+    adj = bits_to_vertices(g.bits[chosen] & vs)
+    edges = sum((g.bits[v] & vs).bit_count() for v in vertices) // 2
+    named: Tuple[int, ...] = ()
+    if k == 1:
+        kind, profile = FragmentKind.P1, "isolated"
+    elif k == 2:
+        kind = FragmentKind.P2
+        profile = "both-adjacent" if len(adj) == 2 else "one-adjacent"
+    elif k == 3 and edges == 3:
+        kind, profile = FragmentKind.C3, "triangle"
+    elif k in (3, 5, 6) and edges == k - 1 and (order := _path_order(g, vs)):  # a tree
+        kind = {3: FragmentKind.P3, 5: FragmentKind.P5, 6: FragmentKind.P6}[k]
+        named = _oriented(order, adj)
+        if k == 3:
+            if named[1] in adj:
+                profile = "center-adjacent"
+            else:
+                profile = "leaf-adjacent" if len(adj) == 1 else "unclassified"
+        elif named[0] in adj or named[-1] in adj:
+            profile = "leaf-adjacent"
+        elif k == 6 and (named[1] in adj or named[-2] in adj):
+            profile = "support-adjacent"
+        else:
+            profile = "interior-adjacent"
+    elif k == 10 and edges == 10 and exceptional_member(induced_subgraph(g, vertices)[0]) == _G3:
+        kind = FragmentKind.G3
+        named = _g3_coordinates(g, vs, adj)
+        w, w1, w2, w3, u1, u2, u3, v1, v2, v3 = named
+        if w3 in adj:
+            profile = "leaf-w3"
+        elif u3 in adj or v3 in adj:
+            profile = "leaf-arm"
+        elif w2 in adj:
+            profile = "support-w2"
+        elif u2 in adj or v2 in adj:
+            profile = "support-arm"
+        else:
+            profile = "center-w1" if w1 in adj else "center-arms"
+    else:
+        kind, profile = FragmentKind.OTHER, "non-exceptional"
+    return FragmentRecord(vertices, kind, chosen, profile, named)
 
 
 # -- decomposition ----------------------------------------------------------------
-
-
-def _build_decomposition(g: Graph, y: int, x: int, excluded, deep: bool, z) -> Decomposition:
-    xmask = (g.bits[x] | 1 << x) & ~(1 << y)
-    X = bits_to_vertices(xmask)
-    comps = _component_masks(g.bits, ((1 << g.n) - 1) & ~xmask & ~_to_mask(excluded))
-    fragments = []
-    for comp in comps:
-        vertices = bits_to_vertices(comp)
-        touching = [w for w in _from_mask(xmask) if g.bits[w] & comp]
-        if not touching:
-            raise ProofPathError("fragment not attached to the clique")
-        kind = _fragment_kind(g, vertices)
-        chosen = touching[0]
-        fragments.append(
-            FragmentRecord(vertices, kind, chosen, _attachment_profile(g, kind, vertices, chosen))
-        )
-    fragments.sort(key=lambda f: min(f.vertices))
-    # claw-freeness makes X a clique whose vertices each touch at most one
-    # fragment, so neither is re-checked here
-    x1 = frozenset(X) - {f.chosen for f in fragments if f.kind in _EXCEPTIONAL_KINDS}
-    p1_vertices = frozenset().union(*[f.vertices for f in fragments if f.kind is FragmentKind.P1])
-    Y = p1_vertices | x1 | ({x, y, z} if deep else frozenset())
-    return Decomposition(y, x, frozenset(X), tuple(fragments), Y, deep, z)
 
 
 def _require_connected_claw_free(g: Graph, what: str) -> None:
@@ -244,138 +201,139 @@ def _require_connected_claw_free(g: Graph, what: str) -> None:
         raise GraphInputError(f"{what} needs a claw-free graph")
 
 
-def _leaf_decomposition(g: Graph, y: int, error: type) -> Decomposition:
-    if g.degree(y) != 1:
-        raise error(f"vertex {y} is not a leaf")
-    # the leaf itself survives as a one-vertex fragment of G - X
-    return _build_decomposition(g, y, g.bits[y].bit_length() - 1, excluded=(), deep=False, z=None)
-
-
-def _deep_decomposition(g: Graph, z: int, error: type) -> Decomposition:
-    if g.degree(z) != 1:
-        raise error(f"vertex {z} is not a leaf")
-    y = g.bits[z].bit_length() - 1
-    if g.degree(y) != 2:
-        raise error(f"support {y} does not have degree 2")
-    x = (g.bits[y] & ~(1 << z)).bit_length() - 1
-    return _build_decomposition(g, y, x, excluded={y, z}, deep=True, z=z)
+def _decompose(g: Graph, leaf: int, deep: bool) -> Decomposition:
+    """X = N[x] - y around the leaf y and its neighbor x; with ``deep``, y is
+    the leaf's degree-2 support, x its other neighbor and z the leaf."""
+    if g.degree(leaf) != 1:
+        raise GraphInputError(f"vertex {leaf} is not a leaf")
+    y, x, z = leaf, g.bits[leaf].bit_length() - 1, None
+    if deep:
+        if g.degree(x) != 2:
+            raise GraphInputError(f"support {x} does not have degree 2")
+        y, x, z = x, (g.bits[x] & ~(1 << leaf)).bit_length() - 1, leaf
+    xmask = (g.bits[x] | 1 << x) & ~(1 << y)
+    fragments = []
+    for comp in _component_masks(g.bits, ((1 << g.n) - 1) & ~xmask):
+        # the leaf survives as a one-vertex fragment; past the support, the
+        # component {y, z} is set aside
+        if deep and comp >> y & 1:
+            continue
+        # g is connected, so some X-vertex touches the fragment
+        chosen = next(w for w in _from_mask(xmask) if g.bits[w] & comp)
+        fragments.append(_classify(g, bits_to_vertices(comp), chosen))
+    # claw-freeness makes X a clique whose vertices each touch at most one
+    # fragment, so neither is re-checked here
+    X = bits_to_vertices(xmask)
+    x1 = X - {f.chosen for f in fragments if f.kind in _EXCEPTIONAL_KINDS}
+    p1_vertices = frozenset().union(*[f.vertices for f in fragments if f.kind is FragmentKind.P1])
+    Y = p1_vertices | x1 | ({y, z} if deep else frozenset())
+    return Decomposition(y, x, X, tuple(fragments), Y, deep, z)
 
 
 def decompose(g: Graph, y: int) -> Decomposition:
     """Leaf-rooted decomposition: X = N[x] - y, fragments = components of G - X."""
     _require_connected_claw_free(g, "decomposition")
-    return _leaf_decomposition(g, y, GraphInputError)
+    return _decompose(g, y, deep=False)
 
 
 def decompose_beyond_support(g: Graph, z: int) -> Decomposition:
     """Decomposition one step past a degree-2 support: the leaf z and its
     support y are set aside, X is built around y's other neighbor."""
     _require_connected_claw_free(g, "decomposition")
-    return _deep_decomposition(g, z, GraphInputError)
+    return _decompose(g, z, deep=True)
 
 
 # -- the per-fragment selection procedure ------------------------------------------
 
-Solver = Callable[[FrozenSet[int]], FrozenSet[int]]
 
-
-def _oriented_path(g: Graph, frag: FragmentRecord) -> List[int]:
-    """The fragment path ordered so the paper's case labels line up: the
-    attachment end (leaf, else support, else lowest) comes first."""
-    order = _path_order(g, frag.vertices)
-    adj = _nbrs_in(g, frag.chosen, frag.vertices)
-    if order[-1] in adj and order[0] not in adj:
-        order.reverse()
-    elif order[0] not in adj and order[-1] not in adj:
-        if order[-2] in adj and order[1] not in adj:
-            order.reverse()
-    return order
-
-
-def _select_for_fragment(g: Graph, frag: FragmentRecord, solve: Solver) -> FrozenSet[int]:
-    kind, chosen = frag.kind, frag.chosen
-    adj = _nbrs_in(g, chosen, frag.vertices)
-    if kind is FragmentKind.OTHER:
-        return solve(frag.vertices)
+def _fragment_selection(g: Graph, frag: FragmentRecord) -> FrozenSet[int]:
+    """One case per exceptional fragment shape and attachment profile."""
+    kind, chosen, profile, o = frag.kind, frag.chosen, frag.attachment_profile, frag.named
+    adj = bits_to_vertices(g.bits[chosen] & _to_mask(frag.vertices))
     if kind is FragmentKind.P2:
-        if frag.attachment_profile == "both-adjacent":
-            return frozenset({chosen})
-        return frozenset({min(adj)})
-    if kind is FragmentKind.P3:
-        center = _p3_center(g, frag.vertices)
-        if frag.attachment_profile == "center-adjacent":
-            return frozenset({chosen, min(adj)})
-        if frag.attachment_profile != "leaf-adjacent":
-            raise ProofPathError("P3 fragment attachment outside the enumerated cases")
-        return frozenset({min(adj), center})
+        return frozenset({chosen} if profile == "both-adjacent" else {min(adj)})
     if kind is FragmentKind.C3:
         return frozenset({chosen, min(adj)})
+    if kind is FragmentKind.P3:
+        if profile == "center-adjacent":
+            return frozenset({chosen, min(adj)})
+        if profile != "leaf-adjacent":
+            raise ProofPathError("P3 fragment attachment outside the enumerated cases")
+        return frozenset(o[:2])  # the attached leaf and the centre
     if kind is FragmentKind.P5:
-        order = _oriented_path(g, frag)
-        if frag.attachment_profile == "leaf-adjacent":
-            return frozenset({chosen, order[2], order[3]})
-        if order[2] not in adj or not (order[1] in adj or order[3] in adj):
+        if profile != "leaf-adjacent" and (o[2] not in adj or not (o[1] in adj or o[3] in adj)):
             raise ProofPathError("P5 fragment attachment outside the enumerated cases")
-        return frozenset({chosen, order[2], order[3]})
+        return frozenset({chosen, o[2], o[3]})
     if kind is FragmentKind.P6:
-        order = _oriented_path(g, frag)
-        profile = frag.attachment_profile
         if profile == "leaf-adjacent":
-            return frozenset({chosen, order[3], order[4]})
+            return frozenset({chosen, o[3], o[4]})
         if profile == "support-adjacent":
-            if order[2] not in adj:
+            if o[2] not in adj:
                 raise ProofPathError("P6 support attachment without its interior edge")
-            return frozenset({order[1], order[3], order[4]})
-        if order[2] not in adj or order[3] not in adj:
+            return frozenset({o[1], o[3], o[4]})
+        if o[2] not in adj or o[3] not in adj:
             raise ProofPathError("P6 interior attachment outside the enumerated cases")
-        return frozenset({chosen, order[1], order[3], order[4]})
-    if kind is FragmentKind.G3:
-        c = _g3_coordinates(g, frag.vertices)
-        if c["u3"] in adj or c["u2"] in adj:
-            pass
-        elif c["v3"] in adj or c["v2"] in adj:
-            # the paper's symmetry: call the attached two-vertex arm "u"
-            for k in ("1", "2", "3"):
-                c["u" + k], c["v" + k] = c["v" + k], c["u" + k]
-        base = {chosen, c["u1"], c["u2"], c["v1"], c["v2"], c["w1"], c["w2"]}
-        profile = frag.attachment_profile
-        if profile == "leaf-w3":
-            return frozenset(base - {c["w1"], c["w2"]} | {c["w3"]})
-        if profile == "leaf-arm":
-            return frozenset(base - {c["u1"], c["u2"]} | {c["u3"]})
-        if profile == "support-w2":
-            return frozenset(base - {c["w2"]})
-        if profile == "support-arm":
-            return frozenset(base - {c["u2"]})
-        if c["w"] not in adj:
-            raise ProofPathError("G3 center attachment without the center edge")
-        if profile == "center-w1":
-            return frozenset(base - {c["u1"], c["w1"]} | {c["w"]})
-        if c["u1"] not in adj or c["v1"] not in adj:
-            raise ProofPathError("G3 attachment outside the enumerated cases")
-        return frozenset(base - {c["u1"], c["v1"]} | {c["w"]})
-    raise ProofPathError(f"unhandled fragment kind {kind}")
+        return frozenset({chosen, o[1], o[3], o[4]})
+    w, w1, w2, w3, u1, u2, u3, v1, v2, v3 = o
+    base = frozenset({chosen, u1, u2, v1, v2, w1, w2})
+    if profile == "leaf-w3":
+        return base - {w1, w2} | {w3}
+    if profile == "leaf-arm":
+        return base - {u1, u2} | {u3}
+    if profile == "support-w2":
+        return base - {w2}
+    if profile == "support-arm":
+        return base - {u2}
+    if w not in adj:
+        raise ProofPathError("G3 center attachment without the center edge")
+    if profile == "center-w1":
+        return base - {u1, w1} | {w}
+    if u1 not in adj or v1 not in adj:
+        raise ProofPathError("G3 attachment outside the enumerated cases")
+    return base - {u1, v1} | {w}
 
 
-def algorithm_a(g: Graph, dec: Decomposition, solve_noneE: Optional[Solver] = None) -> FrozenSet[int]:
-    """The literal per-fragment selection (steps seeded from |Y|, then one
-    case per fragment shape); the result is not necessarily a DTD-set yet."""
-    solve = solve_noneE if solve_noneE is not None else partial(_solve_within, g)
-    s = set()
-    x1 = sorted(dec.Y & dec.X)
-    if len(dec.Y) >= 4:
-        s.add(dec.x)
-        other = [w for w in x1 if w != dec.x]
-        if not other:
-            raise ProofPathError("no second unassigned clique vertex to seed")
-        s.add(other[0])
+def _select(g: Graph, dec: Decomposition) -> FrozenSet[int]:
+    """The per-fragment selection without the large fragments' sets, which
+    lie inside those fragments and never meet X.
+
+    Algorithm A on a leaf decomposition seeds x, and one more unassigned
+    clique vertex when |Y| >= 4.  Algorithm B past a degree-2 support seeds
+    x and y, and each bare-vertex fragment contributes its clique vertex.
+    """
+    if dec.deep:
+        s = {dec.x, dec.y}
+    elif len(dec.Y) >= 4:
+        # Y holds x and y; any further member is an unassigned clique vertex
+        # or a bare vertex hanging off one other than x, so a second seed exists
+        s = {dec.x, min(dec.Y & dec.X - {dec.x})}
     else:
-        s.add(dec.x)
+        s = {dec.x}
     for frag in dec.fragments:
         if frag.kind is FragmentKind.P1:
-            continue
-        s |= _select_for_fragment(g, frag, solve)
+            if dec.deep:
+                s.add(frag.chosen)
+        elif frag.kind is not FragmentKind.OTHER:
+            s |= _fragment_selection(g, frag)
     return frozenset(s)
+
+
+def _solved(g: Graph, dec: Decomposition) -> FrozenSet[int]:
+    """The selection with each large fragment solved by the builder."""
+    s = _select(g, dec)
+    for frag in dec.fragments:
+        if frag.kind is FragmentKind.OTHER:
+            s |= _solve_within(g, frag.vertices)
+    return s
+
+
+def algorithm_a(g: Graph, dec: Decomposition) -> FrozenSet[int]:
+    """The literal per-fragment selection on a leaf decomposition (steps
+    seeded from |Y|, then one case per fragment shape); the result is not
+    necessarily a DTD-set yet."""
+    if dec.deep:
+        raise GraphInputError("algorithm A needs the leaf decomposition")
+    return _solved(g, dec)
 
 
 def algorithm_b(g: Graph, dec: Decomposition) -> FrozenSet[int]:
@@ -384,14 +342,7 @@ def algorithm_b(g: Graph, dec: Decomposition) -> FrozenSet[int]:
     attached clique vertex."""
     if not dec.deep:
         raise GraphInputError("algorithm B needs the beyond-support decomposition")
-    solve = partial(_solve_within, g)
-    s = {dec.x, dec.y}
-    for frag in dec.fragments:
-        if frag.kind is FragmentKind.P1:
-            s.add(frag.chosen)
-            continue
-        s |= _select_for_fragment(g, frag, solve)
-    return frozenset(s)
+    return _solved(g, dec)
 
 
 # -- the bounded builder -------------------------------------------------------------
@@ -419,11 +370,10 @@ _CORE_SETS = {
 
 def _phase_one(g: Graph, leaf: int) -> Optional[FrozenSet[int]]:
     """First decomposition round; None signals the all-supports-deg-2 endpoint."""
-    dec = _leaf_decomposition(g, leaf, ProofPathError)
-    # a large fragment's set lies inside it and never meets X, so the route
-    # is chosen without it and the fragment is solved only on a route that
-    # keeps the selection
-    s = algorithm_a(g, dec, lambda vertices: frozenset())
+    dec = _decompose(g, leaf, deep=False)
+    # the route is chosen without the large fragments' sets, and a large
+    # fragment is solved only on a route that keeps the selection
+    s = _select(g, dec)
     large = [f.vertices for f in dec.fragments if f.kind is FragmentKind.OTHER]
     if len(s & dec.X) < 2:
         p6 = _first_fragment(dec, FragmentKind.P6)
@@ -438,7 +388,9 @@ def _phase_one(g: Graph, leaf: int) -> Optional[FrozenSet[int]]:
         elif large and k3 == 1:
             return _peel_p3_chain(g, dec)
         elif large and k3 == 0:
-            return None  # lone large fragment, no chains: caller decides what is next
+            # the endpoint: |Y| = 3 leaves X = {x, w}, so the support x has
+            # degree 2 and the caller may decompose past it
+            return None
     for vertices in large:
         s |= _solve_within(g, vertices)
     return s
@@ -448,69 +400,55 @@ def _peel_p3_chain(g: Graph, dec: Decomposition) -> FrozenSet[int]:
     """Peel the P3 fragment and its clique vertex off as a four-vertex chain
     and solve the core that is left."""
     frag = _first_fragment(dec, FragmentKind.P3)
-    z1 = frag.chosen
-    attach = _nbrs_in(g, z1, frag.vertices)
-    if len(attach) != 1:
-        raise ProofPathError("P3 chain attachment is not a single leaf")
-    z2 = next(iter(attach))
-    z3 = _p3_center(g, frag.vertices)
-    z4 = next(iter(frag.vertices - {z2, z3}))
-    keep = [v for v in range(g.n) if v not in {z1, z2, z3, z4}]
+    # the route reaches here only when the P3 hangs from one of its leaves
+    z2, z3, z4 = frag.named
+    keep = [v for v in range(g.n) if v not in {frag.chosen, z2, z3, z4}]
     core, mapping = induced_subgraph(g, keep)
-    phi = isomorphism_map(core, generate(_G3)) if core.n == 10 else None
-    if phi is not None:
-        anchor = phi[mapping[dec.y]]
-        if anchor not in _CORE_SETS:
-            raise ProofPathError("peeled core leaf lands off the named arms")
-        special = {keep[phi.index(t)] for t in _CORE_SETS[anchor]}
-        return frozenset(special | {z2, z3})
-    if exceptional_member(core) is not None:
+    member = exceptional_member(core)
+    if member == _G3:
+        # the rooting leaf stays a leaf of the core, so it lands on a named leaf
+        phi = isomorphism_map(core, generate(_G3))
+        special = _CORE_SETS[phi[mapping[dec.y]]]
+        return frozenset({keep[phi.index(t)] for t in special} | {z2, z3})
+    if member is not None:
         raise ProofPathError("peeled core is an exceptional graph")
     return _solve_within(g, keep) | {z2, z3}
 
 
 def _phase_two(g: Graph, leaf: int) -> FrozenSet[int]:
-    dec = _deep_decomposition(g, leaf, ProofPathError)
-    s = algorithm_b(g, dec)
-    x1 = dec.Y & dec.X
+    dec = _decompose(g, leaf, deep=True)
+    s = _solved(g, dec)
     if len(dec.Y) >= 4:
         if is_dtd_set(g, s):
             return s
-        extra = sorted(v for v in x1 if v != dec.x and v not in s)
+        extra = sorted(v for v in dec.Y & dec.X if v != dec.x and v not in s)
         if not extra:
             raise ProofPathError("no unassigned clique vertex to repair coverage")
         return s | {extra[0]}
     in_x = s & dec.X
     if len(in_x) >= 3:
         return s - {dec.x}
-    if len(in_x) == 2:
+    if len(in_x) == 2 or _kind_count(dec, FragmentKind.P2) == 0:
         return s
-    if _kind_count(dec, FragmentKind.P2) == 0:
-        return s
-    others = sorted(dec.X - {dec.x})
-    if not others:
-        raise ProofPathError("clique degenerated to the support edge")
-    return s | {others[0]}
-
-
-def _construct_inner(g: Graph) -> FrozenSet[int]:
-    """Recursive builder on a connected claw-free non-exceptional subgraph.
-
-    Each recursive call is on a strictly smaller induced subgraph: a
-    component of G - X for a nonempty clique X, or g less the four vertices
-    of a peeled chain.  So the recursion ends as the paper's induction on n
-    does, and no counter bounds it.
-    """
-    if g.n <= 11 or g.min_degree() >= 2:
-        return exact_number(g, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION).witness
-    return _proof_path(g)
+    # a P2 fragment hangs off a clique vertex other than x
+    return s | {min(dec.X - {dec.x})}
 
 
 def _solve_within(g: Graph, vertices) -> FrozenSet[int]:
-    """The builder on the subgraph induced by ``vertices``, in g's vertex ids;
-    it is the exact solver on at most 11 vertices or minimum degree 2."""
+    """The builder on the subgraph induced by ``vertices``, in g's vertex ids.
+
+    It is the exact solver on at most 11 vertices or minimum degree 2, and
+    the proof path otherwise.  Each proof-path call is on a strictly smaller
+    induced subgraph: a component of G - X for a nonempty clique X, or g
+    less the four vertices of a peeled chain.  So the recursion ends as the
+    paper's induction on n does, and no counter bounds it.
+    """
     order = sorted(vertices)  # induced_subgraph relabels in sorted order
-    witness = _construct_inner(induced_subgraph(g, order)[0])
+    sub = induced_subgraph(g, order)[0]
+    if sub.n <= 11 or sub.min_degree() >= 2:
+        witness = exact_number(sub, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION).witness
+    else:
+        witness = _proof_path(sub)
     return frozenset(order[v] for v in witness)
 
 
@@ -542,8 +480,8 @@ def construct_dtd_clawfree(g: Graph) -> Tuple[FrozenSet[int], str]:
     equality families are produced by the extraction itself); the candidate
     is verified and the exact solver stands behind any failure.  The method
     tag records which route produced the returned set.  A leafy input whose
-    proof path outgrows the interpreter's recursion limit (P700 does) raises
-    DomainError.
+    proof path outgrows the interpreter's recursion limit (P1000 does under
+    ``dtdom construct``) raises DomainError.
     """
     if g.n < 2:
         raise GraphInputError("constructor needs n >= 2")
@@ -565,8 +503,9 @@ def _construct(g: Graph) -> Tuple[FrozenSet[int], str]:
     except ProofPathError:
         cand = None
     except RecursionError:
-        # each proof-path level peels at least three vertices and nests four
-        # frames, so a long leafy input can outgrow the interpreter's stack
+        # each proof-path level peels at least three vertices and nests three
+        # frames (four past a support or through a peeled chain), so a long
+        # leafy input can outgrow the interpreter's stack
         raise DomainError(
             f"the proof path on order {g.n} nests past the interpreter's recursion limit"
         ) from None

@@ -416,13 +416,19 @@ def classify(g: Graph) -> Optional[FamilyId]:
         candidates += members(FamilyClass.CAL_S, n)
     if n == 10:
         candidates += [FamilyId("C10'"), FamilyId("C10''")]
-    if n >= 1:
+    # the generic candidates only at their own edge counts, since first_match
+    # builds each candidate before it can reject it
+    m = g.edge_count
+    if m == n - 1:
         candidates.append(FamilyId("P", (n,)))
-    if n >= 3:
+    if n >= 3 and m == n:
         candidates.append(FamilyId("C", (n,)))
-    if n >= 4:  # smaller complete graphs and stars are paths or the triangle
-        candidates += [FamilyId("K", (n,)), FamilyId("Star", (n - 1,))]
-    candidates += [FamilyId("DoubleStar", (r, n - 2 - r)) for r in range(1, n // 2)]
+    # smaller complete graphs and stars are paths or the triangle
+    if n >= 4 and m == n * (n - 1) // 2:
+        candidates.append(FamilyId("K", (n,)))
+    if n >= 4 and m == n - 1:
+        candidates.append(FamilyId("Star", (n - 1,)))
+        candidates += [FamilyId("DoubleStar", (r, n - 2 - r)) for r in range(1, n // 2)]
     for cls in (FamilyClass.CAL_T, FamilyClass.CAL_F, FamilyClass.CAL_G, FamilyClass.CAL_H):
         candidates += members(cls, n)
     if n >= 8 and n % 2 == 0:

@@ -27,7 +27,16 @@ from typing import Dict, List, Optional, Tuple
 
 from .constructor import _construct
 from .domination import DominationKind, exact_number, is_dtd_set
-from .enumeration import GraphClass, _from_corpus, free_trees, sweep, walk_levels
+from .enumeration import (
+    ALL_CONNECTED_MAX,
+    CLAW_FREE_MAX,
+    TREES_MAX,
+    GraphClass,
+    _from_corpus,
+    free_trees,
+    sweep,
+    walk_levels,
+)
 from .families import FamilyClass, FamilyId, exceptional_member, first_match, members
 from .graph import Graph, GraphInputError, is_claw_free
 from .graphio import to_graph6
@@ -172,8 +181,8 @@ _SMALL_EQUALITY_TREES = {4: [FamilyId("Star", (3,))], 7: [FamilyId("TStar")]}
 def check_tree_theorem(max_n: int = 12, jobs: int = 1) -> VerificationReport:
     """Trees of order 4..max_n other than the 5- and 6-paths satisfy
     3*dtd <= 2(n-1), with equality exactly on the expected families."""
-    if not 4 <= max_n <= 16:
-        raise GraphInputError("tree check supports 4 <= max_n <= 16")
+    if not 4 <= max_n <= TREES_MAX:
+        raise GraphInputError(f"tree check supports 4 <= max_n <= {TREES_MAX}")
     t0 = time.monotonic()
     report = VerificationReport(
         theorem="tree-characterization",
@@ -254,8 +263,8 @@ def check_graph_theorem(corpus: Optional[str] = None, jobs: int = 1) -> Verifica
 def check_clawfree_theorem(max_n: int = 8, corpus: Optional[str] = None, jobs: int = 1) -> VerificationReport:
     """Connected claw-free graphs are exceptional or satisfy 7*dtd <= 4n,
     and every equality case lies in the two equality families."""
-    if not 2 <= max_n <= 12:
-        raise GraphInputError("claw-free check supports 2 <= max_n <= 12")
+    if not 2 <= max_n <= CLAW_FREE_MAX:
+        raise GraphInputError(f"claw-free check supports 2 <= max_n <= {CLAW_FREE_MAX}")
     t0 = time.monotonic()
     universe = f"connected claw-free graphs, 2 <= n <= {max_n} (builtin)"
     if corpus:
@@ -299,8 +308,8 @@ _MINDEG2_EXCEPTIONS = (FamilyId("C", (3,)), FamilyId("C", (7,)))
 def check_mindeg2_observation(max_n: int = 8, jobs: int = 1) -> VerificationReport:
     """Connected claw-free graphs with minimum degree 2 fall strictly below
     4n/7 except for the 3-cycle and the 7-cycle."""
-    if not 3 <= max_n <= 12:
-        raise GraphInputError("min-degree-2 check supports 3 <= max_n <= 12")
+    if not 3 <= max_n <= CLAW_FREE_MAX:
+        raise GraphInputError(f"min-degree-2 check supports 3 <= max_n <= {CLAW_FREE_MAX}")
     t0 = time.monotonic()
     report = VerificationReport(
         theorem="clawfree-mindeg2-strict",
@@ -326,8 +335,8 @@ def check_mindeg2_observation(max_n: int = 8, jobs: int = 1) -> VerificationRepo
 def check_dtd_le_gt(max_n: int = 8, jobs: int = 1) -> VerificationReport:
     """The disjunctive total domination number never exceeds the total
     domination number, over the whole builtin universe."""
-    if not 2 <= max_n <= 8:
-        raise GraphInputError("comparison check supports 2 <= max_n <= 8")
+    if not 2 <= max_n <= ALL_CONNECTED_MAX:
+        raise GraphInputError(f"comparison check supports 2 <= max_n <= {ALL_CONNECTED_MAX}")
     t0 = time.monotonic()
     report = VerificationReport(
         theorem="dtd-le-total",

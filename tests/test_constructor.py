@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from dtdom import (
@@ -18,14 +20,20 @@ from dtdom import (
     is_claw_free,
     is_dtd_set,
     leaves,
+    to_graph6,
 )
 from dtdom import domination, families, graph
+from dtdom.constructor import ProofPathError
 from dtdom.enumeration import connected_clawfree_graphs
 from dtdom.verify import constructor_verdict
 
 from conftest import count_calls
 
 DTD = DominationKind.DISJUNCTIVE_TOTAL_DOMINATION
+
+# sha256 of the constructor outputs pinned below, computed before the
+# constructor's decompositions and selection loops were merged
+CONSTRUCTOR_DIGEST = "bdd13e8f7c2bfba43515f155ee86fc3abbec69d7053c5183104557ba93c7388a"
 
 
 # -- decomposition -----------------------------------------------------------------
@@ -165,6 +173,8 @@ def test_algorithm_b_seeds_and_bare_fragments():
     assert s == {dec.x, dec.y, bare[0].chosen}
     with pytest.raises(GraphInputError):
         algorithm_b(g, decompose(g, 5))  # needs the beyond-support shape
+    with pytest.raises(GraphInputError):
+        algorithm_a(g, dec)  # needs the leaf decomposition
 
 
 # -- the bounded builder ----------------------------------------------------------------
@@ -226,9 +236,9 @@ def test_constructor_solves_h_family_without_blowup(monkeypatch):
         assert len(calls) <= t, t
 
 
-@pytest.mark.parametrize("n", [40, 300])
+@pytest.mark.parametrize("n", [40, 300, 700])
 def test_constructor_proof_path_on_long_paths(n):
-    # the proof path nests about n/3 levels of recursion on a path
+    # the proof path nests about n/4 levels of recursion on a path
     g = generate_named(f"P{n}")
     witness, tag = construct_dtd_clawfree(g)
     assert tag == "proof-path"
@@ -300,6 +310,54 @@ def test_constructor_core_peel_on_plain_arm_with_rerooting():
     assert tag == "proof-path"
     assert is_dtd_set(g, witness) and 7 * len(witness) <= 4 * 14
     assert {11, 12} <= witness
+
+
+def _decomposition_line(g, dec, algorithm):
+    frags = [(sorted(f.vertices), f.kind.value, f.chosen, f.attachment_profile) for f in dec.fragments]
+    try:
+        selected = sorted(algorithm(g, dec))
+    except ProofPathError:
+        selected = "ProofPathError"
+    return repr((dec.y, dec.x, dec.z, sorted(dec.X), sorted(dec.Y), frags, selected))
+
+
+def _g3_attachments():
+    # the leafy graphs y-x-a whose a joins a clique of a G(3) fragment (one
+    # per attachment profile at least), the two chains peeled to a G(3) core,
+    # and a chain peeled to a core that is not exceptional
+    base = generate_named("G(3)")
+    cliques = [(v,) for v in range(10)] + list(base.edges()) + [(0, 1, 4)]
+    for clique in cliques:
+        g = Graph(13, list(base.edges()) + [(10, v) for v in clique] + [(10, 11), (11, 12)])
+        if is_claw_free(g):
+            yield g
+    for a, b in ((1, 2), (7, 8)):
+        yield Graph(14, list(base.edges()) + [(10, a), (10, b), (10, 11), (11, 12), (12, 13)])
+    yield Graph(12, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (4, 5), (5, 6), (3, 7), (3, 8),
+                     (7, 8), (8, 9), (9, 10), (10, 11), (11, 7)])
+
+
+def test_constructor_outputs_are_pinned():
+    # the route tag and witness of every leafy input, and the decomposition
+    # records and selections rooted at each of its leaves
+    graphs = [g for n in range(2, 10) for g in connected_clawfree_graphs(n) if leaves(g)]
+    graphs += [generate_named(f"H({t})") for t in range(1, 11)]
+    graphs += [generate_named(name) for name in ("L(13)", "L(14)", "P40", "P300")]
+    graphs += _g3_attachments()
+    lines = []
+    for g in graphs:
+        try:
+            witness, tag = construct_dtd_clawfree(g)
+            lines.append(f"{to_graph6(g)} {tag} {sorted(witness)}")
+        except DomainError:
+            lines.append(f"{to_graph6(g)} exceptional")
+        for leaf in sorted(leaves(g)):
+            lines.append(_decomposition_line(g, decompose(g, leaf), algorithm_a))
+            if g.degree(g.bits[leaf].bit_length() - 1) == 2:
+                lines.append(_decomposition_line(g, decompose_beyond_support(g, leaf), algorithm_b))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert len(graphs) == 1232
+    assert digest == CONSTRUCTOR_DIGEST
 
 
 # -- greedy baseline -----------------------------------------------------------------------

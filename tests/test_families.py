@@ -28,7 +28,9 @@ from dtdom import (
     to_graph6,
 )
 
-from conftest import random_graph
+from dtdom import families
+
+from conftest import count_calls, random_graph
 
 DTD = DominationKind.DISJUNCTIVE_TOTAL_DOMINATION
 TDOM = DominationKind.TOTAL_DOMINATION
@@ -286,3 +288,12 @@ def test_classification_is_pinned():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert len(graphs) == 6758
     assert digest == CLASSIFICATION_DIGEST
+
+
+def test_classify_builds_generic_candidates_only_at_their_edge_count(monkeypatch):
+    # C12 plus a chord has neither a tree's, a cycle's nor a clique's edge count
+    g = Graph(12, [(i, (i + 1) % 12) for i in range(12)] + [(0, 6)])
+    calls = count_calls(monkeypatch, families, "generate")
+    assert classify(g) is None
+    built = {args[0].kind for args in calls}
+    assert calls and not built & {"P", "C", "K", "Star", "DoubleStar"}
