@@ -209,15 +209,25 @@ def _twin_transpositions(n: int, rows: Sequence[int], anchor: Optional[int]) -> 
     return out
 
 
-def _search(n: int, rows: Sequence[int], anchor: Optional[int]):
+def _search(
+    n: int, rows: Sequence[int], anchor: Optional[int], refined: Optional[List[int]] = None
+):
+    """``(certificate, its labeling order, automorphism generators)``.
+
+    ``refined`` is the root partition when the caller has already refined
+    it: the vertex set, or the anchor and the rest, through ``_refine``
+    with no queue.  When it is None the search refines it.
+    """
     if n == 0:
         return (), [], []
-    full = (1 << n) - 1
-    if anchor is None:
-        parts0 = [full]
-    else:
-        abit = 1 << anchor
-        parts0 = [abit, full ^ abit] if full ^ abit else [abit]
+    if refined is None:
+        full = (1 << n) - 1
+        if anchor is None:
+            parts0 = [full]
+        else:
+            abit = 1 << anchor
+            parts0 = [abit, full ^ abit] if full ^ abit else [abit]
+        refined = _refine(n, rows, parts0, None)
 
     best: Optional[Tuple[int, ...]] = None
     best_order: Optional[List[int]] = None
@@ -283,7 +293,10 @@ def _search(n: int, rows: Sequence[int], anchor: Optional[int]):
             split = head + [low, rest] + tail
             recurse(_refine(n, rows, split, [low]), prefix + (v,))
 
-    recurse(_refine(n, rows, parts0, None), ())
+    recurse(refined, ())
+    # recurse reaches itself through its closure; dropping it frees the
+    # search's state on return rather than at the next cyclic collection
+    del recurse
     assert best is not None
     return best, best_order, generators
 

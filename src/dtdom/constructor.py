@@ -522,7 +522,7 @@ def greedy_dtd(g: Graph) -> FrozenSet[int]:
     """Valid DTD-set by maximum-new-coverage selection; no size guarantee."""
     for v in range(g.n):
         if not g.bits[v]:
-            raise DomainError(f"vertex {v} is isolated")
+            raise DomainError(f"vertex {v} is isolated; dtd undefined")
     if g.n == 0:
         return frozenset()
     d2 = distance2_bits(g)

@@ -38,13 +38,7 @@ from functools import partial
 from multiprocessing import get_context
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .canon import (
-    _refine,
-    _relabeled_rows,
-    anchored_profile,
-    automorphism_generators,
-    certificate,
-)
+from .canon import _refine, _relabeled_rows, _search, anchored_profile, certificate
 from .graph import Graph, GraphInputError, _component_masks
 from .graphio import iter_graph6_file
 
@@ -343,11 +337,13 @@ def _deletion_check(parent, pdeg, comps, mask, msize) -> bool:
 def _orbit_representative_masks(n: int, parent, masks: List[int]) -> List[int]:
     """Keep the first mask of each orbit of the parent's automorphism group.
 
-    :func:`canon.automorphism_generators` generates the full group, so the
-    orbits are exact, and no two kept masks that pass the deletion check
-    give isomorphic children.  Automorphisms preserve the cells of the
-    parent's equitable partition, so masks in one orbit meet each cell in
-    as many vertices; when no two masks do, every mask is kept unsearched.
+    The canonical search's generators (:func:`canon.automorphism_generators`)
+    generate the full group, so the orbits are exact, and no two kept masks
+    that pass the deletion check give isomorphic children.  Automorphisms
+    preserve the cells of the parent's equitable partition, so masks in one
+    orbit meet each cell in as many vertices; when no two masks do, every
+    mask is kept unsearched.  Otherwise the search starts from those cells,
+    which are its own root partition, rather than refining them again.
     """
     cells = _refine(n, parent, [(1 << n) - 1], None)
     singles = sum(c for c in cells if not c & (c - 1))
@@ -355,7 +351,7 @@ def _orbit_representative_masks(n: int, parent, masks: List[int]) -> List[int]:
     sigs = {(m & singles, tuple([(m & c).bit_count() for c in wide])) for m in masks}
     if len(sigs) == len(masks):
         return masks
-    gens = automorphism_generators(n, parent)
+    gens = _search(n, parent, None, cells)[2]
     if not gens:
         return masks
     # each generator as (its moved points, bit images); fixed bits map to themselves

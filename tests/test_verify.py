@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -17,11 +18,17 @@ from dtdom import (
     generate_named,
     to_graph6,
 )
-from dtdom import canon, verify
+from dtdom import canon, constructor, domination, verify
 from dtdom.enumeration import walk_levels
 from dtdom.verify import constructor_verdict
 
-from conftest import patch_bindings
+from conftest import count_calls, patch_bindings
+
+
+def _payload(report):
+    payload = json.loads(emit_report(report, "json"))
+    payload.pop("elapsed_ms")
+    return payload
 
 
 def test_order7_census(census_report):
@@ -52,6 +59,28 @@ def test_tree_theorem_catches_contradiction():
     assert not r.passed
 
 
+def test_tree_theorem_reports_a_tree_over_the_bound(monkeypatch):
+    # greedy settles nothing, and the exact value of the star K_{1,6} reads
+    # 5 > 2(7-1)/3: the checker itself must name that tree and fail
+    star = canon.canonical_form(generate_named("Star(6)"))
+    real = domination.exact_number
+    seen = []
+
+    def inflated(g, kind):
+        res = real(g, kind)
+        if canon.canonical_form(g) != star:
+            return res
+        seen.append(to_graph6(g))
+        return replace(res, value=5)
+
+    patch_bindings(monkeypatch, constructor, "greedy_dtd", lambda g: frozenset(range(g.n)))
+    patch_bindings(monkeypatch, domination, "exact_number", inflated)
+    r = check_tree_theorem(max_n=7)
+    assert len(seen) == 1
+    assert r.violations == [f"bound:{seen[0]} dtd=5"]
+    assert not r.passed
+
+
 def test_clawfree_theorem_small():
     r = check_clawfree_theorem(max_n=7)
     assert r.passed, r.violations
@@ -59,6 +88,30 @@ def test_clawfree_theorem_small():
     assert r.counts["exceptional"] == 5  # both tiny paths, P5, P6, the triangle
     for _, cls in r.equality_cases:
         assert cls in ("S-list", "H(1)")
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [lambda g: frozenset(range(g.n)), lambda g: frozenset({0})],
+    ids=["all-vertices", "one-vertex"],
+)
+def test_greedy_witnesses_are_verified_not_trusted(witness, monkeypatch):
+    # a greedy set only shortcuts the exact solve: one that is never under
+    # the bound (all n vertices) or no DTD-set at all (one vertex, which has
+    # no neighbour in it) must leave every report as it is
+    runs = (lambda: check_clawfree_theorem(max_n=8), lambda: check_tree_theorem(max_n=10))
+    want = [_payload(run()) for run in runs]
+    patch_bindings(monkeypatch, constructor, "greedy_dtd", witness)
+    assert [_payload(run()) for run in runs] == want
+
+
+def test_clawfree_theorem_solves_exactly_only_the_unsettled_classes(monkeypatch):
+    # of the 5,633 non-exceptional classes of order <= 9, greedy leaves
+    # only the six equality cases and three others for the exact solver
+    calls = count_calls(monkeypatch, domination, "exact_number")
+    r = check_clawfree_theorem(max_n=9)
+    assert r.passed and r.counts["equality"] == 6
+    assert len(calls) <= 9
 
 
 def test_mindeg2_small():
