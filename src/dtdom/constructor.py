@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .canon import isomorphism_map
 from .domination import DomainError, DominationKind, exact_number, is_dtd_set
@@ -520,30 +520,52 @@ def _construct(g: Graph) -> Tuple[FrozenSet[int], str]:
 
 def greedy_dtd(g: Graph) -> FrozenSet[int]:
     """Valid DTD-set by maximum-new-coverage selection; no size guarantee."""
+    return _greedy_cover(g, distance2_bits(g))
+
+
+def _greedy_tds(g: Graph) -> FrozenSet[int]:
+    """Total dominating set by the same selection with empty distance-2 rows.
+
+    Every total dominating set is a DTD-set, so it is a DTD witness too
+    (dtd <= gamma_t), one that needs no distance-2 rows.
+    """
+    return _greedy_cover(g, (0,) * g.n)
+
+
+def _greedy_cover(g: Graph, d2: Sequence[int]) -> FrozenSet[int]:
+    """Add the vertex that covers the most uncovered vertices until every
+    vertex has a neighbour in the set or two members among its rows ``d2``.
+
+    With ``d2 = distance2_bits(g)`` the result is a DTD-set; with all-zero
+    rows it is a total dominating set, as in ``exact_number``.  Ties go to
+    the lowest vertex.
+    """
     for v in range(g.n):
         if not g.bits[v]:
             raise DomainError(f"vertex {v} is isolated; dtd undefined")
-    if g.n == 0:
-        return frozenset()
-    d2 = distance2_bits(g)
-    full = (1 << g.n) - 1
+    n = g.n
+    # a vertex's gain is one popcount of its neighbour row and its
+    # distance-2 row side by side, against the uncovered vertices and those
+    # of them that already have one distance-2 member; empty distance-2
+    # rows leave the neighbour rows as they are
+    rows = [r | e << n for r, e in zip(g.bits, d2)] if any(d2) else g.bits
+    full = (1 << n) - 1
     smask = 0
     adjcov = 0
     d2one = 0
     d2two = 0
     while True:
-        covered = adjcov | d2two
-        if covered == full:
+        unc = full & ~(adjcov | d2two)
+        if not unc:
             break
-        unc = full & ~covered
+        mask = unc | (unc & d2one) << n
         # an uncovered u has a neighbour outside S (else u is covered), and
         # that neighbour's gain counts u, so the best gain is at least 1
         best_gain, best_v = -1, -1
-        for w in range(g.n):
-            if (smask >> w) & 1:
+        for w in range(n):
+            if smask >> w & 1:
                 continue
-            gain = (g.bits[w] & unc).bit_count()
-            gain += (d2[w] & d2one & unc).bit_count()
+            gain = (rows[w] & mask).bit_count()
             if gain > best_gain:
                 best_gain, best_v = gain, w
         smask |= 1 << best_v

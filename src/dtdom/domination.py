@@ -236,10 +236,15 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
     # vertex is uncovered and none has a distance-2 member yet
     weights = sorted([(r & (full | full << n)).bit_count() for r in rows], reverse=True)
     lower = next(k for k, reach in enumerate(accumulate(weights), 1) if reach >= 2 * n)
-    for k in range(lower, n + 1):
-        hit = rec(0, 0, k, 0, 0, 0)
-        if hit is not None:
-            return SolveResult(kind, hit.bit_count(), bits_to_vertices(hit), explored)
+    try:
+        for k in range(lower, n + 1):
+            hit = rec(0, 0, k, 0, 0, 0)
+            if hit is not None:
+                return SolveResult(kind, hit.bit_count(), bits_to_vertices(hit), explored)
+    finally:
+        # rec reaches itself through its closure; dropping it frees the
+        # search's state on return rather than at the next cyclic collection
+        del rec
     raise DomainError("no feasible set exists")  # unreachable after isolation check
 
 

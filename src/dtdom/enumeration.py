@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from multiprocessing import get_context
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Sized, Tuple
 
 from .canon import _refine, _relabeled_rows, _search, anchored_profile, certificate
 from .graph import Graph, GraphInputError, _component_masks
@@ -87,7 +87,9 @@ def _candidate_masks(
     triple (monotone), and a mask vertex w centers one exactly when some
     non-adjacent pair inside N(w) misses the mask; those pairs are carried
     as open obligations, one bit each, and a branch dies once an obligation
-    can no longer be hit.
+    can no longer be hit.  The degree caps bound every mask below a node, so
+    a node whose open pairs leave room for just one more vertex lives only if
+    an end of its lowest open pair closes them all at once.
     """
     n = len(rows)
     ncdeg = [pdeg[v] if noncut >> v & 1 else _BIG for v in range(n)]
@@ -102,12 +104,12 @@ def _candidate_masks(
     stack = [(0, 0, 0, _BIG, _BIG, 0, 0)]
     clawfree = claw_pairs is not None
     if clawfree:
-        inside, hits, below, top = claw_pairs
+        inside, hits, below, ends = claw_pairs
     while stack:
         start, mask, msize, min_in, min_out, pairs, hit = stack.pop()
         if pairs:
             # the open pair with the lowest higher end t is hit by t or never
-            end = top[(pairs & -pairs).bit_length() - 1] + 1
+            end = ends[(pairs & -pairs).bit_length() - 1].bit_length()
         else:
             end = n
             if mask and msize <= (min_out if min_out < suffix[start] else suffix[start]):
@@ -136,12 +138,34 @@ def _candidate_masks(
                     nhit = hit | hits[v]
                     npairs = (pairs | inside[v]) & ~nhit
                     # none of v's new pairs is dead, and an open pair leaves
-                    # room for one more vertex under both degree caps
-                    if not npairs & below[v] and not (npairs and (s >= cur_out or s > nmin_in)):
+                    # room for one more vertex under both degree caps; with
+                    # room for just one, that one must close every open pair
+                    live = not npairs & below[v]
+                    if live and npairs:
+                        if s >= cur_out or s > nmin_in:
+                            live = False
+                        elif s + 1 >= cur_out or s >= nmin_in:
+                            live = _one_closes_all(v, npairs, nhit, claw_pairs)
+                    if live:
                         stack.append((v + 1, mask | 1 << v, s, nmin_in, cur_out, npairs, nhit))
             if d < cur_out:
                 cur_out = d
     return out
+
+
+def _one_closes_all(v: int, pairs: int, hit: int, claw_pairs) -> bool:
+    """Whether one vertex after v closes every open pair in ``pairs`` and
+    opens none, with ``hit`` the pairs its mask already hits.  That vertex
+    hits the lowest open pair, so it is one of that pair's ends."""
+    inside, hits, _, ends = claw_pairs
+    closers = ends[(pairs & -pairs).bit_length() - 1] >> v + 1
+    while closers:
+        low = closers & -closers
+        closers ^= low
+        w = low.bit_length() + v
+        if not (pairs | inside[w]) & ~(hit | hits[w]):
+            return True
+    return False
 
 
 def _claw_pairs(rows: Sequence[int]):
@@ -150,13 +174,13 @@ def _claw_pairs(rows: Sequence[int]):
     Each non-adjacent pair gets one bit, in order of its higher endpoint.
     Per vertex v: the pairs inside N(v), the pairs with v as an endpoint,
     and the pairs whose higher endpoint is at most v; per bit, the pair's
-    higher endpoint.
+    two endpoints as a mask.
     """
     n = len(rows)
     inside = [0] * n
     hits = [0] * n
     below = [0] * n
-    top = []
+    ends = []
     bit = 1
     for b in range(n):
         rb = rows[b]
@@ -170,9 +194,9 @@ def _claw_pairs(rows: Sequence[int]):
                     common ^= low
                     inside[low.bit_length() - 1] |= bit
                 bit <<= 1
-                top.append(b)
+                ends.append(1 << a | 1 << b)
         below[b] = bit - 1
-    return inside, hits, below, top
+    return inside, hits, below, ends
 
 
 # -- canonical-deletion acceptance ----------------------------------------------
@@ -427,7 +451,13 @@ def accepted_children(parent: Tuple[int, ...], clawfree: bool) -> List[Tuple[int
 
 # -- the sweep engine -------------------------------------------------------------
 
-SWEEP_CHUNKSIZE = 16  # work items per task sent to a worker
+# Most work items per task a sweep sends.  The coordinating process holds a
+# few tasks' results at a time (those waiting for an earlier one), so this
+# bounds that memory on large levels: with a thirty-second of the level per
+# task, a walk to claw-free order 11 peaked at 45.8 MB in that process, not
+# 29.5 MB.  At 64 items per task it already spends about half the CPU it
+# spends at 16.
+_SWEEP_CHUNK_MAX = 64
 # Deepest order whose unchecked level is kept.  Claw-free levels 1..10 hold
 # 32,028 classes (about 8 MB); claw-free order 11 alone has 184,749.
 LEVEL_CACHE_MAX = 10
@@ -440,14 +470,18 @@ def sweep(items: Iterable, work: Callable, jobs: int = 1) -> Iterator:
     With ``jobs <= 1`` everything runs in this process.  Otherwise one fork
     pool of ``jobs`` workers maps over the items, so ``work`` must pickle
     (a module-level function, or a ``partial`` of one), and so must the
-    items and results.  This is the package's only pool.
+    items and results.  This is the package's only pool.  A sized input
+    goes out in about 16 chunks per worker, enough to keep the workers
+    balanced, but in chunks of at most ``_SWEEP_CHUNK_MAX`` items; an
+    unsized one streams one item per task.
     """
     if jobs <= 1:
         for item in items:
             yield work(item)
         return
+    chunk = min(-(-len(items) // (16 * jobs)), _SWEEP_CHUNK_MAX) if isinstance(items, Sized) else 1
     with get_context("fork").Pool(jobs) as pool:
-        yield from pool.imap(work, items, SWEEP_CHUNKSIZE)
+        yield from pool.imap(work, items, max(chunk, 1))
 
 
 def _expand(parent: Tuple[int, ...], clawfree: bool, check: Optional[Callable]):

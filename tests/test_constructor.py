@@ -19,12 +19,13 @@ from dtdom import (
     greedy_dtd,
     is_claw_free,
     is_dtd_set,
+    is_total_dominating_set,
     leaves,
     to_graph6,
 )
 from dtdom import domination, families, graph
-from dtdom.constructor import ProofPathError
-from dtdom.enumeration import connected_clawfree_graphs
+from dtdom.constructor import ProofPathError, _greedy_tds
+from dtdom.enumeration import connected_clawfree_graphs, connected_graphs
 from dtdom.verify import constructor_verdict
 
 from conftest import count_calls
@@ -379,3 +380,12 @@ def test_greedy_always_valid(rng):
         assert is_dtd_set(g, greedy_dtd(g))
     with pytest.raises(DomainError):
         greedy_dtd(Graph(2))
+
+
+def test_zero_row_greedy_is_a_total_dominating_set():
+    for n in range(2, 8):
+        for g in connected_graphs(n):
+            s = _greedy_tds(g)
+            assert is_total_dominating_set(g, s) and is_dtd_set(g, s)
+    with pytest.raises(DomainError, match="vertex 0 is isolated; dtd undefined"):
+        _greedy_tds(Graph(1))

@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import random
 from itertools import combinations
@@ -201,6 +202,25 @@ def _pinned_corpus_results():
     corpus += [_cycle_plus_chords(rng.randint(18, 24), rng.randint(1, 4), rng) for _ in range(30)]
     corpus += [generate_named(f"{family}{n}") for family in "CP" for n in range(3, 31)]
     return [exact_number(g, kind) for g in corpus for kind in (DOM, TDOM, DTD)]
+
+
+def test_exact_number_leaves_no_reference_cycle():
+    # the search drops its self-referencing closure before it returns
+    g = generate_named("C9")
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for kind in (DOM, TDOM, DTD):
+            for _ in range(3):
+                exact_number(g, kind)
+        gc.collect()
+        leaked = [o for o in gc.garbage if getattr(o, "__qualname__", "") == "exact_number.<locals>.rec"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []
 
 
 def test_solver_outputs_are_pinned():

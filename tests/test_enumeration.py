@@ -25,6 +25,7 @@ from dtdom.enumeration import (
     _deletion_check,
     _neighbor_degrees,
     level_rows,
+    sweep,
     walk_levels,
 )
 from dtdom.graph import _component_masks
@@ -180,6 +181,17 @@ def test_walk_starts_from_cached_levels(monkeypatch):
     for clawfree, hi in ((True, 8), (False, 7)):
         for n in range(1, hi + 1):
             assert level_rows(n, clawfree) == [r for r, _ in walk_levels(n, n, clawfree, None)]
+
+
+@pytest.mark.parametrize("size", [101, 5000])
+def test_sweep_keeps_input_order_across_chunks(size):
+    # over 2 workers, 101 items go out in chunks of 4 and 5,000 in chunks of
+    # 64 (the cap); either way the last chunk is short
+    items = list(range(size))
+    want = [hex(i) for i in items]
+    assert list(sweep(items, hex, 1)) == want
+    assert list(sweep(items, hex, 2)) == want
+    assert list(sweep((i for i in items), hex, 2)) == want
 
 
 def _full_certificate_rule(parent, mask):

@@ -60,8 +60,8 @@ def test_tree_theorem_catches_contradiction():
 
 
 def test_tree_theorem_reports_a_tree_over_the_bound(monkeypatch):
-    # greedy settles nothing, and the exact value of the star K_{1,6} reads
-    # 5 > 2(7-1)/3: the checker itself must name that tree and fail
+    # neither greedy stage settles anything, and the exact value of the star
+    # K_{1,6} reads 5 > 2(7-1)/3: the checker itself must name that tree and fail
     star = canon.canonical_form(generate_named("Star(6)"))
     real = domination.exact_number
     seen = []
@@ -73,7 +73,7 @@ def test_tree_theorem_reports_a_tree_over_the_bound(monkeypatch):
         seen.append(to_graph6(g))
         return replace(res, value=5)
 
-    patch_bindings(monkeypatch, constructor, "greedy_dtd", lambda g: frozenset(range(g.n)))
+    patch_bindings(monkeypatch, constructor, "_greedy_cover", lambda g, d2: frozenset(range(g.n)))
     patch_bindings(monkeypatch, domination, "exact_number", inflated)
     r = check_tree_theorem(max_n=7)
     assert len(seen) == 1
@@ -92,26 +92,30 @@ def test_clawfree_theorem_small():
 
 @pytest.mark.parametrize(
     "witness",
-    [lambda g: frozenset(range(g.n)), lambda g: frozenset({0})],
+    [lambda g, d2: frozenset(range(g.n)), lambda g, d2: frozenset({0})],
     ids=["all-vertices", "one-vertex"],
 )
 def test_greedy_witnesses_are_verified_not_trusted(witness, monkeypatch):
-    # a greedy set only shortcuts the exact solve: one that is never under
-    # the bound (all n vertices) or no DTD-set at all (one vertex, which has
-    # no neighbour in it) must leave every report as it is
+    # a greedy set only shortcuts the exact solve: when both greedy stages
+    # return a set that is never under the bound (all n vertices) or no
+    # DTD-set at all (one vertex, which has no neighbour in it), every
+    # report must stay as it is
     runs = (lambda: check_clawfree_theorem(max_n=8), lambda: check_tree_theorem(max_n=10))
     want = [_payload(run()) for run in runs]
-    patch_bindings(monkeypatch, constructor, "greedy_dtd", witness)
+    patch_bindings(monkeypatch, constructor, "_greedy_cover", witness)
     assert [_payload(run()) for run in runs] == want
 
 
 def test_clawfree_theorem_solves_exactly_only_the_unsettled_classes(monkeypatch):
-    # of the 5,633 non-exceptional classes of order <= 9, greedy leaves
-    # only the six equality cases and three others for the exact solver
+    # of the 5,633 non-exceptional classes of order <= 9, the two greedy
+    # stages leave only the six equality cases and three others for the
+    # exact solver, and the greedy total dominating set settles all but 22
     calls = count_calls(monkeypatch, domination, "exact_number")
+    dtd_calls = count_calls(monkeypatch, constructor, "greedy_dtd")
     r = check_clawfree_theorem(max_n=9)
     assert r.passed and r.counts["equality"] == 6
     assert len(calls) <= 9
+    assert len(dtd_calls) <= 22
 
 
 def test_mindeg2_small():
