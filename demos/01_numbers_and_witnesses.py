@@ -10,8 +10,8 @@ from dtdom import (
     exact_number,
     generate_named,
     is_dtd_set,
-    bfs_distances,
 )
+from dtdom.graph import bits_to_vertices, distance2_bits
 
 # the 7-cycle: total domination needs 4 vertices, and relaxing to the
 # disjunctive condition cannot do better here
@@ -27,10 +27,10 @@ print("\nC5 dtd:", exact_number(c5, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION)
 print("C5 tdom:", exact_number(c5, DominationKind.TOTAL_DOMINATION).value)
 print("is {0,1} a DTD-set of C5?", is_dtd_set(c5, {0, 1}))
 
-# distance tables expose the coverage logic directly
-dist = bfs_distances(c5)
-witnesses_for_v3 = [u for u in (0, 1) if dist.dist[3][u] == 2]
-print("members at distance exactly 2 from vertex 3:", witnesses_for_v3)
+# distance-2 rows expose the coverage logic directly: vertex 3 has no
+# neighbour in {0, 1}, but both members lie at distance exactly two
+at_distance_2 = bits_to_vertices(distance2_bits(c5)[3])
+print("members at distance exactly 2 from vertex 3:", sorted(at_distance_2 & {0, 1}))
 
 # a star is totally dominated by its center plus any leaf
 star = generate_named("Star(3)")

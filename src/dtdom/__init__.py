@@ -10,21 +10,15 @@ characterizations by exhaustive enumeration at small orders.
 """
 
 from .graph import (
-    DistanceTable,
     Graph,
     GraphInputError,
-    INFINITY,
-    bfs_distances,
     connected_components,
-    cutvertices,
     find_claw,
-    from_edge_list,
     induced_subgraph,
     is_claw_free,
     is_connected,
     is_tree,
     leaves,
-    remove_vertices,
     support_vertices,
 )
 from .canon import canonical_form, canonical_relabel, is_isomorphic, isomorphism_map
@@ -82,11 +76,9 @@ from .constructor import (
     greedy_dtd,
 )
 from .enumeration import (
-    EnumSpec,
     GraphClass,
     connected_clawfree_graphs,
     connected_graphs,
-    enumerate_graphs,
     free_trees,
 )
 from .verify import (

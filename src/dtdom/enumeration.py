@@ -6,7 +6,7 @@ graph on n-1 vertices by attaching a new vertex to a nonempty neighborhood,
 and both connectivity and claw-freeness survive deleting a non-cutvertex.
 A canonical-deletion rule makes the generation isomorphism-exact without a
 global seen-set: a candidate is kept only when the new vertex is the
-designated deletion point of the child, decided over non-cutvertices by the
+designated deletion point of the child, decided over non-cut vertices by the
 invariant chain (degree, sorted neighbor degrees, rooted BFS profile,
 rooted refinement profile, anchored first leaf; full certificates only when
 first leaves differ).  Twins, vertices with equal open or equal closed
@@ -32,7 +32,6 @@ a later walk starts from them, and :func:`level_rows` reads the same cache.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from multiprocessing import get_context
@@ -53,15 +52,6 @@ class GraphClass(Enum):
     TREES = "trees"
 
 
-@dataclass(frozen=True)
-class EnumSpec:
-    """What to enumerate: order, class, and builtin generation or a corpus."""
-
-    n: int
-    klass: GraphClass = GraphClass.ALL_CONNECTED
-    source: Optional[str] = None  # path of a graph6 file instead of builtin
-
-
 # -- neighborhood masks of the new vertex ---------------------------------------
 
 
@@ -80,7 +70,7 @@ def _candidate_masks(
     deg(u) in the child and stays non-cut, and one inside a mask of size >= 2
     keeps degree deg(u)+1 and stays non-cut; either bounds the mask size,
     because the new vertex (degree = mask size) must minimize degree over
-    non-cutvertices to be the canonical deletion point.
+    non-cut vertices to be the canonical deletion point.
 
     Claw pruning (when ``claw_pairs`` is given, see :func:`_claw_pairs`): the
     new vertex centers a claw exactly when the mask holds an independent
@@ -639,27 +629,7 @@ def free_trees(n: int) -> Iterator[Graph]:
         layout = _layout_successor(layout)
 
 
-# -- the public stream ------------------------------------------------------------
-
-
-def enumerate_graphs(spec: EnumSpec) -> Iterator[Graph]:
-    """Stream of pairwise non-isomorphic graphs matching the spec.
-
-    Builtin generation respects the class caps (all-connected n <= 8, claw
-    free n <= 12, trees n <= 16); a graph6 corpus may be supplied instead and
-    is filtered to the requested class and deduplicated.
-    """
-    if spec.source is not None:
-        yield from _from_corpus(spec.source, spec.klass, spec.n)
-        return
-    if spec.klass is GraphClass.ALL_CONNECTED:
-        yield from connected_graphs(spec.n)
-    elif spec.klass is GraphClass.CONNECTED_CLAW_FREE:
-        yield from connected_clawfree_graphs(spec.n)
-    elif spec.klass is GraphClass.TREES:
-        yield from free_trees(spec.n)
-    else:  # pragma: no cover
-        raise GraphInputError(f"unknown class {spec.klass}")
+# -- graph6 corpora ---------------------------------------------------------------
 
 
 def _from_corpus(path: str, klass: GraphClass, n: Optional[int] = None) -> Iterator[Graph]:

@@ -9,11 +9,7 @@ frozensets, decoded with :func:`bits_to_vertices`.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
-
-INFINITY = float("inf")
 
 VertexSet = frozenset  # subsets of 0..n-1 are the currency of every predicate
 
@@ -158,40 +154,7 @@ def _component_masks(rows: Sequence[int], within: int) -> List[int]:
     return comps
 
 
-def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
-    """Validating constructor; duplicate edges collapse, loops are rejected."""
-    return Graph(n, edges)
-
-
 # -- distances -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DistanceTable:
-    """All-pairs hop counts; unreachable pairs hold ``INFINITY``."""
-
-    dist: Tuple[Tuple[float, ...], ...]
-
-    def __getitem__(self, v: int) -> Tuple[float, ...]:
-        return self.dist[v]
-
-
-def bfs_distances(g: Graph) -> DistanceTable:
-    """Exact hop distances by BFS from every vertex."""
-    rows = []
-    for src in range(g.n):
-        row = [INFINITY] * g.n
-        row[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for w in _from_mask(g.bits[u]):
-                if row[w] is INFINITY:
-                    row[w] = du + 1
-                    queue.append(w)
-        rows.append(tuple(row))
-    return DistanceTable(tuple(rows))
 
 
 def _distance2_row(rows: Sequence[int], v: int) -> int:
@@ -233,46 +196,6 @@ def is_connected(g: Graph) -> bool:
 
 def is_tree(g: Graph) -> bool:
     return is_connected(g) and g.edge_count == g.n - 1
-
-
-def cutvertices(g: Graph) -> VertexSet:
-    """Articulation vertices of ``g`` (iterative lowpoint DFS)."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    cut = [False] * n
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        root_children = 0
-        stack = [(root, iter(_from_mask(g.bits[root])))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            u, it = stack[-1]
-            child = next(it, None)
-            if child is None:
-                stack.pop()
-                p = parent[u]
-                if p != -1:
-                    low[p] = min(low[p], low[u])
-                    if p != root and low[u] >= disc[p]:
-                        cut[p] = True
-                continue
-            if disc[child] == -1:
-                parent[child] = u
-                if u == root:
-                    root_children += 1
-                disc[child] = low[child] = timer
-                timer += 1
-                stack.append((child, iter(_from_mask(g.bits[child]))))
-            elif child != parent[u]:
-                low[u] = min(low[u], disc[child])
-        if root_children >= 2:
-            cut[root] = True
-    return frozenset(v for v in range(n) if cut[v])
 
 
 # -- structural predicates ---------------------------------------------------
@@ -340,8 +263,3 @@ def induced_subgraph(g: Graph, s: Iterable[int]):
     ]
     return Graph(len(keep), edges), mapping
 
-
-def remove_vertices(g: Graph, s: Iterable[int]):
-    """Same shape as :func:`induced_subgraph`, induced on the complement."""
-    drop = set(s)
-    return induced_subgraph(g, (v for v in range(g.n) if v not in drop))

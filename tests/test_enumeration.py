@@ -4,13 +4,11 @@ import networkx as nx
 import pytest
 
 from dtdom import (
-    EnumSpec,
     GraphClass,
     GraphInputError,
     canonical_form,
     connected_clawfree_graphs,
     connected_graphs,
-    enumerate_graphs,
     free_trees,
     is_claw_free,
     is_connected,
@@ -23,6 +21,7 @@ from dtdom.enumeration import (
     _bfs_signature,
     _candidates,
     _deletion_check,
+    _from_corpus,
     _neighbor_degrees,
     level_rows,
     sweep,
@@ -30,7 +29,7 @@ from dtdom.enumeration import (
 )
 from dtdom.graph import _component_masks
 
-from conftest import count_calls
+from conftest import count_calls, to_networkx
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 CLAWFREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 14, 6: 50, 7: 191, 8: 881,
@@ -162,6 +161,21 @@ def test_candidate_masks_are_pinned():
     assert h.hexdigest() == CANDIDATE_DIGEST
 
 
+def test_candidates_noncut_match_networkx():
+    # a vertex u is non-cut when parent-u has at most one component; the
+    # candidate walk and the deletion check both read it from ``comps``
+    checked = 0
+    for n in range(1, 8):
+        for parent in level_rows(n, False):
+            parent, _, comps, _ = _candidates(parent, False)
+            h = to_networkx(graph.Graph.from_bits(n, parent))
+            assert {u for u in range(n) if len(comps[u]) <= 1} == set(h) - set(
+                nx.articulation_points(h)
+            ), parent
+            checked += 1
+    assert checked == sum(CONNECTED_COUNTS[n] for n in range(1, 8))
+
+
 def test_walk_starts_from_cached_levels(monkeypatch):
     monkeypatch.setattr(enumeration, "_LEVELS", {})
     assert sum(1 for _ in connected_clawfree_graphs(9)) == CLAWFREE_COUNTS[9]
@@ -263,11 +277,11 @@ def test_corpus_source(tmp_path):
     lines.append(disconnected)
     path = tmp_path / "corpus.g6"
     path.write_text("\n".join(lines) + "\n")
-    got = list(enumerate_graphs(EnumSpec(5, GraphClass.ALL_CONNECTED, str(path))))
+    got = list(_from_corpus(str(path), GraphClass.ALL_CONNECTED, 5))
     assert len(got) == CONNECTED_COUNTS[5]
-    cf = list(enumerate_graphs(EnumSpec(5, GraphClass.CONNECTED_CLAW_FREE, str(path))))
+    cf = list(_from_corpus(str(path), GraphClass.CONNECTED_CLAW_FREE, 5))
     assert len(cf) == CLAWFREE_COUNTS[5]
-    tr = list(enumerate_graphs(EnumSpec(5, GraphClass.TREES, str(path))))
+    tr = list(_from_corpus(str(path), GraphClass.TREES, 5))
     assert len(tr) == TREE_COUNTS[5]
 
 
@@ -276,6 +290,6 @@ def test_trees_corpus_checks_connectivity_once(tmp_path, monkeypatch):
     path = tmp_path / "trees.g6"
     path.write_text("\n".join(to_graph6(t) for t in trees) + "\n")
     connected = count_calls(monkeypatch, graph, "is_connected")
-    got = list(enumerate_graphs(EnumSpec(8, GraphClass.TREES, str(path))))
+    got = list(_from_corpus(str(path), GraphClass.TREES, 8))
     assert got == trees
     assert len(connected) == len(trees)

@@ -8,31 +8,26 @@ from hypothesis import given, settings, strategies as st
 from dtdom import (
     Graph,
     GraphInputError,
-    INFINITY,
-    bfs_distances,
     connected_components,
-    cutvertices,
     find_claw,
-    from_edge_list,
     generate_named,
     induced_subgraph,
     is_claw_free,
     is_connected,
     is_isomorphic,
     leaves,
-    remove_vertices,
     support_vertices,
 )
 from dtdom.graph import bits_to_vertices, distance2_bits
 from conftest import random_graph, to_networkx
 
 
-def test_from_edge_list_examples():
-    c3 = from_edge_list(3, [(0, 1), (1, 2), (2, 0)])
+def test_graph_from_edges_examples():
+    c3 = Graph(3, [(0, 1), (1, 2), (2, 0)])
     assert c3.edge_count == 3 and all(c3.degree(v) == 2 for v in range(3))
-    p2 = from_edge_list(2, [(0, 1)])
+    p2 = Graph(2, [(0, 1)])
     assert p2.edge_count == 1
-    p7 = from_edge_list(7, [(i, i + 1) for i in range(6)])
+    p7 = Graph(7, [(i, i + 1) for i in range(6)])
     assert is_isomorphic(p7, generate_named("L(1)"))
 
 
@@ -45,27 +40,6 @@ def test_duplicate_edges_collapse():
 def test_bad_edges_rejected(edges):
     with pytest.raises(GraphInputError):
         Graph(3, edges)
-
-
-def test_bfs_distances_examples():
-    c5 = generate_named("C5")
-    d = bfs_distances(c5)
-    assert d.dist[0][2] == 2
-    p7 = generate_named("P7")
-    assert bfs_distances(p7).dist[0][6] == 6
-    two_edges = Graph(4, [(0, 1), (2, 3)])
-    assert bfs_distances(two_edges).dist[0][2] == INFINITY
-
-
-def test_bfs_distances_match_networkx(rng):
-    for _ in range(30):
-        g = random_graph(rng.randrange(1, 10), 0.3, rng)
-        table = bfs_distances(g)
-        nxd = dict(nx.all_pairs_shortest_path_length(to_networkx(g)))
-        for u in range(g.n):
-            for v in range(g.n):
-                want = nxd.get(u, {}).get(v, INFINITY)
-                assert table.dist[u][v] == want
 
 
 def test_connectivity_examples():
@@ -168,14 +142,18 @@ def test_leaves_and_supports():
     assert len(leaves(t2)) == 2 and len(support_vertices(t2)) == 2
 
 
+def _complement(g, drop):
+    return [v for v in range(g.n) if v not in drop]
+
+
 def test_induced_and_removed_subgraphs():
     c5 = generate_named("C5")
-    sub, mapping = remove_vertices(c5, {0})
+    sub, mapping = induced_subgraph(c5, _complement(c5, {0}))
     assert sub.n == 4 and is_isomorphic(sub, generate_named("P4"))
-    assert set(mapping) == {1, 2, 3, 4}
+    assert mapping == {1: 0, 2: 1, 3: 2, 4: 3}
     l10 = generate_named("L(10)")
     for v in range(7):
-        sub, _ = remove_vertices(l10, {v})
+        sub, _ = induced_subgraph(l10, _complement(l10, {v}))
         assert is_isomorphic(sub, generate_named("P6"))
 
 
@@ -183,20 +161,18 @@ def test_removed_subgraph_edge_set(rng):
     for _ in range(40):
         g = random_graph(rng.randrange(2, 10), 0.4, rng)
         drop = {v for v in range(g.n) if rng.random() < 0.3}
-        sub, mapping = remove_vertices(g, drop)
+        keep = _complement(g, drop)
+        # relabeled in sorted order whatever the input order: the
+        # constructor maps fragment witnesses back through that order
+        sub, mapping = induced_subgraph(g, keep[::-1])
+        assert list(mapping) == keep
+        assert list(mapping.values()) == list(range(len(keep)))
         expected = sorted(
             tuple(sorted((mapping[u], mapping[v])))
             for u, v in g.edges()
             if u not in drop and v not in drop
         )
         assert sorted(sub.edges()) == expected
-
-
-def test_cutvertices_match_networkx(rng):
-    for _ in range(60):
-        g = random_graph(rng.randrange(2, 11), 0.3, rng)
-        want = set(nx.articulation_points(to_networkx(g)))
-        assert set(cutvertices(g)) == want
 
 
 @settings(max_examples=60, deadline=None)
