@@ -76,7 +76,6 @@ from .constructor import (
     greedy_dtd,
 )
 from .enumeration import (
-    GraphClass,
     connected_clawfree_graphs,
     connected_graphs,
     free_trees,

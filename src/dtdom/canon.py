@@ -315,8 +315,4 @@ def canonical_relabel(g: Graph) -> Graph:
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Certificate-based isomorphism test (intended for n <= 16)."""
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return False
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return False
-    return certificate(g1.n, g1.bits) == certificate(g2.n, g2.bits)
+    return isomorphism_map(g1, g2) is not None

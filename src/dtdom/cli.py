@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from .constructor import construct_dtd_clawfree, greedy_dtd
 from .domination import DomainError, DominationKind, _uncovered, exact_number
-from .enumeration import GraphClass, free_trees, sweep, walk_levels
+from .enumeration import free_trees, sweep, walk_levels
 from .families import generate_named
 from .graph import GraphInputError
 from .graphio import FORMATS, dump_graph, load_graph, to_graph6
@@ -30,12 +30,6 @@ from .verify import (
     emit_report,
 )
 
-_KINDS = {
-    "dom": DominationKind.DOMINATION,
-    "tdom": DominationKind.TOTAL_DOMINATION,
-    "dtd": DominationKind.DISJUNCTIVE_TOTAL_DOMINATION,
-}
-
 _THEOREMS = {
     "census7": check_order7_census,
     "tree": check_tree_theorem,
@@ -44,13 +38,6 @@ _THEOREMS = {
     "mindeg2": check_mindeg2_observation,
     "dtd-le-gt": check_dtd_le_gt,
 }
-
-_CLASSES = {
-    "all": GraphClass.ALL_CONNECTED,
-    "clawfree": GraphClass.CONNECTED_CLAW_FREE,
-    "trees": GraphClass.TREES,
-}
-
 
 def _witness_str(vertices) -> str:
     return ",".join(str(v) for v in sorted(vertices))
@@ -88,12 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="exact minimum with a witness set")
-    p.add_argument("--kind", choices=sorted(_KINDS), required=True)
+    p.add_argument("--kind", choices=sorted(k.value for k in DominationKind), required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--format", choices=FORMATS, default="edgelist")
 
     p = sub.add_parser("check-set", help="validate a candidate set")
-    p.add_argument("--kind", choices=sorted(_KINDS), required=True)
+    p.add_argument("--kind", choices=sorted(k.value for k in DominationKind), required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--set", dest="candidate", required=True, help="comma list, e.g. 0,2,5")
     p.add_argument("--format", choices=FORMATS, default="edgelist")
@@ -117,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream non-isomorphic graphs as graph6")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--class", dest="klass", choices=sorted(_CLASSES), default="all")
+    p.add_argument("--class", dest="klass", choices=["all", "clawfree", "trees"], default="all")
     p.add_argument("--out")
     p.add_argument("--jobs", type=int, default=1, help="worker processes, 1..usable cores")
 
@@ -131,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compute(args) -> int:
     g = load_graph(args.infile, args.format)
-    res = exact_number(g, _KINDS[args.kind])
+    res = exact_number(g, DominationKind(args.kind))
     print(res.value)
     print(_witness_str(res.witness))
     return 0
@@ -139,7 +126,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_check_set(args) -> int:
     g = load_graph(args.infile, args.format)
-    uncovered = _uncovered(g, _parse_set(args.candidate, g.n), _KINDS[args.kind])
+    uncovered = _uncovered(g, _parse_set(args.candidate, g.n), DominationKind(args.kind))
     if not uncovered:
         print("valid")
         return 0
@@ -168,7 +155,10 @@ def _cmd_construct(args) -> int:
 
 
 def _jobs(args) -> int:
-    cores = len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows have no affinity call
+        cores = os.cpu_count() or 1
     if not 1 <= args.jobs <= cores:
         raise GraphInputError(f"--jobs must lie in 1..{cores}, got {args.jobs}")
     return args.jobs
@@ -194,11 +184,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     jobs = _jobs(args)
-    klass = _CLASSES[args.klass]
-    if klass is GraphClass.TREES:
+    if args.klass == "trees":
         stream = sweep(free_trees(args.n), to_graph6, jobs)
     else:
-        clawfree = klass is GraphClass.CONNECTED_CLAW_FREE
+        clawfree = args.klass == "clawfree"
         stream = (g6 for _, g6 in walk_levels(args.n, args.n, clawfree, to_graph6, jobs))
     lines = sorted(stream)
     _emit("\n".join(lines) + ("\n" if lines else ""), args.out)

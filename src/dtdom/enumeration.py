@@ -21,6 +21,12 @@ non-isomorphic children.  There is no second dedup step.
 Trees come from the classic level-sequence successor algorithm over
 centroid-rooted layouts, linear work per tree.
 
+The paper's three universes are named by one flag and one function: the
+``clawfree`` flag of :func:`walk_levels`, :func:`level_rows` and
+:func:`accepted_children` picks connected or connected claw-free graphs,
+and :func:`free_trees` yields the trees.  The graph6 corpus reader takes
+the same flag.
+
 Because parents are independent units of work, :func:`walk_levels` shards
 each level by parent over :func:`sweep`, the package's one parallel path,
 and runs a per-class check next to each expansion.  It is the only code
@@ -32,24 +38,17 @@ a later walk starts from them, and :func:`level_rows` reads the same cache.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from enum import Enum
 from functools import partial
 from multiprocessing import get_context
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Sized, Tuple
 
 from .canon import _refine, _relabeled_rows, _search, anchored_profile, certificate
-from .graph import Graph, GraphInputError, _component_masks
+from .graph import Graph, GraphInputError, _component_masks, is_claw_free, is_connected
 from .graphio import iter_graph6_file
 
 ALL_CONNECTED_MAX = 8
 CLAW_FREE_MAX = 12
 TREES_MAX = 16
-
-
-class GraphClass(Enum):
-    ALL_CONNECTED = "all"
-    CONNECTED_CLAW_FREE = "clawfree"
-    TREES = "trees"
 
 
 # -- neighborhood masks of the new vertex ---------------------------------------
@@ -632,18 +631,12 @@ def free_trees(n: int) -> Iterator[Graph]:
 # -- graph6 corpora ---------------------------------------------------------------
 
 
-def _from_corpus(path: str, klass: GraphClass, n: Optional[int] = None) -> Iterator[Graph]:
-    """Graphs of a graph6 file in ``klass`` (of order ``n`` when given), in
-    file order, keeping the first of each isomorphism class."""
-    from .graph import is_claw_free, is_connected
-
+def _from_corpus(path: str, clawfree: bool) -> Iterator[Graph]:
+    """Connected graphs of a graph6 file (claw-free ones only when
+    ``clawfree``), in file order, keeping the first of each isomorphism class."""
     seen = set()
     for g in iter_graph6_file(path):
-        if (n is not None and g.n != n) or not is_connected(g):
-            continue
-        if klass is GraphClass.CONNECTED_CLAW_FREE and not is_claw_free(g):
-            continue
-        if klass is GraphClass.TREES and g.edge_count != g.n - 1:
+        if not is_connected(g) or (clawfree and not is_claw_free(g)):
             continue
         cert = certificate(g.n, g.bits)
         if cert in seen:

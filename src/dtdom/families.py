@@ -210,20 +210,12 @@ _KINDS = {
     "Corona": (lambda inner, k: corona(generate(inner), k), 2, ()),
 }
 
-_NAME_ALIASES = {
-    "p": "P", "path": "P",
-    "c": "C", "cycle": "C",
-    "k": "K", "complete": "K",
-    "star": "Star",
-    "s": "DoubleStar", "doublestar": "DoubleStar",
-    "t": "T", "f": "F", "g": "G",
-    "t*": "TStar", "tstar": "TStar",
-    "h": "H", "l": "L",
-    "c10'": "C10'", "c10prime": "C10'",
-    "c10''": "C10''", "c10doubleprime": "C10''",
-    "relategadget": "RelateGadget", "relate": "RelateGadget",
-    "corona": "Corona",
-}
+# each kind's own name in lower case, plus the extra spellings
+_NAME_ALIASES = {kind.lower(): kind for kind in _KINDS}
+_NAME_ALIASES.update({
+    "path": "P", "cycle": "C", "complete": "K", "s": "DoubleStar", "t*": "TStar",
+    "c10prime": "C10'", "c10doubleprime": "C10''", "relate": "RelateGadget",
+})
 
 
 @dataclass(frozen=True)

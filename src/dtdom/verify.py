@@ -42,7 +42,6 @@ from .enumeration import (
     ALL_CONNECTED_MAX,
     CLAW_FREE_MAX,
     TREES_MAX,
-    GraphClass,
     _from_corpus,
     free_trees,
     sweep,
@@ -159,6 +158,22 @@ def _graph(rows: Tuple[int, ...]) -> Graph:
     return Graph.from_bits(len(rows), rows)
 
 
+def _record_equality(
+    report: VerificationReport, g: Graph, fids: List[FamilyId],
+    label: Callable[[FamilyId], str] = str,
+) -> Optional[FamilyId]:
+    """Record the equality case ``g`` under ``label`` of its first match in
+    ``fids``, or as an unclassified violation; return the match."""
+    hit = first_match(g, fids)
+    g6 = to_graph6(g)
+    if hit is None:
+        report.equality_cases.append((g6, "unclassified"))
+        report.violations.append(f"unclassified-equality:{g6}")
+    else:
+        report.equality_cases.append((g6, label(hit)))
+    return hit
+
+
 def constructor_verdict(g: Graph) -> Optional[Tuple[str, bool]]:
     """The constructor's route tag on a connected claw-free ``g`` and whether
     its set is a DTD-set of size at most 4n/7; None when ``g`` is exceptional.
@@ -239,13 +254,9 @@ def check_tree_theorem(max_n: int = 12, jobs: int = 1) -> VerificationReport:
                 found.append(g)
         report.counts[f"equality_n{n}"] = len(found)
         for g in found:
-            hit = first_match(g, remaining)
-            if hit is None:
-                report.equality_cases.append((to_graph6(g), "unclassified"))
-                report.violations.append(f"unclassified-equality:{to_graph6(g)}")
-            else:
+            hit = _record_equality(report, g, remaining)
+            if hit is not None:
                 remaining.remove(hit)
-                report.equality_cases.append((to_graph6(g), str(hit)))
         for name in sorted(map(str, remaining)):
             report.violations.append(f"missing-equality:n={n} {name}")
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
@@ -273,21 +284,16 @@ def check_graph_theorem(corpus: Optional[str] = None, jobs: int = 1) -> Verifica
             return
         if 3 * dtd != 2 * (n - 1):
             return
-        g = _graph(rows)
-        hit = first_match(g, [fid for cls in _GENERAL_EQUALITY for fid in members(cls, n)])
-        if hit is None:
-            report.equality_cases.append((to_graph6(g), "unclassified"))
-            report.violations.append(f"unclassified-equality:{to_graph6(g)}")
-            return
-        report.equality_cases.append((to_graph6(g), str(hit)))
-        report.counts[f"equality_n{n}"] = report.counts.get(f"equality_n{n}", 0) + 1
+        fids = [fid for cls in _GENERAL_EQUALITY for fid in members(cls, n)]
+        if _record_equality(report, _graph(rows), fids) is not None:
+            report.counts[f"equality_n{n}"] = report.counts.get(f"equality_n{n}", 0) + 1
 
     for rows, dtd in walk_levels(8, 8, False, _dtd_general, jobs):
         handle(rows, dtd)
     if report.counts.get("equality_n8"):
         report.violations.append("equality-at-n8")
     if corpus:
-        graphs = list(_from_corpus(corpus, GraphClass.ALL_CONNECTED))
+        graphs = list(_from_corpus(corpus, False))
         for g in graphs:
             if g.n < 8:
                 report.violations.append(f"corpus-order-below-8:{to_graph6(g)}")
@@ -296,6 +302,11 @@ def check_graph_theorem(corpus: Optional[str] = None, jobs: int = 1) -> Verifica
             handle(g.bits, dtd)
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
+
+
+def _clawfree_label(hit: FamilyId) -> str:
+    """An H(k) member keeps its own name; the S-list is labeled as a whole."""
+    return str(hit) if hit.kind == "H" else FamilyClass.CAL_S.value
 
 
 def check_clawfree_theorem(max_n: int = 8, corpus: Optional[str] = None, jobs: int = 1) -> VerificationReport:
@@ -321,19 +332,13 @@ def check_clawfree_theorem(max_n: int = 8, corpus: Optional[str] = None, jobs: i
         if 7 * dtd < 4 * n:
             return
         report.counts["equality"] = report.counts.get("equality", 0) + 1
-        g = _graph(rows)
-        hit = first_match(g, members(FamilyClass.CAL_H, n) + members(FamilyClass.CAL_S, n))
-        if hit is None:
-            report.equality_cases.append((to_graph6(g), "unclassified"))
-            report.violations.append(f"unclassified-equality:{to_graph6(g)}")
-        else:
-            label = str(hit) if hit.kind == "H" else FamilyClass.CAL_S.value
-            report.equality_cases.append((to_graph6(g), label))
+        fids = members(FamilyClass.CAL_H, n) + members(FamilyClass.CAL_S, n)
+        _record_equality(report, _graph(rows), fids, _clawfree_label)
 
     for rows, dtd in walk_levels(2, max_n, True, _dtd_unless_exceptional, jobs):
         handle(rows, dtd)
     if corpus:
-        graphs = list(_from_corpus(corpus, GraphClass.CONNECTED_CLAW_FREE))
+        graphs = list(_from_corpus(corpus, True))
         for g, dtd in zip(graphs, sweep(graphs, _dtd_unless_exceptional, jobs)):
             handle(g.bits, dtd)
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)

@@ -183,6 +183,15 @@ def test_jobs_outside_the_cores_is_rejected(command, capsys):
         assert "--jobs" in capsys.readouterr().err
 
 
+def test_jobs_without_an_affinity_call(monkeypatch, capsys):
+    """macOS has no os.sched_getaffinity; the core count falls back to cpu_count."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert main(["enumerate", "--n", "5", "--class", "trees"]) == 0
+    assert capsys.readouterr().out.count("\n") == 3
+    assert main(["enumerate", "--n", "5", "--class", "trees", "--jobs", "0"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_verify_default_max_n_lives_in_the_checker(capsys):
     assert main(["verify", "--theorem", "mindeg2", "--report", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

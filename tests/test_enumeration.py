@@ -4,7 +4,6 @@ import networkx as nx
 import pytest
 
 from dtdom import (
-    GraphClass,
     GraphInputError,
     canonical_form,
     connected_clawfree_graphs,
@@ -277,19 +276,17 @@ def test_corpus_source(tmp_path):
     lines.append(disconnected)
     path = tmp_path / "corpus.g6"
     path.write_text("\n".join(lines) + "\n")
-    got = list(_from_corpus(str(path), GraphClass.ALL_CONNECTED, 5))
+    got = list(_from_corpus(str(path), False))
     assert len(got) == CONNECTED_COUNTS[5]
-    cf = list(_from_corpus(str(path), GraphClass.CONNECTED_CLAW_FREE, 5))
+    cf = list(_from_corpus(str(path), True))
     assert len(cf) == CLAWFREE_COUNTS[5]
-    tr = list(_from_corpus(str(path), GraphClass.TREES, 5))
-    assert len(tr) == TREE_COUNTS[5]
 
 
-def test_trees_corpus_checks_connectivity_once(tmp_path, monkeypatch):
-    trees = list(free_trees(8))
-    path = tmp_path / "trees.g6"
-    path.write_text("\n".join(to_graph6(t) for t in trees) + "\n")
+def test_corpus_checks_connectivity_once(tmp_path, monkeypatch):
+    graphs = list(connected_graphs(6))
+    path = tmp_path / "connected.g6"
+    path.write_text("\n".join(to_graph6(g) for g in graphs) + "\n")
     connected = count_calls(monkeypatch, graph, "is_connected")
-    got = list(_from_corpus(str(path), GraphClass.TREES, 8))
-    assert got == trees
-    assert len(connected) == len(trees)
+    got = list(_from_corpus(str(path), False))
+    assert got == graphs
+    assert len(connected) == len(graphs)

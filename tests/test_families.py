@@ -55,6 +55,18 @@ DOM = DominationKind.DOMINATION
         ("S(2,3)", FamilyId("DoubleStar", (2, 3))),
         ("RelateGadget(2)", FamilyId("RelateGadget", (2,))),
         ("Corona(K3,2)", FamilyId("Corona", (FamilyId("K", (3,)), 2))),
+        ("C5", FamilyId("C", (5,))),
+        ("cycle(6)", FamilyId("C", (6,))),
+        ("K4", FamilyId("K", (4,))),
+        ("Complete(2)", FamilyId("K", (2,))),
+        ("path(3)", FamilyId("P", (3,))),
+        ("Star(3)", FamilyId("Star", (3,))),
+        ("DoubleStar(1,2)", FamilyId("DoubleStar", (1, 2))),
+        ("F(2)", FamilyId("F", (2,))),
+        ("g3", FamilyId("G", (3,))),
+        ("C10prime", FamilyId("C10'")),
+        ("c10doubleprime", FamilyId("C10''")),
+        ("relate(1)", FamilyId("RelateGadget", (1,))),
     ],
 )
 def test_parse_family_id(text, want):
