@@ -185,7 +185,7 @@ def _cmd_verify(args) -> int:
 def _cmd_enumerate(args) -> int:
     jobs = _jobs(args)
     if args.klass == "trees":
-        stream = sweep(free_trees(args.n), to_graph6, jobs)
+        stream = sweep(list(free_trees(args.n)), to_graph6, jobs)
     else:
         clawfree = args.klass == "clawfree"
         stream = (g6 for _, g6 in walk_levels(args.n, args.n, clawfree, to_graph6, jobs))

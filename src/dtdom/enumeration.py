@@ -40,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import partial
 from multiprocessing import get_context
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Sized, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .canon import _refine, _relabeled_rows, _search, anchored_profile, certificate
 from .graph import Graph, GraphInputError, _component_masks, is_claw_free, is_connected
@@ -453,22 +453,20 @@ LEVEL_CACHE_MAX = 10
 _LEVELS: Dict[Tuple[int, bool], List[Tuple[int, ...]]] = {}  # (order, clawfree) -> rows
 
 
-def sweep(items: Iterable, work: Callable, jobs: int = 1) -> Iterator:
+def sweep(items: Sequence, work: Callable, jobs: int = 1) -> Iterator:
     """Yield ``work(item)`` for every item, in input order.
 
     With ``jobs <= 1`` everything runs in this process.  Otherwise one fork
     pool of ``jobs`` workers maps over the items, so ``work`` must pickle
     (a module-level function, or a ``partial`` of one), and so must the
-    items and results.  This is the package's only pool.  A sized input
-    goes out in about 16 chunks per worker, enough to keep the workers
-    balanced, but in chunks of at most ``_SWEEP_CHUNK_MAX`` items; an
-    unsized one streams one item per task.
+    items and results.  This is the package's only pool.  The items go out
+    in about 16 chunks per worker, enough to keep the workers balanced, but
+    in chunks of at most ``_SWEEP_CHUNK_MAX`` items.
     """
     if jobs <= 1:
-        for item in items:
-            yield work(item)
+        yield from map(work, items)
         return
-    chunk = min(-(-len(items) // (16 * jobs)), _SWEEP_CHUNK_MAX) if isinstance(items, Sized) else 1
+    chunk = min(-(-len(items) // (16 * jobs)), _SWEEP_CHUNK_MAX)
     with get_context("fork").Pool(jobs) as pool:
         yield from pool.imap(work, items, max(chunk, 1))
 
@@ -485,18 +483,20 @@ def _expand(parent: Tuple[int, ...], clawfree: bool, check: Optional[Callable]):
 
 def walk_levels(
     lo: int, hi: int, clawfree: bool, check: Optional[Callable[[Graph], object]], jobs: int = 1
-) -> Iterator[Tuple[Tuple[int, ...], object]]:
-    """Yield ``(rows, check(graph))`` for every class of order ``lo..hi``
-    (``(rows, None)`` when ``check`` is None).
+) -> Iterator[Tuple[Graph, object]]:
+    """Yield ``(graph, check(graph))`` for every class of order ``lo..hi``
+    (``(graph, None)`` when ``check`` is None).
 
     One :func:`sweep` per level: each work item expands one order-(n-1)
     parent with :func:`accepted_children` and runs ``check`` on its children
     next to that expansion, since canonical augmentation makes parents
-    independent.  Classes come out in the same order whatever ``jobs`` is.
-    The walk starts from the deepest cached level below ``lo``, and each
-    level below ``lo`` that it expands (unchecked) is cached up to order
-    :data:`LEVEL_CACHE_MAX`.  Checked levels are never cached: only the
-    current one stays in this process, as the next level's parents.
+    independent.  Workers send back bitmask rows, which pickle cheaper than
+    graphs, and this process wraps each in a :class:`Graph`.  Classes come
+    out in the same order whatever ``jobs`` is.  The walk starts from the
+    deepest cached level below ``lo``, and each level below ``lo`` that it
+    expands (unchecked) is cached up to order :data:`LEVEL_CACHE_MAX`.
+    Checked levels are never cached: only the current one stays in this
+    process, as the next level's parents.
     """
     limit = CLAW_FREE_MAX if clawfree else ALL_CONNECTED_MAX
     if not 1 <= lo <= hi <= limit:
@@ -504,7 +504,8 @@ def walk_levels(
     start = max((n for n in range(2, lo) if (n, clawfree) in _LEVELS), default=1)
     level = _LEVELS.get((start, clawfree), [(0,)])
     if lo == 1:
-        yield level[0], None if check is None else check(Graph.from_bits(1, level[0]))
+        g = Graph.from_bits(1, level[0])
+        yield g, None if check is None else check(g)
     for n in range(start + 1, hi + 1):
         work = partial(_expand, clawfree=clawfree, check=check if n >= lo else None)
         parents, level = level, []
@@ -513,7 +514,7 @@ def walk_levels(
                 if n < hi:
                     level.append(rows)
                 if n >= lo:
-                    yield rows, value
+                    yield Graph.from_bits(n, rows), value
         if n < lo and n <= LEVEL_CACHE_MAX:
             _LEVELS[n, clawfree] = level
 
@@ -523,7 +524,7 @@ def level_rows(n: int, clawfree: bool) -> List[Tuple[int, ...]]:
     :func:`walk_levels` order (cached up to order :data:`LEVEL_CACHE_MAX`)."""
     rows = _LEVELS.get((n, clawfree))
     if rows is None:
-        rows = [r for r, _ in walk_levels(n, n, clawfree, None)]
+        rows = [g.bits for g, _ in walk_levels(n, n, clawfree, None)]
         if n <= LEVEL_CACHE_MAX:
             _LEVELS[n, clawfree] = rows
     return rows
@@ -531,14 +532,14 @@ def level_rows(n: int, clawfree: bool) -> List[Tuple[int, ...]]:
 
 def connected_graphs(n: int) -> Iterator[Graph]:
     """All connected graphs of order n up to isomorphism (n <= 8 builtin)."""
-    for rows, _ in walk_levels(n, n, False, None):
-        yield Graph.from_bits(n, rows)
+    for g, _ in walk_levels(n, n, False, None):
+        yield g
 
 
 def connected_clawfree_graphs(n: int) -> Iterator[Graph]:
     """All connected claw-free graphs of order n up to isomorphism (n <= 12)."""
-    for rows, _ in walk_levels(n, n, True, None):
-        yield Graph.from_bits(n, rows)
+    for g, _ in walk_levels(n, n, True, None):
+        yield g
 
 
 # -- free trees ------------------------------------------------------------------

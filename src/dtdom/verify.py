@@ -23,7 +23,9 @@ every class.
 Builtin universes run through :func:`~dtdom.enumeration.walk_levels`, which
 shards each level by its order-(n-1) parents and solves every class next to
 its expansion, holding one level of rows; trees and corpora have no parent
-and go through :func:`~dtdom.enumeration.sweep` one graph at a time.  Values
+and go through :func:`~dtdom.enumeration.sweep` as one list.  A corpus is
+chained after the builtin walk, so each bound checker runs one loop; its
+classes below the theorem's order floor are violations, not checked.  Values
 come back in enumeration order, so a report is the same for every ``jobs``
 (``elapsed_ms`` aside).
 """
@@ -34,7 +36,8 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .constructor import _construct, _greedy_tds, greedy_dtd
 from .domination import DominationKind, exact_number, is_dtd_set
@@ -154,8 +157,21 @@ def _dtd_if_mindeg2(g: Graph) -> Optional[int]:
 _dtd_general = partial(_dtd_witness_first, under=_under_2n_3)
 
 
-def _graph(rows: Tuple[int, ...]) -> Graph:
-    return Graph.from_bits(len(rows), rows)
+def _corpus_classes(
+    report: VerificationReport, path: Optional[str], clawfree: bool, floor: int, work, jobs: int
+) -> Iterator[Tuple[Graph, object]]:
+    """``(graph, work(graph))`` for each class of the corpus at ``path`` of
+    order at least ``floor``; each smaller class is recorded as a
+    ``corpus-order-below-<floor>`` violation instead."""
+    if not path:
+        return
+    graphs = []
+    for g in _from_corpus(path, clawfree):
+        if g.n < floor:
+            report.violations.append(f"corpus-order-below-{floor}:{to_graph6(g)}")
+        else:
+            graphs.append(g)
+    yield from zip(graphs, sweep(graphs, work, jobs))
 
 
 def _record_equality(
@@ -197,10 +213,10 @@ def check_order7_census(jobs: int = 1) -> VerificationReport:
         theorem="order7-census", universe="all connected graphs, n=7 (builtin)"
     )
     gt4 = []
-    for rows, (dtd, gt) in walk_levels(7, 7, False, _dtd_and_gt, jobs):
+    for g, (dtd, gt) in walk_levels(7, 7, False, _dtd_and_gt, jobs):
         report.checked += 1
         if gt == 4:
-            gt4.append((_graph(rows), dtd))
+            gt4.append((g, dtd))
     report.expect_count("connected", report.checked, 853)
     report.expect_count("total_domination_4", len(gt4), 20)
     clawfree = [(g, dtd) for g, dtd in gt4 if is_claw_free(g)]
@@ -275,31 +291,21 @@ def check_graph_theorem(corpus: Optional[str] = None, jobs: int = 1) -> Verifica
     if corpus:
         universe += f" + corpus {corpus}"
     report = VerificationReport(theorem="general-bound", universe=universe)
-
-    def handle(rows: Tuple[int, ...], dtd: int) -> None:
+    classes = chain(
+        walk_levels(8, 8, False, _dtd_general, jobs),
+        _corpus_classes(report, corpus, False, 8, _dtd_general, jobs),
+    )
+    for g, dtd in classes:
         report.checked += 1
-        n = len(rows)
+        n = g.n
         if 3 * dtd > 2 * (n - 1):
-            report.violations.append(f"bound:{to_graph6(_graph(rows))} dtd={dtd}")
-            return
-        if 3 * dtd != 2 * (n - 1):
-            return
-        fids = [fid for cls in _GENERAL_EQUALITY for fid in members(cls, n)]
-        if _record_equality(report, _graph(rows), fids) is not None:
-            report.counts[f"equality_n{n}"] = report.counts.get(f"equality_n{n}", 0) + 1
-
-    for rows, dtd in walk_levels(8, 8, False, _dtd_general, jobs):
-        handle(rows, dtd)
+            report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
+        elif 3 * dtd == 2 * (n - 1):
+            fids = [fid for cls in _GENERAL_EQUALITY for fid in members(cls, n)]
+            if _record_equality(report, g, fids) is not None:
+                report.counts[f"equality_n{n}"] = report.counts.get(f"equality_n{n}", 0) + 1
     if report.counts.get("equality_n8"):
         report.violations.append("equality-at-n8")
-    if corpus:
-        graphs = list(_from_corpus(corpus, False))
-        for g in graphs:
-            if g.n < 8:
-                report.violations.append(f"corpus-order-below-8:{to_graph6(g)}")
-        graphs = [g for g in graphs if g.n >= 8]
-        for g, dtd in zip(graphs, sweep(graphs, _dtd_general, jobs)):
-            handle(g.bits, dtd)
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
 
@@ -319,28 +325,20 @@ def check_clawfree_theorem(max_n: int = 8, corpus: Optional[str] = None, jobs: i
     if corpus:
         universe += f" + corpus {corpus}"
     report = VerificationReport(theorem="clawfree-bound", universe=universe)
-
-    def handle(rows: Tuple[int, ...], dtd: Optional[int]) -> None:
+    classes = chain(
+        walk_levels(2, max_n, True, _dtd_unless_exceptional, jobs),
+        _corpus_classes(report, corpus, True, 2, _dtd_unless_exceptional, jobs),
+    )
+    for g, dtd in classes:
         report.checked += 1
         if dtd is None:
             report.counts["exceptional"] = report.counts.get("exceptional", 0) + 1
-            return
-        n = len(rows)
-        if 7 * dtd > 4 * n:
-            report.violations.append(f"bound:{to_graph6(_graph(rows))} dtd={dtd}")
-            return
-        if 7 * dtd < 4 * n:
-            return
-        report.counts["equality"] = report.counts.get("equality", 0) + 1
-        fids = members(FamilyClass.CAL_H, n) + members(FamilyClass.CAL_S, n)
-        _record_equality(report, _graph(rows), fids, _clawfree_label)
-
-    for rows, dtd in walk_levels(2, max_n, True, _dtd_unless_exceptional, jobs):
-        handle(rows, dtd)
-    if corpus:
-        graphs = list(_from_corpus(corpus, True))
-        for g, dtd in zip(graphs, sweep(graphs, _dtd_unless_exceptional, jobs)):
-            handle(g.bits, dtd)
+        elif 7 * dtd > 4 * g.n:
+            report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
+        elif 7 * dtd == 4 * g.n:
+            report.counts["equality"] = report.counts.get("equality", 0) + 1
+            fids = members(FamilyClass.CAL_H, g.n) + members(FamilyClass.CAL_S, g.n)
+            _record_equality(report, g, fids, _clawfree_label)
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
 
@@ -358,13 +356,12 @@ def check_mindeg2_observation(max_n: int = 8, jobs: int = 1) -> VerificationRepo
         theorem="clawfree-mindeg2-strict",
         universe=f"connected claw-free graphs with min degree 2, n <= {max_n} (builtin)",
     )
-    for rows, dtd in walk_levels(3, max_n, True, _dtd_if_mindeg2, jobs):
+    for g, dtd in walk_levels(3, max_n, True, _dtd_if_mindeg2, jobs):
         if dtd is None:
             continue
         report.checked += 1
-        if 7 * dtd < 4 * len(rows):
+        if 7 * dtd < 4 * g.n:
             continue
-        g = _graph(rows)
         hit = first_match(g, _MINDEG2_EXCEPTIONS)
         if hit is not None:
             report.counts["exceptions"] = report.counts.get("exceptions", 0) + 1
@@ -385,10 +382,10 @@ def check_dtd_le_gt(max_n: int = 8, jobs: int = 1) -> VerificationReport:
         theorem="dtd-le-total",
         universe=f"all connected graphs, 2 <= n <= {max_n} (builtin)",
     )
-    for rows, (dtd, gt) in walk_levels(2, max_n, False, _dtd_and_gt, jobs):
+    for g, (dtd, gt) in walk_levels(2, max_n, False, _dtd_and_gt, jobs):
         report.checked += 1
         if dtd > gt:
-            report.violations.append(f"gap:{to_graph6(_graph(rows))} dtd={dtd} gt={gt}")
+            report.violations.append(f"gap:{to_graph6(g)} dtd={dtd} gt={gt}")
         elif dtd == gt:
             report.counts["equality"] = report.counts.get("equality", 0) + 1
         else:

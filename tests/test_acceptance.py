@@ -164,14 +164,14 @@ def test_criterion_7_constructor_guarantee():
     counts = {}
     tags = {}
     failures = []
-    for rows, verdict in walk_levels(2, 12, True, constructor_verdict, JOBS):
-        counts[len(rows)] = counts.get(len(rows), 0) + 1
+    for g, verdict in walk_levels(2, 12, True, constructor_verdict, JOBS):
+        counts[g.n] = counts.get(g.n, 0) + 1
         if verdict is None:
             continue
         tag, ok = verdict
         tags[tag] = tags.get(tag, 0) + 1
         if not ok:
-            failures.append(to_graph6(Graph.from_bits(len(rows), rows)))
+            failures.append(to_graph6(g))
     assert not failures, failures[:5]
     assert counts == {n: CLAWFREE_COUNTS[n] for n in range(2, 13)}
     checked = sum(tags.values())

@@ -214,6 +214,18 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert rc == 1
 
 
+def test_verify_clawfree_corpus_below_order_2_exit_code(tmp_path, capsys):
+    # orders 1 and 0 are reported, not checked: neither the isolated
+    # vertex's domain error (exit 3) nor a false equality case (7*0 == 4*0)
+    corpus = tmp_path / "tiny.g6"
+    corpus.write_text("@\n?\n")
+    rc = main(["verify", "--theorem", "clawfree", "--max-n", "3", "--corpus", str(corpus),
+               "--report", "json"])
+    assert rc == 1
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert violations == ["corpus-order-below-2:@", "corpus-order-below-2:?"]
+
+
 def test_enumerate_deterministic(tmp_path, capsys):
     assert main(["enumerate", "--n", "5", "--class", "trees"]) == 0
     first = capsys.readouterr().out
@@ -228,13 +240,16 @@ def test_enumerate_deterministic(tmp_path, capsys):
     )
 
 
-def test_enumerate_parallel_matches_serial(capsys):
+@pytest.mark.parametrize(
+    "klass,n,count", [("clawfree", 8, 881), ("trees", 12, 551)], ids=["clawfree", "trees"]
+)
+def test_enumerate_parallel_matches_serial(klass, n, count, capsys):
     outputs = []
     for jobs in ("1", "2"):
-        assert main(["enumerate", "--n", "8", "--class", "clawfree", "--jobs", jobs]) == 0
+        assert main(["enumerate", "--n", str(n), "--class", klass, "--jobs", jobs]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 881
+    assert len(outputs[0].splitlines()) == count
 
 
 def test_enumerate_cap(capsys):

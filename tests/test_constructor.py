@@ -23,7 +23,7 @@ from dtdom import (
     leaves,
     to_graph6,
 )
-from dtdom import domination, families, graph
+from dtdom import constructor, domination, families, graph
 from dtdom.constructor import ProofPathError, _greedy_tds
 from dtdom.enumeration import connected_clawfree_graphs, connected_graphs
 from dtdom.verify import constructor_verdict
@@ -106,8 +106,10 @@ def test_deep_decomposition_shape():
     assert dec.X == {0, 1, 4}
     assert [f.kind for f in dec.fragments] == [FragmentKind.P2]
     assert {dec.x, dec.y, dec.z} <= dec.Y
-    with pytest.raises(GraphInputError):
-        decompose_beyond_support(generate_named("TStar"), 1)  # support degree 3
+    # claw-free, so the input check passes: leaf 3's support 0 has degree 3
+    g = Graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+    with pytest.raises(GraphInputError, match="does not have degree 2"):
+        decompose_beyond_support(g, 3)
 
 
 # -- the selection procedure ---------------------------------------------------------
@@ -259,6 +261,19 @@ def test_constructor_mindeg2_route():
     witness, tag = construct_dtd_clawfree(c7)
     assert tag == "exact-mindeg2"
     assert is_dtd_set(c7, witness) and len(witness) == 4
+
+
+def test_proof_path_error_falls_back_to_the_exact_solver(monkeypatch):
+    # no input of order <= 10 raises ProofPathError, so force one: the route
+    # must then be tagged fallback-exact and return an optimal DTD-set
+    def unfinished(g):
+        raise ProofPathError("forced")
+
+    monkeypatch.setattr(constructor, "_proof_path", unfinished)
+    g = generate_named("P7")
+    witness, tag = construct_dtd_clawfree(g)
+    assert tag == "fallback-exact"
+    assert is_dtd_set(g, witness) and len(witness) == exact_number(g, DTD).value
 
 
 def test_constructor_exhaustive_small():

@@ -1,11 +1,13 @@
 import hashlib
 import json
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
 from dtdom import (
     FamilyClass,
+    FamilyId,
     VerificationReport,
     check_clawfree_theorem,
     check_dtd_le_gt,
@@ -81,6 +83,98 @@ def test_tree_theorem_reports_a_tree_over_the_bound(monkeypatch):
     assert not r.passed
 
 
+def _members_with(monkeypatch, cls, n, fids):
+    """Make ``verify.members(cls, n)`` return ``fids``."""
+    real = verify.members
+    monkeypatch.setattr(
+        verify, "members", lambda c, k: list(fids) if (c, k) == (cls, n) else real(c, k)
+    )
+
+
+def _overstate(monkeypatch, n, value):
+    """Make the checkers read dtd(K_n) as ``value``: neither greedy stage
+    settles K_n, and the exact solver reports ``value`` for it."""
+    cover, solve = constructor._greedy_cover, domination.exact_number
+
+    def complete(g):
+        return g.n == n and g.edge_count == n * (n - 1) // 2
+
+    def inflated(g, kind):
+        res = solve(g, kind)
+        return replace(res, value=value) if complete(g) and kind is verify.DTD else res
+
+    patch_bindings(
+        monkeypatch, constructor, "_greedy_cover",
+        lambda g, d2: frozenset(range(g.n)) if complete(g) else cover(g, d2),
+    )
+    patch_bindings(monkeypatch, domination, "exact_number", inflated)
+
+
+def _l(*indices):
+    return [FamilyId("L", (i,)) for i in indices]
+
+
+# each checker's failure strings, forced once; "<L(4)>" is the graph6 of the
+# order-7 class that the census matches to L(4)
+_FAILURES = {
+    "census-count": (
+        lambda mp: mp.setattr(verify, "walk_levels", lambda *a: islice(walk_levels(*a), 1, None)),
+        check_order7_census,
+        "count:connected=852 expected 853",
+    ),
+    "census-unexpected-member": (
+        lambda mp: _members_with(mp, FamilyClass.CAL_L, 7, _l(1, 2, 3, *range(5, 13))),
+        check_order7_census,
+        "unexpected-member:<L(4)>",
+    ),
+    "census-missing-member": (
+        lambda mp: _members_with(mp, FamilyClass.CAL_L, 7, _l(*range(1, 13)) + [FamilyId("K", (7,))]),
+        check_order7_census,
+        "missing-member:K(7)",
+    ),
+    "census-s1-mismatch": (
+        lambda mp: _members_with(mp, FamilyClass.CAL_S1, 7, _l(*range(1, 7))),
+        check_order7_census,
+        "s1-mismatch:[1, 2, 3, 5, 6, 10]",
+    ),
+    "tree-missing-equality": (
+        lambda mp: _members_with(mp, FamilyClass.CAL_F, 5, [FamilyId("TStar")]),
+        lambda: check_tree_theorem(max_n=5),
+        "missing-equality:n=5 TStar",
+    ),
+    "dtd-le-gt-gap": (
+        lambda mp: _overstate(mp, 2, 3),
+        lambda: check_dtd_le_gt(max_n=3),
+        "gap:A_ dtd=3 gt=2",
+    ),
+    "general-bound": (
+        lambda mp: _overstate(mp, 8, 5),
+        check_graph_theorem,
+        "bound:G~~~~{ dtd=5",
+    ),
+    "clawfree-bound": (
+        lambda mp: _overstate(mp, 4, 3),
+        lambda: check_clawfree_theorem(max_n=4),
+        "bound:C~ dtd=3",
+    ),
+    "mindeg2-bound": (
+        lambda mp: _overstate(mp, 4, 3),
+        lambda: check_mindeg2_observation(max_n=4),
+        "bound:C~ dtd=3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILURES))
+def test_checker_reports_each_failure(case, census_report, monkeypatch):
+    l4 = next(g6 for g6, cls in census_report.equality_cases if cls == "L(4)")
+    patch, run, want = _FAILURES[case]
+    patch(monkeypatch)
+    r = run()
+    assert r.violations == [want.replace("<L(4)>", l4)]
+    assert r.passed is False
+
+
 def test_clawfree_theorem_small():
     r = check_clawfree_theorem(max_n=7)
     assert r.passed, r.violations
@@ -142,6 +236,17 @@ def test_graph_theorem_with_synthetic_corpus(tmp_path):
     assert r.counts["equality_n10"] == 3
     classified = sorted(cls for _, cls in r.equality_cases)
     assert classified == ["F(3)", "G(3)", "T(3)"]
+
+
+@pytest.mark.parametrize("g6", ["?", "@"])
+def test_clawfree_theorem_rejects_corpus_orders_below_2(g6, tmp_path):
+    # order 0 would read as an equality case (7*0 == 4*0), and order 1 would
+    # end the run on the isolated vertex's domain error
+    corpus = tmp_path / "tiny.g6"
+    corpus.write_text(g6 + "\n")
+    r = check_clawfree_theorem(max_n=3, corpus=str(corpus))
+    assert r.violations == [f"corpus-order-below-2:{g6}"]
+    assert r.checked == 3 and r.passed is False
 
 
 def test_graph_theorem_rejects_small_corpus_orders(tmp_path):
@@ -206,9 +311,9 @@ def test_emit_report_deterministic(census_report):
 def test_constructor_verdict_covers_each_level():
     clawfree_counts = {2: 1, 3: 2, 4: 5, 5: 14, 6: 50, 7: 191, 8: 881}
     counts = {}
-    for rows, verdict in walk_levels(2, 8, True, constructor_verdict):
-        counts[len(rows)] = counts.get(len(rows), 0) + 1
-        assert verdict is None or verdict[1], rows
+    for g, verdict in walk_levels(2, 8, True, constructor_verdict):
+        counts[g.n] = counts.get(g.n, 0) + 1
+        assert verdict is None or verdict[1], to_graph6(g)
     assert counts == clawfree_counts
 
 
