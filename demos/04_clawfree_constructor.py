@@ -4,7 +4,8 @@ Around any leaf, the closed neighborhood of its support minus the leaf
 is a clique, and the rest of the graph splits into fragments that each
 touch the clique at one chosen vertex.  A case analysis per fragment
 shape assembles a set of size at most 4n/7, verified before return and
-backed by the exact solver.
+backed by the exact solver.  A graph without a leaf takes a verified
+greedy witness instead.
 """
 
 from dtdom import (
@@ -34,10 +35,12 @@ for t in (1, 2, 3, 4, 10):
     assert is_dtd_set(g, witness)
     print(f"H({t}): n={g.n}, built set of size {len(witness)} = 4n/7, via {tag}")
 
-# a graph with minimum degree two routes to the exact solver instead
+# a graph with minimum degree two has no leaf to root the decomposition;
+# dtd <= gamma_t, so a greedy total dominating set within 4n/7 is a
+# witness, verified like every other route's set
 c7 = generate_named("C7")
 witness, tag = construct_dtd_clawfree(c7)
-print(f"C7: size {len(witness)} via {tag}")
+print(f"C7: size {len(witness)} via {tag}, a verified greedy witness")
 
 # greedy gives a quick upper bound to compare against
 l14 = generate_named("L(14)")

@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from .constructor import construct_dtd_clawfree, greedy_dtd
 from .domination import DomainError, DominationKind, _uncovered, exact_number
-from .enumeration import free_trees, sweep, walk_levels
+from .enumeration import free_trees, walk_levels
 from .families import generate_named
 from .graph import GraphInputError
 from .graphio import FORMATS, dump_graph, load_graph, to_graph6
@@ -185,7 +185,7 @@ def _cmd_verify(args) -> int:
 def _cmd_enumerate(args) -> int:
     jobs = _jobs(args)
     if args.klass == "trees":
-        stream = sweep(list(free_trees(args.n)), to_graph6, jobs)
+        stream = map(to_graph6, free_trees(args.n))
     else:
         clawfree = args.klass == "clawfree"
         stream = (g6 for _, g6 in walk_levels(args.n, args.n, clawfree, to_graph6, jobs))

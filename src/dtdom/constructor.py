@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from .canon import isomorphism_map
 from .domination import DomainError, DominationKind, exact_number, is_dtd_set
@@ -475,11 +475,12 @@ def _proof_path(g: Graph) -> FrozenSet[int]:
 def construct_dtd_clawfree(g: Graph) -> Tuple[FrozenSet[int], str]:
     """A DTD-set of size at most 4n/7 for a connected claw-free graph.
 
-    Strategy: minimum degree 2 goes straight to the exact solver; a graph
-    with a leaf runs the decomposition path (whatever its order, so the
-    equality families are produced by the extraction itself); the candidate
-    is verified and the exact solver stands behind any failure.  The method
-    tag records which route produced the returned set.  A leafy input whose
+    Strategy: minimum degree 2 takes the first greedy set that is a DTD-set
+    of size at most 4n/7 (a total dominating set counts, as dtd <= gamma_t),
+    else the exact solver; a graph with a leaf runs the decomposition path
+    (whatever its order, so the equality families are produced by the
+    extraction itself); its candidate is verified and the exact solver
+    stands behind any failure.  The tag records the route.  A leafy input whose
     proof path outgrows the interpreter's recursion limit (P1000 does under
     ``dtdom construct``) raises DomainError.
     """
@@ -496,6 +497,9 @@ def _construct(g: Graph) -> Tuple[FrozenSet[int], str]:
     """``construct_dtd_clawfree`` past its input checks, for callers whose
     universe already holds ``g`` connected, claw-free and non-exceptional."""
     if g.min_degree() >= 2:
+        witness = _verified_witness(g, lambda n, size: 7 * size <= 4 * n)
+        if witness is not None:
+            return witness, "witness-mindeg2"
         res = exact_number(g, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION)
         return res.witness, "exact-mindeg2"
     try:
@@ -530,6 +534,17 @@ def _greedy_tds(g: Graph) -> FrozenSet[int]:
     (dtd <= gamma_t), one that needs no distance-2 rows.
     """
     return _greedy_cover(g, (0,) * g.n)
+
+
+def _verified_witness(g: Graph, fits: Callable[[int, int], bool]) -> Optional[FrozenSet[int]]:
+    """The first greedy set, ``_greedy_tds`` then ``greedy_dtd``, that is a
+    DTD-set whose size ``fits(n, |S|)`` accepts, or None; the min-degree-2
+    route and the bound checkers of ``verify`` each pass their size test."""
+    for greedy in (_greedy_tds, greedy_dtd):
+        s = greedy(g)
+        if fits(g.n, len(s)) and is_dtd_set(g, s):
+            return s
+    return None
 
 
 def _greedy_cover(g: Graph, d2: Sequence[int]) -> FrozenSet[int]:

@@ -14,9 +14,9 @@ The bound checkers (claw-free, min-degree-2, tree and general) compare each
 value only with their bound, so they are witness-first: a DTD-set that
 :func:`~dtdom.domination.is_dtd_set` accepts and that is strictly under the
 bound proves the class neither breaks the bound nor meets it.  The witnesses
-are tried cheapest first: a greedy total dominating set (dtd <= gamma_t, so
-it is a DTD-set, and it needs no distance-2 rows), then a ``greedy_dtd``
-set; every class that neither settles is solved exactly.  The census and
+come from the constructor's min-degree-2 cascade: a greedy total dominating
+set (dtd <= gamma_t, so it is a DTD-set), then a ``greedy_dtd`` set; every
+class that neither settles is solved exactly.  The census and
 the dtd-le-gt check compare exact values with each other, so they solve
 every class.
 
@@ -39,7 +39,7 @@ from functools import partial
 from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .constructor import _construct, _greedy_tds, greedy_dtd
+from .constructor import _construct, _verified_witness
 from .domination import DominationKind, exact_number, is_dtd_set
 from .enumeration import (
     ALL_CONNECTED_MAX,
@@ -129,16 +129,11 @@ def _dtd_witness_first(g: Graph, under: Callable[[int, int], bool]) -> int:
     A verified DTD-set S proves dtd(g) <= |S|, so when S is strictly under
     the bound the class neither breaks it nor meets it with equality, and a
     checker that only compares the value with that bound reads the same
-    verdict from |S| as from dtd(g).  The witnesses come cheapest first: a
-    greedy total dominating set, which is a DTD-set because dtd <= gamma_t
-    and needs no distance-2 rows, then ``greedy_dtd``.  Every other class
-    gets its exact value.
+    verdict from |S| as from dtd(g).  Every class that the constructor's
+    ``_verified_witness`` does not settle gets its exact value.
     """
-    for witness in (_greedy_tds, greedy_dtd):
-        s = witness(g)
-        if under(g.n, len(s)) and is_dtd_set(g, s):
-            return len(s)
-    return exact_number(g, DTD).value
+    s = _verified_witness(g, under)
+    return len(s) if s is not None else exact_number(g, DTD).value
 
 
 def _dtd_and_gt(g: Graph) -> Tuple[int, int]:

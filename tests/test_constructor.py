@@ -259,8 +259,26 @@ def test_constructor_too_deep_is_a_domain_error():
 def test_constructor_mindeg2_route():
     c7 = generate_named("C7")
     witness, tag = construct_dtd_clawfree(c7)
-    assert tag == "exact-mindeg2"
+    assert tag == "witness-mindeg2"
     assert is_dtd_set(c7, witness) and len(witness) == 4
+
+
+def test_constructor_mindeg2_refuses_unverified_greedy_sets(monkeypatch):
+    # a greedy set over 4n/7 (all seven vertices) and one that is no
+    # DTD-set (one vertex has no neighbour in it) must both be refused, so
+    # C7 falls back to the exact solver
+    calls = []
+
+    def stage(result):
+        return lambda g: calls.append(result) or result
+
+    monkeypatch.setattr(constructor, "_greedy_tds", stage(frozenset(range(7))))
+    monkeypatch.setattr(constructor, "greedy_dtd", stage(frozenset({0})))
+    c7 = generate_named("C7")
+    witness, tag = construct_dtd_clawfree(c7)
+    assert calls == [frozenset(range(7)), frozenset({0})]
+    assert tag == "exact-mindeg2"
+    assert is_dtd_set(c7, witness) and len(witness) == exact_number(c7, DTD).value
 
 
 def test_proof_path_error_falls_back_to_the_exact_solver(monkeypatch):
@@ -287,8 +305,10 @@ def test_constructor_exhaustive_small():
             assert is_dtd_set(g, witness), sorted(g.edges())
             assert 7 * len(witness) <= 4 * g.n, sorted(g.edges())
             tags[tag] = tags.get(tag, 0) + 1
-    assert set(tags) <= {"proof-path", "exact-mindeg2", "fallback-exact"}
+    assert set(tags) <= {"proof-path", "witness-mindeg2", "exact-mindeg2", "fallback-exact"}
     assert tags["proof-path"] > 1000  # the extraction carries most leafy graphs
+    # a greedy set settles every min-degree-2 class of order <= 9
+    assert "exact-mindeg2" not in tags
 
 
 def test_constructor_output_not_below_optimum(rng):
