@@ -19,7 +19,7 @@ from .domination import DomainError, DominationKind, _uncovered, exact_number
 from .enumeration import free_trees, walk_levels
 from .families import generate_named
 from .graph import GraphInputError
-from .graphio import FORMATS, dump_graph, load_graph, to_graph6
+from .graphio import FORMATS, _open, dump_graph, load_graph, to_graph6
 from .verify import (
     check_clawfree_theorem,
     check_dtd_le_gt,
@@ -61,7 +61,7 @@ def _parse_set(text: str, n: int):
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="ascii") as handle:
+        with _open(out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

@@ -114,37 +114,21 @@ def _oriented(order: List[int], adj: FrozenSet[int]) -> Tuple[int, ...]:
     return tuple(order)
 
 
-def _g3_coordinates(g: Graph, vs: int, adj: FrozenSet[int]) -> Tuple[int, ...]:
-    """The named vertices (w, w1, w2, w3, u1, u2, u3, v1, v2, v3) of a
-    G(3)-shaped fragment.
+_G3_GRAPH = generate(_G3)  # the triangle 0-1-4, the arms 0-7-8-9, 1-2-3 and 4-5-6
 
-    ``w`` is the triangle vertex with the three-vertex arm; ``u1``/``v1``
-    the other triangle vertices; the higher digits follow the arms outward.
-    The paper's symmetry names the attached two-vertex arm ``u``; when
-    neither is attached, ``u`` is the arm of the lower triangle vertex.
-    The fragment is isomorphic to G(3), so the triangle and the arms exist.
-    """
-    tri = next((a, b, c) for a in _from_mask(vs) for b in _from_mask(g.bits[a] & vs) if b > a
-               for c in _from_mask(g.bits[a] & g.bits[b] & vs) if c > b)
-    off_tri = vs & ~_to_mask(tri)
-    arms = []
-    for t in tri:
-        arm, nxt = [t], g.bits[t] & off_tri
-        while nxt:
-            arm.append(nxt.bit_length() - 1)
-            nxt = g.bits[arm[-1]] & off_tri & ~(1 << arm[-2])
-        arms.append(arm)
-    w = next(arm for arm in arms if len(arm) == 4)
-    u, v = sorted(arm for arm in arms if len(arm) == 3)
-    if not adj & {u[1], u[2]} and adj & {v[1], v[2]}:
-        u, v = v, u
-    return tuple(w + u + v)
+
+def _g3_labels(sub: Graph, ids: Sequence[int]) -> Optional[List[int]]:
+    """The vertex of ``ids`` (``sub``'s vertices in g's ids) at each label of
+    ``generate(G(3))``, or None when ``sub`` is not isomorphic to G(3)."""
+    phi = isomorphism_map(sub, _G3_GRAPH)
+    return None if phi is None else [v for _, v in sorted(zip(phi, ids))]
 
 
 def _classify(g: Graph, vertices: FrozenSet[int], chosen: int) -> FragmentRecord:
     """The fragment's kind, its named vertices and the profile of its
     attachment to ``chosen``, found once for both the profile and the
-    selection."""
+    selection.  A G(3) fragment's vertices are named from its isomorphism
+    map to ``generate(G(3))``, the one canonical search on it."""
     k = len(vertices)
     vs = _to_mask(vertices)
     adj = bits_to_vertices(g.bits[chosen] & vs)
@@ -171,9 +155,16 @@ def _classify(g: Graph, vertices: FrozenSet[int], chosen: int) -> FragmentRecord
             profile = "support-adjacent"
         else:
             profile = "interior-adjacent"
-    elif k == 10 and edges == 10 and exceptional_member(induced_subgraph(g, vertices)[0]) == _G3:
+    elif k == 10 and edges == 10 and (
+        lab := _g3_labels(induced_subgraph(g, vertices)[0], sorted(vertices))
+    ):
         kind = FragmentKind.G3
-        named = _g3_coordinates(g, vs, adj)
+        # by the paper's symmetry u is the attached two-vertex arm, else
+        # the arm of the lower triangle vertex
+        u, v = sorted((lab[1:4], lab[4:7]))
+        if not adj & {u[1], u[2]} and adj & {v[1], v[2]}:
+            u, v = v, u
+        named = (lab[0], *lab[7:10], *u, *v)
         w, w1, w2, w3, u1, u2, u3, v1, v2, v3 = named
         if w3 in adj:
             profile = "leaf-w3"
@@ -318,9 +309,9 @@ def _select(g: Graph, dec: Decomposition) -> FrozenSet[int]:
     return frozenset(s)
 
 
-def _solved(g: Graph, dec: Decomposition) -> FrozenSet[int]:
-    """The selection with each large fragment solved by the builder."""
-    s = _select(g, dec)
+def _solved(g: Graph, dec: Decomposition, s: FrozenSet[int]) -> FrozenSet[int]:
+    """The selection ``s`` with each large fragment solved by the builder;
+    the package's one loop over the large fragments."""
     for frag in dec.fragments:
         if frag.kind is FragmentKind.OTHER:
             s |= _solve_within(g, frag.vertices)
@@ -333,7 +324,7 @@ def algorithm_a(g: Graph, dec: Decomposition) -> FrozenSet[int]:
     necessarily a DTD-set yet."""
     if dec.deep:
         raise GraphInputError("algorithm A needs the leaf decomposition")
-    return _solved(g, dec)
+    return _solved(g, dec, _select(g, dec))
 
 
 def algorithm_b(g: Graph, dec: Decomposition) -> FrozenSet[int]:
@@ -342,7 +333,7 @@ def algorithm_b(g: Graph, dec: Decomposition) -> FrozenSet[int]:
     attached clique vertex."""
     if not dec.deep:
         raise GraphInputError("algorithm B needs the beyond-support decomposition")
-    return _solved(g, dec)
+    return _solved(g, dec, _select(g, dec))
 
 
 # -- the bounded builder -------------------------------------------------------------
@@ -374,14 +365,14 @@ def _phase_one(g: Graph, leaf: int) -> Optional[FrozenSet[int]]:
     # the route is chosen without the large fragments' sets, and a large
     # fragment is solved only on a route that keeps the selection
     s = _select(g, dec)
-    large = [f.vertices for f in dec.fragments if f.kind is FragmentKind.OTHER]
+    large = _kind_count(dec, FragmentKind.OTHER)
     if len(s & dec.X) < 2:
         p6 = _first_fragment(dec, FragmentKind.P6)
         p2 = _first_fragment(dec, FragmentKind.P2)
         k3 = _kind_count(dec, FragmentKind.P3)
         if p6 is not None:
             s |= {p6.chosen}
-        elif len(large) > 1:
+        elif large > 1:
             raise ProofPathError("several large fragments beside a lone clique seed")
         elif p2 is not None:
             s |= {p2.chosen}
@@ -391,9 +382,7 @@ def _phase_one(g: Graph, leaf: int) -> Optional[FrozenSet[int]]:
             # the endpoint: |Y| = 3 leaves X = {x, w}, so the support x has
             # degree 2 and the caller may decompose past it
             return None
-    for vertices in large:
-        s |= _solve_within(g, vertices)
-    return s
+    return _solved(g, dec, s)
 
 
 def _peel_p3_chain(g: Graph, dec: Decomposition) -> FrozenSet[int]:
@@ -403,21 +392,19 @@ def _peel_p3_chain(g: Graph, dec: Decomposition) -> FrozenSet[int]:
     # the route reaches here only when the P3 hangs from one of its leaves
     z2, z3, z4 = frag.named
     keep = [v for v in range(g.n) if v not in {frag.chosen, z2, z3, z4}]
-    core, mapping = induced_subgraph(g, keep)
-    member = exceptional_member(core)
-    if member == _G3:
+    core = induced_subgraph(g, keep)[0]
+    lab = _g3_labels(core, keep)
+    if lab is not None:
         # the rooting leaf stays a leaf of the core, so it lands on a named leaf
-        phi = isomorphism_map(core, generate(_G3))
-        special = _CORE_SETS[phi[mapping[dec.y]]]
-        return frozenset({keep[phi.index(t)] for t in special} | {z2, z3})
-    if member is not None:
+        return frozenset({lab[t] for t in _CORE_SETS[lab.index(dec.y)]} | {z2, z3})
+    if exceptional_member(core) is not None:
         raise ProofPathError("peeled core is an exceptional graph")
     return _solve_within(g, keep) | {z2, z3}
 
 
 def _phase_two(g: Graph, leaf: int) -> FrozenSet[int]:
     dec = _decompose(g, leaf, deep=True)
-    s = _solved(g, dec)
+    s = _solved(g, dec, _select(g, dec))
     if len(dec.Y) >= 4:
         if is_dtd_set(g, s):
             return s

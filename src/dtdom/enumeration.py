@@ -24,8 +24,8 @@ centroid-rooted layouts, linear work per tree.
 The paper's three universes are named by one flag and one function: the
 ``clawfree`` flag of :func:`walk_levels`, :func:`level_rows` and
 :func:`accepted_children` picks connected or connected claw-free graphs,
-and :func:`free_trees` yields the trees.  The graph6 corpus reader takes
-the same flag.
+and :func:`free_trees` yields the trees.  Graph6 corpora are not read
+here: :mod:`dtdom.verify`, their only reader, filters and dedups them.
 
 Because parents are independent units of work, :func:`walk_levels` shards
 each level by parent over :func:`sweep`, the package's one parallel path,
@@ -43,8 +43,7 @@ from multiprocessing import get_context
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .canon import _refine, _relabeled_rows, _search, anchored_profile, certificate
-from .graph import Graph, GraphInputError, _component_masks, is_claw_free, is_connected
-from .graphio import iter_graph6_file
+from .graph import Graph, GraphInputError, _component_masks
 
 ALL_CONNECTED_MAX = 8
 CLAW_FREE_MAX = 12
@@ -627,20 +626,3 @@ def free_trees(n: int) -> Iterator[Graph]:
             break
         yield Graph(n, _layout_edges(layout))
         layout = _layout_successor(layout)
-
-
-# -- graph6 corpora ---------------------------------------------------------------
-
-
-def _from_corpus(path: str, clawfree: bool) -> Iterator[Graph]:
-    """Connected graphs of a graph6 file (claw-free ones only when
-    ``clawfree``), in file order, keeping the first of each isomorphism class."""
-    seen = set()
-    for g in iter_graph6_file(path):
-        if not is_connected(g) or (clawfree and not is_claw_free(g)):
-            continue
-        cert = certificate(g.n, g.bits)
-        if cert in seen:
-            continue
-        seen.add(cert)
-        yield g

@@ -120,16 +120,6 @@ def bits_to_vertices(mask: int) -> VertexSet:
     return frozenset(_from_mask(mask))
 
 
-def _nbhd(rows: Sequence[int], mask: int) -> int:
-    """Union of the neighborhood rows of the vertices in ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= rows[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def _reach(rows: Sequence[int], seed: int, within: int) -> int:
     """Mask of the vertices joined to the ``seed`` mask by paths inside ``within``."""
     comp = frontier = seed
@@ -160,22 +150,18 @@ def _component_masks(rows: Sequence[int], within: int) -> List[int]:
 def _distance2_row(rows: Sequence[int], v: int) -> int:
     """Bitmask of the vertices at distance exactly 2 from ``v``."""
     row = rows[v]
-    return _nbhd(rows, row) & ~row & ~(1 << v)
+    reach = 0
+    r = row
+    while r:
+        low = r & -r
+        reach |= rows[low.bit_length() - 1]
+        r ^= low
+    return reach & ~row & ~(1 << v)
 
 
 def distance2_bits(g: Graph) -> Tuple[int, ...]:
     """Per-vertex bitmask of vertices at distance exactly 2."""
-    rows = g.bits
-    out = []
-    for v, row in enumerate(rows):
-        reach = 0
-        r = row
-        while r:
-            low = r & -r
-            reach |= rows[low.bit_length() - 1]
-            r ^= low
-        out.append(reach & ~row & ~(1 << v))
-    return tuple(out)
+    return tuple(_distance2_row(g.bits, v) for v in range(g.n))
 
 
 # -- connectivity ----------------------------------------------------------

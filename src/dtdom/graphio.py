@@ -7,7 +7,6 @@ can be ingested and re-emitted byte-identically.
 
 from __future__ import annotations
 
-import os
 from typing import Iterator, List, Tuple
 
 from .graph import Graph, GraphInputError
@@ -35,7 +34,7 @@ def parse_edgelist(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise GraphInputError(f"line {lineno}: expected integer header 'n m'") from None
-    edges = []
+    edges = set()
     for lineno, fields in rows[1:]:
         if len(fields) != 2:
             raise GraphInputError(f"line {lineno}: expected edge 'u v'")
@@ -47,7 +46,10 @@ def parse_edgelist(text: str) -> Graph:
             raise GraphInputError(f"line {lineno}: endpoint out of range: {u} {v}")
         if u == v:
             raise GraphInputError(f"line {lineno}: loop edge at vertex {u}")
-        edges.append((u, v))
+        edge = (min(u, v), max(u, v))
+        if edge in edges:
+            raise GraphInputError(f"line {lineno}: repeated edge {u} {v}")
+        edges.add(edge)
     if len(edges) != m:
         raise GraphInputError(f"header says {m} edges, found {len(edges)}")
     return Graph(n, edges)
@@ -131,11 +133,18 @@ def from_graph6(line: str) -> Graph:
     return Graph(n, edges)
 
 
+def _open(path: str, mode: str = "r"):
+    """Open an ASCII text file, raising any ``OSError`` as ``GraphInputError``;
+    a non-ASCII byte reads as a lone surrogate, which the parsers reject."""
+    try:
+        return open(path, mode, encoding="ascii", errors="surrogateescape")
+    except OSError as exc:
+        raise GraphInputError(f"cannot open {path}: {exc.strerror}") from None
+
+
 def iter_graph6_file(path: str) -> Iterator[Graph]:
     """Stream the graphs of a one-per-line graph6 file."""
-    if not os.path.exists(path):
-        raise GraphInputError(f"graph6 file not found: {path}")
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
+    with _open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
@@ -154,10 +163,7 @@ FORMATS = ("edgelist", "graph6")
 def load_graph(path: str, fmt: str = "edgelist") -> Graph:
     if fmt not in FORMATS:
         raise GraphInputError(f"unknown format: {fmt}")
-    if not os.path.exists(path):
-        raise GraphInputError(f"file not found: {path}")
-    # a non-ASCII byte decodes to a lone surrogate, which the parsers reject
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
+    with _open(path) as handle:
         text = handle.read()
     try:
         if fmt == "edgelist":

@@ -23,11 +23,12 @@ every class.
 Builtin universes run through :func:`~dtdom.enumeration.walk_levels`, which
 shards each level by its order-(n-1) parents and solves every class next to
 its expansion, holding one level of rows; trees and corpora have no parent
-and go through :func:`~dtdom.enumeration.sweep` as one list.  A corpus is
-chained after the builtin walk, so each bound checker runs one loop; its
-classes below the theorem's order floor are violations, not checked.  Values
-come back in enumeration order, so a report is the same for every ``jobs``
-(``elapsed_ms`` aside).
+and go through :func:`~dtdom.enumeration.sweep` as one list.  The one corpus
+reader, :func:`_corpus_classes`, reads the whole file before the builtin walk
+starts, so a bad corpus fails fast; its classes, chained after the walk's, go
+through each bound checker's one loop, and those below the theorem's order
+floor are violations, not checked.  Values come back in enumeration order, so
+a report is the same for every ``jobs`` (``elapsed_ms`` aside).
 """
 
 from __future__ import annotations
@@ -39,20 +40,20 @@ from functools import partial
 from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from .canon import certificate
 from .constructor import _construct, _verified_witness
 from .domination import DominationKind, exact_number, is_dtd_set
 from .enumeration import (
     ALL_CONNECTED_MAX,
     CLAW_FREE_MAX,
     TREES_MAX,
-    _from_corpus,
     free_trees,
     sweep,
     walk_levels,
 )
 from .families import FamilyClass, FamilyId, exceptional_member, first_match, members
-from .graph import Graph, GraphInputError, is_claw_free
-from .graphio import to_graph6
+from .graph import Graph, GraphInputError, is_claw_free, is_connected
+from .graphio import iter_graph6_file, to_graph6
 
 
 DTD = DominationKind.DISJUNCTIVE_TOTAL_DOMINATION
@@ -155,18 +156,25 @@ _dtd_general = partial(_dtd_witness_first, under=_under_2n_3)
 def _corpus_classes(
     report: VerificationReport, path: Optional[str], clawfree: bool, floor: int, work, jobs: int
 ) -> Iterator[Tuple[Graph, object]]:
-    """``(graph, work(graph))`` for each class of the corpus at ``path`` of
-    order at least ``floor``; each smaller class is recorded as a
-    ``corpus-order-below-<floor>`` violation instead."""
-    if not path:
-        return
-    graphs = []
-    for g in _from_corpus(path, clawfree):
+    """``(graph, work(graph))`` for the first of each class of connected
+    (with ``clawfree``, claw-free) graphs in the graph6 file at ``path``; a
+    class below order ``floor`` is a ``corpus-order-below-<floor>``
+    violation instead.  The file is read on the call, before any builtin
+    walk; ``work`` runs as the pairs are drawn."""
+    seen, graphs = set(), []
+    for g in iter_graph6_file(path) if path else ():
+        if not is_connected(g) or (clawfree and not is_claw_free(g)):
+            continue
+        cert = certificate(g.n, g.bits)
+        if cert in seen:
+            continue
+        seen.add(cert)
         if g.n < floor:
             report.violations.append(f"corpus-order-below-{floor}:{to_graph6(g)}")
         else:
             graphs.append(g)
-    yield from zip(graphs, sweep(graphs, work, jobs))
+    # zip stops at an empty list before it draws from sweep, so no pool starts
+    return zip(graphs, sweep(graphs, work, jobs))
 
 
 def _record_equality(

@@ -258,3 +258,19 @@ def test_enumerate_cap(capsys):
 
 def test_missing_file(capsys):
     assert main(["compute", "--kind", "dtd", "--in", "/nonexistent"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--kind", "dtd", "--in"],
+        ["generate", "--family", "P4", "--out"],
+        ["verify", "--theorem", "graph", "--corpus"],
+    ],
+    ids=["compute-in", "generate-out", "verify-corpus"],
+)
+def test_unreadable_path_is_an_input_error(argv, tmp_path, capsys):
+    # a directory cannot be opened as a file; exit 1 would read as a failed
+    # verification
+    assert main(argv + [str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: cannot open {tmp_path}")

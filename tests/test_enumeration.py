@@ -20,7 +20,6 @@ from dtdom.enumeration import (
     _bfs_signature,
     _candidates,
     _deletion_check,
-    _from_corpus,
     _neighbor_degrees,
     level_rows,
     sweep,
@@ -28,7 +27,7 @@ from dtdom.enumeration import (
 )
 from dtdom.graph import _component_masks
 
-from conftest import count_calls, to_networkx
+from conftest import to_networkx
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 CLAWFREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 14, 6: 50, 7: 191, 8: 881,
@@ -262,30 +261,3 @@ def test_builtin_caps():
         list(connected_clawfree_graphs(13))
     with pytest.raises(GraphInputError):
         list(free_trees(17))
-
-
-def test_corpus_source(tmp_path):
-    lines = []
-    for g in connected_graphs(5):
-        lines.append(to_graph6(g))
-    lines.append(lines[0])  # duplicate must be dropped
-    disconnected = to_graph6(
-        __import__("dtdom").Graph(5, [(0, 1), (2, 3)])
-    )
-    lines.append(disconnected)
-    path = tmp_path / "corpus.g6"
-    path.write_text("\n".join(lines) + "\n")
-    got = list(_from_corpus(str(path), False))
-    assert len(got) == CONNECTED_COUNTS[5]
-    cf = list(_from_corpus(str(path), True))
-    assert len(cf) == CLAWFREE_COUNTS[5]
-
-
-def test_corpus_checks_connectivity_once(tmp_path, monkeypatch):
-    graphs = list(connected_graphs(6))
-    path = tmp_path / "connected.g6"
-    path.write_text("\n".join(to_graph6(g) for g in graphs) + "\n")
-    connected = count_calls(monkeypatch, graph, "is_connected")
-    got = list(_from_corpus(str(path), False))
-    assert got == graphs
-    assert len(connected) == len(graphs)

@@ -80,6 +80,15 @@ def test_edgelist_errors_name_the_line(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["3 2\n0 1\n0 1\n", "2 2\n0 1\n1 0\n"])
+def test_edgelist_rejects_a_repeated_edge(text):
+    # a repeat once passed the header count with one edge short, in either
+    # orientation
+    with pytest.raises(GraphInputError) as err:
+        parse_edgelist(text)
+    assert "line 3: repeated edge" in str(err.value)
+
+
 def test_corpus_iteration(tmp_path, rng):
     graphs = [random_graph(6, 0.4, rng) for _ in range(5)]
     path = tmp_path / "corpus.g6"

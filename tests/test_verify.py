@@ -8,6 +8,8 @@ import pytest
 from dtdom import (
     FamilyClass,
     FamilyId,
+    Graph,
+    GraphInputError,
     VerificationReport,
     check_clawfree_theorem,
     check_dtd_le_gt,
@@ -20,7 +22,7 @@ from dtdom import (
     generate_named,
     to_graph6,
 )
-from dtdom import canon, constructor, domination, verify
+from dtdom import canon, constructor, domination, enumeration, graph, verify
 from dtdom.enumeration import walk_levels
 from dtdom.verify import constructor_verdict
 
@@ -255,6 +257,39 @@ def test_graph_theorem_rejects_small_corpus_orders(tmp_path):
     r = check_graph_theorem(corpus=str(corpus))
     assert not r.passed
     assert any("corpus-order-below-8" in v for v in r.violations)
+
+
+def _corpus_graphs(path, clawfree):
+    report = VerificationReport(theorem="t", universe="u")
+    graphs = [g for g, _ in verify._corpus_classes(report, str(path), clawfree, 1, to_graph6, 1)]
+    assert report.passed
+    return graphs
+
+
+def test_corpus_source(tmp_path):
+    lines = [to_graph6(g) for g in connected_graphs(5)]
+    lines.append(lines[0])  # duplicate must be dropped
+    lines.append(to_graph6(Graph(5, [(0, 1), (2, 3)])))  # so must a disconnected graph
+    path = tmp_path / "corpus.g6"
+    path.write_text("\n".join(lines) + "\n")
+    assert len(_corpus_graphs(path, False)) == 21  # the connected classes of order 5
+    assert len(_corpus_graphs(path, True)) == 14  # the claw-free ones
+
+
+def test_corpus_checks_connectivity_once(tmp_path, monkeypatch):
+    graphs = list(connected_graphs(6))
+    path = tmp_path / "connected.g6"
+    path.write_text("\n".join(to_graph6(g) for g in graphs) + "\n")
+    connected = count_calls(monkeypatch, graph, "is_connected")
+    assert _corpus_graphs(path, False) == graphs
+    assert len(connected) == len(graphs)
+
+
+def test_missing_corpus_fails_before_the_builtin_walk(tmp_path, monkeypatch):
+    expansions = count_calls(monkeypatch, enumeration, "accepted_children")
+    with pytest.raises(GraphInputError):
+        check_clawfree_theorem(max_n=10, corpus=str(tmp_path / "missing.g6"))
+    assert expansions == []
 
 
 def _small_corpus(tmp_path):
