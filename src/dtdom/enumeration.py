@@ -33,13 +33,16 @@ and runs a per-class check next to each expansion.  It is the only code
 that expands levels: the unchecked levels it builds on the way to its first
 checked one go into a cache bounded by order (:data:`LEVEL_CACHE_MAX`), so
 a later walk starts from them, and :func:`level_rows` reads the same cache.
+A level, cached or held as the next order's parents, is one packed array of
+n-bit rows behind a read-only sequence of row tuples (:class:`_Level`).
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence as SequenceABC
 from functools import partial
-from multiprocessing import get_context
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .canon import _refine, _relabeled_rows, _search, anchored_profile, certificate
@@ -441,15 +444,60 @@ def accepted_children(parent: Tuple[int, ...], clawfree: bool) -> List[Tuple[int
 
 # Most work items per task a sweep sends.  The coordinating process holds a
 # few tasks' results at a time (those waiting for an earlier one), so this
-# bounds that memory on large levels: with a thirty-second of the level per
-# task, a walk to claw-free order 11 peaked at 45.8 MB in that process, not
-# 29.5 MB.  At 64 items per task it already spends about half the CPU it
-# spends at 16.
+# bounds that memory on large levels: a two-job walk to claw-free order 11
+# peaks at 22.0 MB in that process, against 36.8 MB with a thirty-second of
+# the level per task.  At 64 items per task it already spends about half the
+# CPU it spends at 16.
 _SWEEP_CHUNK_MAX = 64
-# Deepest order whose unchecked level is kept.  Claw-free levels 1..10 hold
-# 32,028 classes (about 8 MB); claw-free order 11 alone has 184,749.
+# Deepest order whose unchecked level is kept.  Packed, claw-free levels
+# 1..10 hold 32,028 classes in about 0.7 MB; claw-free order 11 alone has
+# 184,749.
 LEVEL_CACHE_MAX = 10
-_LEVELS: Dict[Tuple[int, bool], List[Tuple[int, ...]]] = {}  # (order, clawfree) -> rows
+
+
+def _row_type(n: int) -> str:
+    """The narrowest array typecode whose items hold an n-bit row."""
+    return next(t for t in "BHIQ" if 8 * array(t).itemsize >= n)
+
+
+class _Level(SequenceABC):
+    """All classes of one order as a read-only sequence of row tuples.
+
+    The rows of every class are packed end to end in one array of n-bit
+    words, 20 bytes per order-10 class against about 370 for a tuple of
+    fresh ints.  Indexing and iteration build the same tuples a list of them
+    would hold, and a slice is a list of them.  The tuples share the
+    level's one int object per row value (2**n of them), so a level made a
+    list again (``list(level)``, or ``random.sample``, which copies its
+    population) costs the tuples alone: 3.4 MB at claw-free order 10, not
+    9.9 MB.
+    """
+
+    __slots__ = ("n", "data", "_ints")
+
+    def __init__(self, n: int, data: array):
+        self.n = n
+        self.data = data
+        self._ints = list(range(1 << n))
+
+    def __len__(self) -> int:
+        return len(self.data) // self.n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        k = len(self)
+        if not -k <= i < k:
+            raise IndexError("level index out of range")
+        i %= k
+        return tuple(map(self._ints.__getitem__, self.data[i * self.n:(i + 1) * self.n]))
+
+    def __iter__(self) -> Iterator[Tuple[int, ...]]:
+        return zip(*[map(self._ints.__getitem__, self.data)] * self.n)
+
+
+_ORDER_ONE = _Level(1, array(_row_type(1), [0]))
+_LEVELS: Dict[Tuple[int, bool], _Level] = {}  # (order, clawfree) -> rows
 
 
 def sweep(items: Sequence, work: Callable, jobs: int = 1) -> Iterator:
@@ -465,6 +513,8 @@ def sweep(items: Sequence, work: Callable, jobs: int = 1) -> Iterator:
     if jobs <= 1:
         yield from map(work, items)
         return
+    from multiprocessing import get_context  # only a pool pays for the import
+
     chunk = min(-(-len(items) // (16 * jobs)), _SWEEP_CHUNK_MAX)
     with get_context("fork").Pool(jobs) as pool:
         yield from pool.imap(work, items, max(chunk, 1))
@@ -495,35 +545,42 @@ def walk_levels(
     deepest cached level below ``lo``, and each level below ``lo`` that it
     expands (unchecked) is cached up to order :data:`LEVEL_CACHE_MAX`.
     Checked levels are never cached: only the current one stays in this
-    process, as the next level's parents.
+    process, packed, as the next level's parents.
     """
     limit = CLAW_FREE_MAX if clawfree else ALL_CONNECTED_MAX
     if not 1 <= lo <= hi <= limit:
         raise GraphInputError(f"builtin enumeration supports 1 <= n <= {limit}")
     start = max((n for n in range(2, lo) if (n, clawfree) in _LEVELS), default=1)
-    level = _LEVELS.get((start, clawfree), [(0,)])
+    level = _LEVELS.get((start, clawfree), _ORDER_ONE)
     if lo == 1:
         g = Graph.from_bits(1, level[0])
         yield g, None if check is None else check(g)
     for n in range(start + 1, hi + 1):
         work = partial(_expand, clawfree=clawfree, check=check if n >= lo else None)
-        parents, level = level, []
+        parents, data = level, array(_row_type(n))
         for children in sweep(parents, work, jobs):
             for rows, value in children:
                 if n < hi:
-                    level.append(rows)
+                    data.extend(rows)
                 if n >= lo:
                     yield Graph.from_bits(n, rows), value
+        level = _Level(n, data)
         if n < lo and n <= LEVEL_CACHE_MAX:
             _LEVELS[n, clawfree] = level
 
 
-def level_rows(n: int, clawfree: bool) -> List[Tuple[int, ...]]:
+def level_rows(n: int, clawfree: bool) -> Sequence[Tuple[int, ...]]:
     """All classes at order n as canonical bitmask rows, in
-    :func:`walk_levels` order (cached up to order :data:`LEVEL_CACHE_MAX`)."""
+    :func:`walk_levels` order (cached up to order :data:`LEVEL_CACHE_MAX`).
+
+    The result is a read-only sequence: it indexes, slices (to a list),
+    iterates and samples like a list of row tuples, but holds them packed."""
     rows = _LEVELS.get((n, clawfree))
     if rows is None:
-        rows = [g.bits for g, _ in walk_levels(n, n, clawfree, None)]
+        data = array(_row_type(n))
+        for g, _ in walk_levels(n, n, clawfree, None):
+            data.extend(g.bits)
+        rows = _Level(n, data)
         if n <= LEVEL_CACHE_MAX:
             _LEVELS[n, clawfree] = rows
     return rows

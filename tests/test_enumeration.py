@@ -1,4 +1,8 @@
+import gc
 import hashlib
+import random
+import tracemalloc
+from collections.abc import Sequence
 
 import networkx as nx
 import pytest
@@ -189,10 +193,56 @@ def test_walk_starts_from_cached_levels(monkeypatch):
     assert len(rows9) == CLAWFREE_COUNTS[9]
     # only the cached order-8 level is expanded again, not levels 1..8
     assert len(parents) == CLAWFREE_COUNTS[8]
-    assert level_rows(9, True) == rows9
+    assert list(level_rows(9, True)) == rows9
     for clawfree, hi in ((True, 8), (False, 7)):
         for n in range(1, hi + 1):
-            assert level_rows(n, clawfree) == [g.bits for g, _ in walk_levels(n, n, clawfree, None)]
+            want = [g.bits for g, _ in walk_levels(n, n, clawfree, None)]
+            assert list(level_rows(n, clawfree)) == want
+
+
+def test_packed_level_reads_like_the_row_list():
+    rows = [g.bits for g, _ in walk_levels(8, 8, True, None)]
+    level = level_rows(8, True)
+    assert isinstance(level, Sequence)
+    assert len(level) == len(rows) == CLAWFREE_COUNTS[8]
+    assert list(level) == rows
+    for i in (0, 1, 440, len(rows) - 1, -1, -len(rows)):
+        assert level[i] == rows[i]
+        assert type(level[i]) is tuple
+    for i in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            level[i]
+    for s in (slice(None, 20), slice(5, 9), slice(-3, None), slice(None, None, 97),
+              slice(30, 2, -7), slice(900, 1000)):
+        assert level[s] == rows[s]
+    # a small sample indexes the level, a large one copies it to a list first
+    for seed, k in ((1, 25), (2, 25), (4099, 600)):
+        assert random.Random(seed).sample(level, k) == random.Random(seed).sample(rows, k)
+    assert list(level_rows(1, True)) == [(0,)]
+
+
+def test_level_cache_is_packed(monkeypatch):
+    # the claw-free cache through order 10 (32,028 classes), built cold, by
+    # tracemalloc; as lists of int tuples it held about 8.2 MB.  A first
+    # build fills the interpreter's free lists, which tracemalloc counts as
+    # held, so the traced build is a second one from an empty cache.
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    level_rows(10, True)
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        level = level_rows(10, True)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(level) == CLAWFREE_COUNTS[10]
+    assert sorted(enumeration._LEVELS) == [(n, True) for n in range(2, 11)]
+    assert held < 1 << 20, held  # 0.62 MB of it is the level arrays
+    # the tuples a level hands out share one int object per row value
+    assert len({id(v) for rows in level for v in rows}) <= 1 << 10
 
 
 @pytest.mark.parametrize("size", [101, 5000])
