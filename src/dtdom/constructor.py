@@ -11,10 +11,11 @@ case analysis names (a path from its attachment end, G(3)'s coordinates).
 One selection loop reads those records -- Algorithm A on a leaf
 decomposition, Algorithm B past a support -- and builds a vertex set S;
 the builder then augments S case by case until it disjunctively totally
-dominates, recursing into large fragments.  The final candidate is always
-verified against the exact solver's predicate and the 4n/7 size bound,
-with an unconditional exact-solver fallback, so the construction's
-guarantee never rests on the case analysis alone.
+dominates.  ``_construct`` is the one route policy, for the input and, as
+the paper's inductive step, for every large fragment over 11 vertices;
+smaller ones are solved exactly.  Each candidate is verified against the
+exact solver's predicate and its own graph's 4n/7 bound, with an exact
+fallback on that graph, so no guarantee rests on the case analysis alone.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .graph import (
     GraphInputError,
     _component_masks,
     _from_mask,
+    _require_vertex,
     _to_mask,
     bits_to_vertices,
     distance2_bits,
@@ -223,6 +225,7 @@ def _decompose(g: Graph, leaf: int, deep: bool) -> Decomposition:
 
 def decompose(g: Graph, y: int) -> Decomposition:
     """Leaf-rooted decomposition: X = N[x] - y, fragments = components of G - X."""
+    _require_vertex(g, y)
     _require_connected_claw_free(g, "decomposition")
     return _decompose(g, y, deep=False)
 
@@ -230,6 +233,7 @@ def decompose(g: Graph, y: int) -> Decomposition:
 def decompose_beyond_support(g: Graph, z: int) -> Decomposition:
     """Decomposition one step past a degree-2 support: the leaf z and its
     support y are set aside, X is built around y's other neighbor."""
+    _require_vertex(g, z)
     _require_connected_claw_free(g, "decomposition")
     return _decompose(g, z, deep=True)
 
@@ -422,54 +426,27 @@ def _phase_two(g: Graph, leaf: int) -> FrozenSet[int]:
 
 
 def _solve_within(g: Graph, vertices) -> FrozenSet[int]:
-    """The builder on the subgraph induced by ``vertices``, in g's vertex ids.
-
-    It is the exact solver on at most 11 vertices or minimum degree 2, and
-    the proof path otherwise.  Each proof-path call is on a strictly smaller
-    induced subgraph: a component of G - X for a nonempty clique X, or g
-    less the four vertices of a peeled chain.  So the recursion ends as the
-    paper's induction on n does, and no counter bounds it.
+    """A DTD-set of the subgraph induced by ``vertices``, in g's ids: the
+    exact solver's on at most 11 vertices (the base case), else
+    ``_construct``'s.  Each call is on a strictly smaller induced subgraph,
+    a component of G - X for a nonempty clique X or g less a peeled
+    four-vertex chain, so the recursion ends as the induction on n does.
     """
     order = sorted(vertices)  # induced_subgraph relabels in sorted order
     sub = induced_subgraph(g, order)[0]
-    if sub.n <= 11 or sub.min_degree() >= 2:
+    if sub.n <= 11:
         witness = exact_number(sub, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION).witness
     else:
-        witness = _proof_path(sub)
+        # never exceptional: G(3), the largest exceptional graph, has 10 vertices
+        witness = _construct(sub)[0]
     return frozenset(order[v] for v in witness)
 
 
-def _proof_path(g: Graph) -> FrozenSet[int]:
-    lvs = sorted(leaves(g))
-    if not lvs:
-        raise ProofPathError("no leaf to root the decomposition")
-    leaf_mask = _to_mask(lvs)
-    result = _phase_one(g, lvs[0])
-    if result is not None:
-        return result
-    # the endpoint forces the chosen support to have degree 2; a support of
-    # higher degree, if any, reroutes the first round to a terminating case
-    for v in range(g.n):
-        nb_leaves = _from_mask(g.bits[v] & leaf_mask)
-        if nb_leaves and g.degree(v) >= 3 and nb_leaves[0] != lvs[0]:
-            rerooted = _phase_one(g, nb_leaves[0])
-            if rerooted is not None:
-                return rerooted
-            raise ProofPathError("high-degree support still reached the endpoint")
-    return _phase_two(g, lvs[0])
-
-
 def construct_dtd_clawfree(g: Graph) -> Tuple[FrozenSet[int], str]:
-    """A DTD-set of size at most 4n/7 for a connected claw-free graph.
-
-    Strategy: minimum degree 2 takes the first greedy set that is a DTD-set
-    of size at most 4n/7 (a total dominating set counts, as dtd <= gamma_t),
-    else the exact solver; a graph with a leaf runs the decomposition path
-    (whatever its order, so the equality families are produced by the
-    extraction itself); its candidate is verified and the exact solver
-    stands behind any failure.  The tag records the route.  A leafy input whose
-    proof path outgrows the interpreter's recursion limit (P1000 does under
-    ``dtdom construct``) raises DomainError.
+    """A DTD-set of size at most 4n/7 for a connected claw-free graph, and
+    the tag of the route ``_construct`` took.  A proof path that nests past
+    the interpreter's recursion limit (P999 under ``dtdom construct``)
+    raises DomainError naming the input's order.
     """
     if g.n < 2:
         raise GraphInputError("constructor needs n >= 2")
@@ -477,29 +454,49 @@ def construct_dtd_clawfree(g: Graph) -> Tuple[FrozenSet[int], str]:
     exceptional = exceptional_member(g)
     if exceptional is not None:
         raise DomainError(f"{exceptional} is an exceptional graph for the 4n/7 bound")
-    return _construct(g)
+    try:
+        return _construct(g)
+    except RecursionError:  # a level peels three or more vertices, nests four frames
+        raise DomainError(
+            f"the proof path on order {g.n} nests past the interpreter's recursion limit"
+        ) from None
 
 
 def _construct(g: Graph) -> Tuple[FrozenSet[int], str]:
-    """``construct_dtd_clawfree`` past its input checks, for callers whose
-    universe already holds ``g`` connected, claw-free and non-exceptional."""
+    """The one route policy, for the input and each fragment or core over 11
+    vertices, trusted to be claw-free and non-exceptional.  Minimum degree 2
+    takes the first greedy set that is a DTD-set of size at most 4n/7 (a
+    total dominating set counts, as dtd <= gamma_t), else the exact solver.
+    A graph with a leaf runs the proof path inline (a level nests this
+    frame, a phase, its fragment loop and ``_solve_within``), whatever its
+    order; its candidate is checked against g's own bound, with an exact
+    fallback on g.
+    """
     if g.min_degree() >= 2:
         witness = _verified_witness(g, lambda n, size: 7 * size <= 4 * n)
         if witness is not None:
             return witness, "witness-mindeg2"
         res = exact_number(g, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION)
         return res.witness, "exact-mindeg2"
+    lvs = sorted(leaves(g))  # g has no isolated vertex, so it has a leaf
     try:
-        cand = _proof_path(g)
+        cand = _phase_one(g, lvs[0])
+        if cand is None:
+            # the endpoint forces the chosen support to have degree 2; a
+            # support of higher degree, if any, reroutes the first round to
+            # a terminating case
+            leaf_mask = _to_mask(lvs)
+            for v in range(g.n):
+                nb_leaves = _from_mask(g.bits[v] & leaf_mask)
+                if nb_leaves and g.degree(v) >= 3 and nb_leaves[0] != lvs[0]:
+                    cand = _phase_one(g, nb_leaves[0])
+                    if cand is None:
+                        raise ProofPathError("high-degree support still reached the endpoint")
+                    break
+            else:
+                cand = _phase_two(g, lvs[0])
     except ProofPathError:
         cand = None
-    except RecursionError:
-        # each proof-path level peels at least three vertices and nests three
-        # frames (four past a support or through a peeled chain), so a long
-        # leafy input can outgrow the interpreter's stack
-        raise DomainError(
-            f"the proof path on order {g.n} nests past the interpreter's recursion limit"
-        ) from None
     if cand is not None and is_dtd_set(g, cand) and 7 * len(cand) <= 4 * g.n:
         return cand, "proof-path"
     res = exact_number(g, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION)

@@ -24,6 +24,7 @@ from .graph import (
     GraphInputError,
     _distance2_row,
     _from_mask,
+    _require_vertex,
     _to_mask,
     bits_to_vertices,
     distance2_bits,
@@ -313,6 +314,7 @@ def support_exchange(
     for ``v`` when needed.  With ``include_degree2_neighbor`` (requires
     ``deg(w) == 2``) the result contains both ``v`` and ``w``.
     """
+    _require_vertex(g, v)
     s = frozenset(s)
     if not is_dtd_set(g, s):
         raise GraphInputError("s is not a disjunctive total dominating set")

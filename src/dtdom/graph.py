@@ -219,6 +219,12 @@ def is_claw_free(g: Graph) -> bool:
     return find_claw(g) is None
 
 
+def _require_vertex(g: Graph, v: int) -> None:
+    """The range check of the entry points that take a vertex argument."""
+    if not 0 <= v < g.n:
+        raise GraphInputError(f"vertex {v} out of range 0..{g.n - 1}")
+
+
 def leaves(g: Graph) -> VertexSet:
     """Vertices of degree 1."""
     return frozenset(v for v, row in enumerate(g.bits) if row.bit_count() == 1)

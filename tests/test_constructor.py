@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from dtdom import (
     is_dtd_set,
     is_total_dominating_set,
     leaves,
+    support_exchange,
     to_graph6,
 )
 from dtdom import constructor, domination, families, graph
@@ -67,6 +69,26 @@ def test_decompose_rejects_bad_input():
         decompose(generate_named("P7"), 3)  # not a leaf
     with pytest.raises(GraphInputError):
         decompose(Graph(4, [(0, 1), (2, 3)]), 0)  # disconnected
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: decompose(g, 99),
+        lambda g: decompose(g, -1),
+        lambda g: decompose_beyond_support(g, 7),
+        lambda g: decompose_beyond_support(g, -1),
+        lambda g: support_exchange(g, frozenset({1, 2, 5, 6}), -2),
+        lambda g: support_exchange(g, frozenset({1, 2, 5, 6}), 7),
+    ],
+    ids=["decompose-99", "decompose-neg", "beyond-7", "beyond-neg", "exchange-neg", "exchange-7"],
+)
+def test_vertex_outside_the_graph_is_an_input_error(call):
+    # a negative vertex must not index from the end of the rows (-2 would
+    # pass as the support 5 and fail later on a shift), and one past n must
+    # not escape as an IndexError
+    with pytest.raises(GraphInputError, match="out of range 0..6"):
+        call(generate_named("P7"))
 
 
 def test_decompose_invariants_exhaustive_small():
@@ -251,9 +273,36 @@ def test_constructor_proof_path_on_long_paths(n):
 def test_constructor_too_deep_is_a_domain_error():
     # P2000 nests the proof path past the default recursion limit even from
     # a bare interpreter; P1000 finishes there and fails only under the
-    # extra frames of a test runner
-    with pytest.raises(DomainError, match="recursion limit"):
+    # extra frames of a test runner.  The error names the input, not the
+    # fragment the limit was hit in
+    with pytest.raises(DomainError, match="recursion limit") as err:
         construct_dtd_clawfree(generate_named("P2000"))
+    assert "order 2000 " in str(err.value)
+
+
+def _necklace(k):
+    """k triangles joined in a ring by one edge each, with a pendant path of
+    two vertices on the free corner of the first triangle."""
+    edges = []
+    for i in range(k):
+        a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
+        edges += [(a, b), (b, c), (a, c), (b, (c + 1) % (3 * k))]
+    n = 3 * k
+    return Graph(n + 2, edges + [(2, n), (n, n + 1)])
+
+
+def test_constructor_builds_large_mindeg2_fragments_without_the_exact_solver(monkeypatch):
+    # rooted at the pendant path, the decomposition past its support leaves
+    # one minimum-degree-2 fragment of 117 vertices; it takes the greedy
+    # route of _construct, so no exact call sees more than 11 vertices
+    g = _necklace(40)
+    calls = count_calls(monkeypatch, domination, "exact_number")
+    start = time.perf_counter()
+    witness, tag = construct_dtd_clawfree(g)
+    assert time.perf_counter() - start < 1.0
+    assert g.n == 122 and tag == "proof-path"
+    assert is_dtd_set(g, witness) and 7 * len(witness) <= 4 * g.n
+    assert all(args[0].n <= 11 for args in calls)
 
 
 def test_constructor_mindeg2_route():
@@ -282,16 +331,37 @@ def test_constructor_mindeg2_refuses_unverified_greedy_sets(monkeypatch):
 
 
 def test_proof_path_error_falls_back_to_the_exact_solver(monkeypatch):
-    # no input of order <= 10 raises ProofPathError, so force one: the route
-    # must then be tagged fallback-exact and return an optimal DTD-set
-    def unfinished(g):
+    # no input of order <= 10 raises ProofPathError, so force one in the
+    # first round: the route must then be tagged fallback-exact and return
+    # an optimal DTD-set
+    def unfinished(g, leaf):
         raise ProofPathError("forced")
 
-    monkeypatch.setattr(constructor, "_proof_path", unfinished)
+    monkeypatch.setattr(constructor, "_phase_one", unfinished)
     g = generate_named("P7")
     witness, tag = construct_dtd_clawfree(g)
     assert tag == "fallback-exact"
     assert is_dtd_set(g, witness) and len(witness) == exact_number(g, DTD).value
+
+
+def test_a_fragment_falls_back_on_itself(monkeypatch):
+    # P40's proof path recurses into the paths P36, P32, ..., P12; a
+    # ProofPathError in P16 is settled by the exact solver on P16 alone,
+    # and the input keeps its proof-path tag
+    phase_one = constructor._phase_one
+
+    def unfinished_on_p16(g, leaf):
+        if g.n == 16:
+            raise ProofPathError("forced")
+        return phase_one(g, leaf)
+
+    monkeypatch.setattr(constructor, "_phase_one", unfinished_on_p16)
+    calls = count_calls(monkeypatch, domination, "exact_number")
+    g = generate_named("P40")
+    witness, tag = construct_dtd_clawfree(g)
+    assert tag == "proof-path"
+    assert is_dtd_set(g, witness) and 7 * len(witness) <= 4 * g.n
+    assert [args[0].n for args in calls] == [16]
 
 
 def test_constructor_exhaustive_small():
