@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional, Sequence, Tuple
 
-from .graph import Graph
+from .graph import Graph, _relabeled_rows
 
 
 def _refine(n: int, rows: Sequence[int], parts: List[int], queue) -> List[int]:
@@ -85,25 +85,6 @@ def _refine(n: int, rows: Sequence[int], parts: List[int], queue) -> List[int]:
                         continue
             i += 1
     return parts
-
-
-def _relabeled_rows(n: int, rows: Sequence[int], order: Sequence[int]) -> Tuple[int, ...]:
-    """Adjacency rows after relabeling vertex ``order[i]`` to ``i``."""
-    image = [0] * n  # bit of each vertex's new label
-    bit = 1
-    for v in order:
-        image[v] = bit
-        bit <<= 1
-    out = []
-    for v in order:
-        row = rows[v]
-        acc = 0
-        while row:
-            low = row & -row
-            acc |= image[low.bit_length() - 1]
-            row ^= low
-        out.append(acc)
-    return tuple(out)
 
 
 def certificate(n: int, rows: Sequence[int], anchor: Optional[int] = None) -> Tuple[int, ...]:

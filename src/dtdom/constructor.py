@@ -32,11 +32,11 @@ from .graph import (
     GraphInputError,
     _component_masks,
     _from_mask,
+    _induced,
     _require_vertex,
     _to_mask,
     bits_to_vertices,
     distance2_bits,
-    induced_subgraph,
     is_claw_free,
     is_connected,
     leaves,
@@ -158,7 +158,7 @@ def _classify(g: Graph, vertices: FrozenSet[int], chosen: int) -> FragmentRecord
         else:
             profile = "interior-adjacent"
     elif k == 10 and edges == 10 and (
-        lab := _g3_labels(induced_subgraph(g, vertices)[0], sorted(vertices))
+        lab := _g3_labels(_induced(g, ids := _from_mask(vs)), ids)
     ):
         kind = FragmentKind.G3
         # by the paper's symmetry u is the attached two-vertex arm, else
@@ -318,7 +318,8 @@ def _solved(g: Graph, dec: Decomposition, s: FrozenSet[int]) -> FrozenSet[int]:
     the package's one loop over the large fragments."""
     for frag in dec.fragments:
         if frag.kind is FragmentKind.OTHER:
-            s |= _solve_within(g, frag.vertices)
+            order = sorted(frag.vertices)
+            s |= _solve_within(_induced(g, order), order)
     return s
 
 
@@ -396,14 +397,14 @@ def _peel_p3_chain(g: Graph, dec: Decomposition) -> FrozenSet[int]:
     # the route reaches here only when the P3 hangs from one of its leaves
     z2, z3, z4 = frag.named
     keep = [v for v in range(g.n) if v not in {frag.chosen, z2, z3, z4}]
-    core = induced_subgraph(g, keep)[0]
+    core = _induced(g, keep)
     lab = _g3_labels(core, keep)
     if lab is not None:
         # the rooting leaf stays a leaf of the core, so it lands on a named leaf
         return frozenset({lab[t] for t in _CORE_SETS[lab.index(dec.y)]} | {z2, z3})
     if exceptional_member(core) is not None:
         raise ProofPathError("peeled core is an exceptional graph")
-    return _solve_within(g, keep) | {z2, z3}
+    return _solve_within(core, keep) | {z2, z3}
 
 
 def _phase_two(g: Graph, leaf: int) -> FrozenSet[int]:
@@ -425,15 +426,13 @@ def _phase_two(g: Graph, leaf: int) -> FrozenSet[int]:
     return s | {min(dec.X - {dec.x})}
 
 
-def _solve_within(g: Graph, vertices) -> FrozenSet[int]:
-    """A DTD-set of the subgraph induced by ``vertices``, in g's ids: the
-    exact solver's on at most 11 vertices (the base case), else
-    ``_construct``'s.  Each call is on a strictly smaller induced subgraph,
-    a component of G - X for a nonempty clique X or g less a peeled
-    four-vertex chain, so the recursion ends as the induction on n does.
+def _solve_within(sub: Graph, order: Sequence[int]) -> FrozenSet[int]:
+    """A DTD-set of ``sub``, g's subgraph on ``order`` (``_induced``), in g's
+    ids: the exact solver's on at most 11 vertices (the base case), else
+    ``_construct``'s.  Each ``sub`` is strictly smaller than g, a component
+    of G - X for a nonempty clique X or g less a peeled four-vertex chain,
+    so the recursion ends as the induction on n does.
     """
-    order = sorted(vertices)  # induced_subgraph relabels in sorted order
-    sub = induced_subgraph(g, order)[0]
     if sub.n <= 11:
         witness = exact_number(sub, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION).witness
     else:

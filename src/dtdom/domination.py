@@ -25,7 +25,6 @@ from .graph import (
     _distance2_row,
     _from_mask,
     _require_vertex,
-    _to_mask,
     bits_to_vertices,
     distance2_bits,
     leaves,
@@ -59,8 +58,12 @@ def _uncovered(g: Graph, s: Iterable[int], kind: DominationKind) -> FrozenSet[in
     A vertex is covered by a member among its neighbors (its closed
     neighborhood for dom) or, for dtd, by two members at distance 2.  The
     distance-2 row is built only for vertices with no neighbor in ``s``.
+    A member outside ``0..n-1`` is a GraphInputError.
     """
-    smask = _to_mask(s)
+    smask = 0
+    for v in s:
+        _require_vertex(g, v)
+        smask |= 1 << v
     closed = 1 if kind is DominationKind.DOMINATION else 0
     disjunctive = kind is DominationKind.DISJUNCTIVE_TOTAL_DOMINATION
     bad = []

@@ -45,8 +45,8 @@ from collections.abc import Sequence as SequenceABC
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .canon import _refine, _relabeled_rows, _search, anchored_profile, certificate
-from .graph import Graph, GraphInputError, _component_masks
+from .canon import _refine, _search, anchored_profile, certificate
+from .graph import Graph, GraphInputError, _component_masks, _relabeled_rows
 
 ALL_CONNECTED_MAX = 8
 CLAW_FREE_MAX = 12

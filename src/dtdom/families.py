@@ -96,15 +96,12 @@ def _f_family(k: int) -> Graph:
     """F_k: T_k with the center-edge of leg 0 re-hung on leg 1's inner vertex
     (delete 0-1, add 1-4)."""
     base = _t_family(k)
-    edges = [e for e in base.edges() if e != (0, 1)]
-    edges.append((1, 4))
-    return Graph(base.n, edges)
+    return Graph(base.n, [e for e in base.edges() if e != (0, 1)] + [(1, 4)])
 
 
 def _g_family(k: int) -> Graph:
     """G_k: T_k plus the edge 1-4 joining two neighbors of the center."""
-    base = _t_family(k)
-    return base.with_edge(1, 4)
+    return _t_family(k).with_edge(1, 4)
 
 
 def _t_star() -> Graph:

@@ -3,8 +3,9 @@
 Vertices are dense integers ``0..n-1``.  A graph is its order ``n`` and
 one adjacency bitmask per vertex (``g.bits[v]`` has bit ``u`` set exactly
 when ``uv`` is an edge); every predicate here, the solvers and the
-enumerators all work on those rows.  Vertex sets cross the public API as
-frozensets, decoded with :func:`bits_to_vertices`.
+enumerators work on those rows, and one routine, :func:`_relabeled_rows`,
+remaps them for every relabeling and induced subgraph.  Vertex sets cross
+the public API as frozensets, decoded with :func:`bits_to_vertices`.
 """
 
 from __future__ import annotations
@@ -79,13 +80,13 @@ class Graph:
 
     def with_edge(self, u: int, v: int) -> "Graph":
         """New graph with one extra edge (``families`` builds G(k), C10' and C10'' with it)."""
-        if u == v:
-            raise GraphInputError(f"loop edge at vertex {u}")
-        return Graph(self.n, list(self.edges()) + [(u, v)])
+        return Graph(self.n, [*self.edges(), (u, v)])
 
-    def relabel(self, perm) -> "Graph":
-        """Apply a vertex relabeling; ``perm[old] = new``."""
-        return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges()])
+    def relabel(self, perm: Sequence[int]) -> "Graph":
+        """Apply a vertex relabeling; ``perm[old] = new``, a permutation of ``0..n-1``."""
+        if sorted(perm) != list(range(self.n)):
+            raise GraphInputError(f"relabeling is not a permutation of 0..{self.n - 1}")
+        return _induced(self, sorted(range(self.n), key=perm.__getitem__))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.bits == other.bits
@@ -236,22 +237,42 @@ def support_vertices(g: Graph) -> VertexSet:
     return frozenset(g.bits[u].bit_length() - 1 for u in leaves(g))
 
 
-# -- subgraphs ---------------------------------------------------------------
+# -- relabeling and subgraphs ---------------------------------------------------
+
+
+def _relabeled_rows(n: int, rows: Sequence[int], order: Sequence[int]) -> Tuple[int, ...]:
+    """The rows of ``order``'s vertices, ``order[i]`` relabeled ``i``; a bit
+    outside ``order`` is dropped, so distinct vertices give an induced subgraph."""
+    image = [0] * n  # bit of each vertex's new label
+    bit = 1
+    for v in order:
+        image[v] = bit
+        bit <<= 1
+    out = []
+    for v in order:
+        row = rows[v]
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= image[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return tuple(out)
+
+
+def _induced(g: Graph, order: Sequence[int]) -> Graph:
+    """The subgraph induced by distinct vertices ``order``, ``order[i]`` relabeled ``i``."""
+    return Graph.from_bits(len(order), _relabeled_rows(g.n, g.bits, order))
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]):
-    """Subgraph induced on ``s`` with dense relabeling.
+    """Subgraph induced on ``s`` (repeats ignored), relabeled in sorted order.
 
-    Returns ``(subgraph, mapping)`` where ``mapping[old] = new``.
+    Returns ``(subgraph, mapping)`` where ``mapping[old] = new``; a member
+    outside ``0..n-1`` is a GraphInputError.
     """
     keep = sorted(set(s))
     if keep and not (0 <= keep[0] and keep[-1] < g.n):
         raise GraphInputError("induced set out of range")
-    mapping = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (mapping[u], mapping[v])
-        for u, v in g.edges()
-        if u in mapping and v in mapping
-    ]
-    return Graph(len(keep), edges), mapping
+    return _induced(g, keep), {old: new for new, old in enumerate(keep)}
 

@@ -67,6 +67,17 @@ def test_dtd_requires_distance_exactly_two():
     assert dtd_uncovered(p3, {0, 2}) == {0, 2}
 
 
+@pytest.mark.parametrize(
+    "predicate", [is_dominating_set, is_total_dominating_set, is_dtd_set, dtd_uncovered]
+)
+@pytest.mark.parametrize("foreign", [99, 7, -1])
+def test_set_member_outside_the_graph_is_an_input_error(predicate, foreign):
+    # {1, 2, 5, 6} is a DTD-set of P7; a member past n or below 0 must not
+    # be read as a shift
+    with pytest.raises(GraphInputError, match=f"vertex {foreign} out of range 0..6"):
+        predicate(generate_named("P7"), {1, 2, 5, 6, foreign})
+
+
 # -- exact solver ---------------------------------------------------------------
 
 

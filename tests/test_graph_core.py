@@ -157,22 +157,40 @@ def test_induced_and_removed_subgraphs():
         assert is_isomorphic(sub, generate_named("P6"))
 
 
+def _subsets(g, rng):
+    """Empty, full, a random drop, and an unsorted pick that repeats a vertex."""
+    yield []
+    yield range(g.n)
+    yield _complement(g, {v for v in range(g.n) if rng.random() < 0.3})
+    if g.n:
+        pick = [rng.randrange(g.n) for _ in range(rng.randrange(1, g.n + 2))]
+        yield pick + pick[:1]
+
+
 def test_removed_subgraph_edge_set(rng):
     for _ in range(40):
-        g = random_graph(rng.randrange(2, 10), 0.4, rng)
-        drop = {v for v in range(g.n) if rng.random() < 0.3}
-        keep = _complement(g, drop)
-        # relabeled in sorted order whatever the input order: the
-        # constructor maps fragment witnesses back through that order
-        sub, mapping = induced_subgraph(g, keep[::-1])
-        assert list(mapping) == keep
-        assert list(mapping.values()) == list(range(len(keep)))
-        expected = sorted(
-            tuple(sorted((mapping[u], mapping[v])))
-            for u, v in g.edges()
-            if u not in drop and v not in drop
-        )
-        assert sorted(sub.edges()) == expected
+        g = random_graph(rng.randrange(0, 21), rng.choice((0.2, 0.4, 0.7)), rng)
+        for s in _subsets(g, rng):
+            keep = sorted(set(s))
+            # relabeled in sorted order whatever the input order: callers
+            # map the subgraph's vertices back through that order
+            sub, mapping = induced_subgraph(g, list(s)[::-1])
+            assert list(mapping.items()) == [(old, new) for new, old in enumerate(keep)]
+            want = nx.relabel_nodes(to_networkx(g).subgraph(keep), mapping)
+            assert sub.n == len(keep)
+            assert sorted(sub.edges()) == sorted(tuple(sorted(e)) for e in want.edges())
+
+
+@pytest.mark.parametrize("s", [[3], [-1, 0], [0, 1, 2, 3]])
+def test_induced_set_out_of_range_rejected(s):
+    with pytest.raises(GraphInputError, match="induced set out of range"):
+        induced_subgraph(generate_named("P3"), s)
+
+
+@pytest.mark.parametrize("perm", [[0, 1, 0], [0, 1], [0, 1, 2, 3], [1, 2, 3]])
+def test_relabel_rejects_a_non_permutation(perm):
+    with pytest.raises(GraphInputError, match="not a permutation of 0..2"):
+        generate_named("P3").relabel(perm)
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,4 +207,8 @@ def test_relabel_preserves_isomorphism(data):
     )
     g = Graph(n, sorted(edges))
     perm = data.draw(st.permutations(range(n)))
-    assert is_isomorphic(g, g.relabel(list(perm)))
+    h = g.relabel(list(perm))
+    assert is_isomorphic(g, h)
+    assert all(h.has_edge(perm[u], perm[v]) for u, v in g.edges())
+    inverse = sorted(range(n), key=perm.__getitem__)
+    assert h.relabel(inverse) == g
