@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional, Sequence, Tuple
 
-from .graph import Graph, _relabeled_rows
+from .graph import _BITS, _BITS_WIDTH, Graph, _from_mask, _relabeled_rows
 
 
 def _refine(n: int, rows: Sequence[int], parts: List[int], queue) -> List[int]:
@@ -25,64 +25,72 @@ def _refine(n: int, rows: Sequence[int], parts: List[int], queue) -> List[int]:
 
     ``queue`` holds the splitter masks still to be processed (None means all
     of ``parts``, the from-scratch case).  Cells split into count-ascending
-    groups; singleton and pair splitters take pure bitmask shortcuts.
+    groups; singleton and pair splitters take pure bitmask shortcuts.  Only
+    non-singleton cells can split, so a splitter whose neighbours miss all of
+    them is skipped, and a scan stops after the last one they reach.
+
+    A cell that splits after it was queued leaves its last piece off the
+    queue.  The queue is first in, first out, so by that piece's turn the
+    cell and every other piece have been processed; every cell then has
+    uniform counts into each of them, so into their difference too, and the
+    piece would split nothing.
     """
     parts = list(parts)
     work = deque(parts if queue is None else queue)
+    queued = set(work)  # every mask queued so far, or left off as above
+    narrow = n <= _BITS_WIDTH
+    open_ = 0  # union of the non-singleton cells
+    for cell in parts:
+        if cell & (cell - 1):
+            open_ |= cell
     while work:
         w = work.popleft()
         single = not w & (w - 1)
         if single:
             reach = rows[w.bit_length() - 1]
-            reach2 = 0
         else:
             reach = 0
-            ww = w
-            while ww:
-                low = ww & -ww
-                ww ^= low
-                reach |= rows[low.bit_length() - 1]
-            if w.bit_count() == 2:
-                a = w & -w
-                reach2 = rows[a.bit_length() - 1] & rows[(w ^ a).bit_length() - 1]
-                single = None  # pair shortcut marker
+            for v in _BITS[w] if narrow else _from_mask(w):
+                reach |= rows[v]
+        left = reach & open_  # hit vertices in cells not yet scanned
+        if not left:
+            continue
+        if not single and w.bit_count() == 2:
+            a = w & -w
+            reach2 = rows[a.bit_length() - 1] & rows[(w ^ a).bit_length() - 1]
+            single = None  # pair shortcut marker
         i = 0
-        while i < len(parts):
+        while left:
             cell = parts[i]
-            if cell & (cell - 1):
+            if cell & left:  # unscanned hit cells are non-singletons
+                left &= ~cell
                 hit = cell & reach
-                if hit:
-                    if single:
-                        repl = [cell ^ hit, hit] if cell ^ hit else None
-                    elif single is None:
-                        two = cell & reach2
-                        one = hit ^ two
-                        repl = [g for g in (cell & ~reach, one, two) if g]
-                        if len(repl) < 2:
-                            repl = None
-                    else:
-                        buckets = {}
-                        c = cell
-                        while c:
-                            low = c & -c
-                            c ^= low
-                            cnt = (rows[low.bit_length() - 1] & w).bit_count()
-                            if cnt in buckets:
-                                buckets[cnt] |= low
-                            else:
-                                buckets[cnt] = low
-                        repl = (
-                            [buckets[k] for k in sorted(buckets)]
-                            if len(buckets) > 1
-                            else None
-                        )
-                    if repl:
-                        parts[i : i + 1] = repl
-                        if len(parts) == n:
-                            return parts  # discrete: nothing left to split
-                        work.extend(repl)
-                        i += len(repl)
-                        continue
+                if single:
+                    repl = [cell ^ hit, hit] if cell ^ hit else None
+                elif single is None:
+                    two = cell & reach2
+                    one = hit ^ two
+                    repl = [g for g in (cell & ~reach, one, two) if g]
+                    if len(repl) < 2:
+                        repl = None
+                else:
+                    buckets = {}
+                    for v in _BITS[cell] if narrow else _from_mask(cell):
+                        cnt = (rows[v] & w).bit_count()
+                        buckets[cnt] = buckets.get(cnt, 0) | 1 << v
+                    repl = [buckets[k] for k in sorted(buckets)] if len(buckets) > 1 else None
+                if repl:
+                    parts[i : i + 1] = repl
+                    open_ &= ~cell
+                    for g in repl:
+                        if g & (g - 1):
+                            open_ |= g
+                    if not open_:
+                        return parts  # discrete: nothing left to split
+                    work.extend(repl[:-1] if cell in queued else repl)
+                    queued.update(repl)
+                    i += len(repl)
+                    continue
             i += 1
     return parts
 

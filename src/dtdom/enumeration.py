@@ -28,11 +28,13 @@ and :func:`free_trees` yields the trees.  Graph6 corpora are not read
 here: :mod:`dtdom.verify`, their only reader, filters and dedups them.
 
 Because parents are independent units of work, :func:`walk_levels` shards
-each level by parent over :func:`sweep`, the package's one parallel path,
-and runs a per-class check next to each expansion.  It is the only code
-that expands levels: the unchecked levels it builds on the way to its first
-checked one go into a cache bounded by order (:data:`LEVEL_CACHE_MAX`), so
-a later walk starts from them, and :func:`level_rows` reads the same cache.
+each level by parent and runs a per-class check next to each expansion.
+Its levels share one pool, forked once per walk by :func:`_mapper`, which
+also serves :func:`sweep`: the package's one parallel path.  The walk is
+the only code that expands levels: the unchecked levels it builds on the
+way to its first checked one go into a cache bounded by order
+(:data:`LEVEL_CACHE_MAX`), so a later walk starts from them, and
+:func:`level_rows` reads the same cache.
 A level, cached or held as the next order's parents, is one packed array of
 n-bit rows behind a read-only sequence of row tuples (:class:`_Level`).
 """
@@ -42,14 +44,15 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence as SequenceABC
+from contextlib import contextmanager
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .canon import _refine, _search, anchored_profile, certificate
-from .graph import Graph, GraphInputError, _component_masks, _relabeled_rows
+from .graph import _BITS, _BITS_WIDTH, Graph, GraphInputError, _component_masks, _relabeled_rows
 
 ALL_CONNECTED_MAX = 8
-CLAW_FREE_MAX = 12
+CLAW_FREE_MAX = 12  # at most _BITS_WIDTH: see accepted_children
 TREES_MAX = 16
 
 
@@ -96,6 +99,7 @@ def _candidate_masks(
     clawfree = claw_pairs is not None
     if clawfree:
         inside, hits, below, ends = claw_pairs
+        apart = [~(row | 1 << v) for v, row in enumerate(rows)]  # outside N[v]
     while stack:
         start, mask, msize, min_in, min_out, pairs, hit = stack.pop()
         if pairs:
@@ -118,12 +122,9 @@ def _candidate_masks(
                 stack.append((v + 1, mask | 1 << v, s, nmin_in, cur_out, 0, 0))
             else:
                 # mask stays triple-free iff v's non-neighbors in it form a clique
-                row = rows[v]
-                nn = mask & ~row
-                while nn:
-                    low = nn & -nn
-                    nn ^= low
-                    if nn & ~rows[low.bit_length() - 1]:
+                nn = mask & ~rows[v]
+                for u in _BITS[nn]:
+                    if nn & apart[u]:
                         break
                 else:
                     nhit = hit | hits[v]
@@ -149,12 +150,8 @@ def _one_closes_all(v: int, pairs: int, hit: int, claw_pairs) -> bool:
     opens none, with ``hit`` the pairs its mask already hits.  That vertex
     hits the lowest open pair, so it is one of that pair's ends."""
     inside, hits, _, ends = claw_pairs
-    closers = ends[(pairs & -pairs).bit_length() - 1] >> v + 1
-    while closers:
-        low = closers & -closers
-        closers ^= low
-        w = low.bit_length() + v
-        if not (pairs | inside[w]) & ~(hit | hits[w]):
+    for w in _BITS[ends[(pairs & -pairs).bit_length() - 1]]:
+        if w > v and not (pairs | inside[w]) & ~(hit | hits[w]):
             return True
     return False
 
@@ -179,11 +176,8 @@ def _claw_pairs(rows: Sequence[int]):
             if not rb >> a & 1:
                 hits[a] |= bit
                 hits[b] |= bit
-                common = rows[a] & rb
-                while common:
-                    low = common & -common
-                    common ^= low
-                    inside[low.bit_length() - 1] |= bit
+                for u in _BITS[rows[a] & rb]:
+                    inside[u] |= bit
                 bit <<= 1
                 ends.append(1 << a | 1 << b)
         below[b] = bit - 1
@@ -194,12 +188,7 @@ def _claw_pairs(rows: Sequence[int]):
 
 
 def _neighbor_degrees(rows: Sequence[int], degs: Sequence[int], u: int) -> List[int]:
-    out = []
-    r = rows[u]
-    while r:
-        low = r & -r
-        out.append(degs[low.bit_length() - 1])
-        r ^= low
+    out = [degs[w] for w in _BITS[rows[u]]]
     out.sort()
     return out
 
@@ -214,11 +203,7 @@ def _bfs_signature(rows: Sequence[int], degs: Sequence[int], src: int) -> Tuple:
     while frontier:
         level = []
         reach = 0
-        f = frontier
-        while f:
-            low = f & -f
-            f ^= low
-            b = low.bit_length() - 1
+        for b in _BITS[frontier]:
             r = rows[b]
             level.append((degs[b], (r & frontier).bit_count(), (r & prev).bit_count()))
             reach |= r
@@ -267,11 +252,8 @@ def _deletion_check(parent, pdeg, comps, mask, msize) -> bool:
     lt1 = (1 << bisect_left(pdeg, msize - 1)) - 1
     lt = (1 << bisect_left(pdeg, msize)) - 1
     le = (1 << bisect_right(pdeg, msize)) - 1
-    smaller = (lt & ~mask) | (lt1 & mask)
-    while smaller:
-        low = smaller & -smaller
-        smaller ^= low
-        if noncut(low.bit_length() - 1):
+    for u in _BITS[(lt & ~mask) | (lt1 & mask)]:
+        if noncut(u):
             return False  # a smaller-degree non-cutvertex wins
     # Twins (equal open or closed neighbourhoods) are swapped by a child
     # automorphism, so only the first tie of each twin class is compared,
@@ -280,15 +262,11 @@ def _deletion_check(parent, pdeg, comps, mask, msize) -> bool:
     # vertices are twins in the child exactly when they are twins in the
     # parent and both in the mask or both out, and parent twins among the
     # ties, with equal degree in parent and child, are always the latter.
-    tied = (le & ~lt & ~mask) | (lt & ~lt1 & mask)
     seen = {mask}
     ties = []
-    while tied:
-        low = tied & -tied
-        tied ^= low
-        u = low.bit_length() - 1
+    for u in _BITS[(le & ~lt & ~mask) | (lt & ~lt1 & mask)]:
         r = parent[u]
-        rc = r | low
+        rc = r | 1 << u
         if r not in seen and rc not in seen and noncut(u):
             ties.append(u)
         seen.add(r)
@@ -301,11 +279,7 @@ def _deletion_check(parent, pdeg, comps, mask, msize) -> bool:
     child.append(mask)
     degs = list(pdeg)
     degs.append(msize)
-    m = mask
-    while m:
-        low = m & -m
-        m ^= low
-        u = low.bit_length() - 1
+    for u in _BITS[mask]:
         child[u] |= vbit
         degs[u] += 1
     key_new = _neighbor_degrees(child, degs, n)
@@ -349,6 +323,19 @@ def _deletion_check(parent, pdeg, comps, mask, msize) -> bool:
     return True
 
 
+def _twin_class(rows: Sequence[int], cell: int) -> bool:
+    """Whether the vertices of a cell of an equitable partition are pairwise
+    twins.  Each has as many neighbours inside the cell, so they are twins
+    exactly when they share their neighbours outside it and the cell is
+    independent or a clique."""
+    vs = _BITS[cell]
+    inner = (rows[vs[0]] & cell).bit_count()
+    if inner and inner != len(vs) - 1:
+        return False
+    out = rows[vs[0]] & ~cell
+    return all(rows[v] & ~cell == out for v in vs)
+
+
 def _orbit_representative_masks(n: int, parent, masks: List[int]) -> List[int]:
     """Keep the first mask of each orbit of the parent's automorphism group.
 
@@ -357,15 +344,23 @@ def _orbit_representative_masks(n: int, parent, masks: List[int]) -> List[int]:
     that pass the deletion check give isomorphic children.  Automorphisms
     preserve the cells of the parent's equitable partition, so masks in one
     orbit meet each cell in as many vertices; when no two masks do, every
-    mask is kept unsearched.  Otherwise the search starts from those cells,
-    which are its own root partition, rather than refining them again.
+    mask is kept unsearched.  When every cell of two or more vertices is a
+    class of twins, the group is exactly the product of the symmetric groups
+    on those cells, so masks meeting each cell alike form one orbit, and the
+    first of each is kept unsearched too.  Otherwise the search starts from
+    the cells, which are its own root partition, rather than refining them
+    again.
     """
     cells = _refine(n, parent, [(1 << n) - 1], None)
     singles = sum(c for c in cells if not c & (c - 1))
     wide = [c for c in cells if c & (c - 1)]
-    sigs = {(m & singles, tuple([(m & c).bit_count() for c in wide])) for m in masks}
-    if len(sigs) == len(masks):
+    first = {}
+    for m in masks:
+        first.setdefault((m & singles, tuple([(m & c).bit_count() for c in wide])), m)
+    if len(first) == len(masks):
         return masks
+    if all(_twin_class(parent, c) for c in wide):
+        return list(first.values())
     gens = _search(n, parent, None, cells)[2]
     if not gens:
         return masks
@@ -386,11 +381,8 @@ def _orbit_representative_masks(n: int, parent, masks: List[int]) -> List[int]:
             m = frontier.pop()
             for moved, table in tables:
                 im = m & ~moved
-                mm = m & moved
-                while mm:
-                    low = mm & -mm
-                    mm ^= low
-                    im |= table[low.bit_length() - 1]
+                for u in _BITS[m & moved]:
+                    im |= table[u]
                 if im not in orbit:
                     orbit.add(im)
                     frontier.append(im)
@@ -424,8 +416,11 @@ def accepted_children(parent: Tuple[int, ...], clawfree: bool) -> List[Tuple[int
     The canonical-deletion rule leaves only duplicates caused by automorphic
     neighborhoods of this same parent, so the candidate masks are cut to one
     per orbit of the parent's automorphism group, and each mask that passes
-    the deletion check yields one child.
+    the deletion check yields one child.  The expansion loops read masks
+    from ``graph._BITS``, so a child has at most 12 vertices.
     """
+    if len(parent) >= _BITS_WIDTH:
+        raise GraphInputError(f"children have at most {_BITS_WIDTH} vertices")
     parent, pdeg, comps, masks = _candidates(parent, clawfree)
     n = len(parent)
     vbit = 1 << n
@@ -434,7 +429,9 @@ def accepted_children(parent: Tuple[int, ...], clawfree: bool) -> List[Tuple[int
     out = []
     for mask in masks:
         if _deletion_check(parent, pdeg, comps, mask, mask.bit_count()):
-            child = [parent[u] | vbit if mask >> u & 1 else parent[u] for u in range(n)]
+            child = list(parent)
+            for u in _BITS[mask]:
+                child[u] |= vbit
             child.append(mask)
             out.append(tuple(child))
     return out
@@ -442,12 +439,12 @@ def accepted_children(parent: Tuple[int, ...], clawfree: bool) -> List[Tuple[int
 
 # -- the sweep engine -------------------------------------------------------------
 
-# Most work items per task a sweep sends.  The coordinating process holds a
-# few tasks' results at a time (those waiting for an earlier one), so this
-# bounds that memory on large levels: a two-job walk to claw-free order 11
-# peaks at 22.0 MB in that process, against 36.8 MB with a thirty-second of
-# the level per task.  At 64 items per task it already spends about half the
-# CPU it spends at 16.
+# Most work items per task a pool map sends.  The coordinating process holds
+# a few tasks' results at a time (those waiting for an earlier one), so this
+# bounds that memory on large levels: a two-job walk to claw-free order 11,
+# on one pool, peaks at 21.8 MB in that process, against 36.8 MB with a
+# thirty-second of the level per task.  At 64 items per task it already
+# spends about half the CPU it spends at 16.
 _SWEEP_CHUNK_MAX = 64
 # Deepest order whose unchecked level is kept.  Packed, claw-free levels
 # 1..10 hold 32,028 classes in about 0.7 MB; claw-free order 11 alone has
@@ -500,24 +497,42 @@ _ORDER_ONE = _Level(1, array(_row_type(1), [0]))
 _LEVELS: Dict[Tuple[int, bool], _Level] = {}  # (order, clawfree) -> rows
 
 
+@contextmanager
+def _mapper(jobs: int) -> Iterator[Callable[[Callable, Sequence], Iterator]]:
+    """A ``run(work, items)`` that maps ``work`` over ``items`` in input order.
+
+    With ``jobs <= 1`` it is ``map`` in this process.  Otherwise one fork
+    pool of ``jobs`` workers serves every call made inside the block, and
+    ends with it, also when a generator holding the block is closed.  This
+    is the package's only pool.  Each call's items go out in about 16
+    chunks per worker, enough to keep the workers balanced, but in chunks
+    of at most ``_SWEEP_CHUNK_MAX`` items.
+    """
+    if jobs <= 1:
+        yield map
+        return
+    from multiprocessing import get_context  # only a pool pays for the import
+
+    with get_context("fork").Pool(jobs) as pool:
+
+        def run(work: Callable, items: Sequence) -> Iterator:
+            chunk = min(-(-len(items) // (16 * jobs)), _SWEEP_CHUNK_MAX)
+            return pool.imap(work, items, max(chunk, 1))
+
+        yield run
+
+
 def sweep(items: Sequence, work: Callable, jobs: int = 1) -> Iterator:
     """Yield ``work(item)`` for every item, in input order.
 
     With ``jobs <= 1`` everything runs in this process.  Otherwise one fork
-    pool of ``jobs`` workers maps over the items, so ``work`` must pickle
-    (a module-level function, or a ``partial`` of one), and so must the
-    items and results.  This is the package's only pool.  The items go out
-    in about 16 chunks per worker, enough to keep the workers balanced, but
-    in chunks of at most ``_SWEEP_CHUNK_MAX`` items.
+    pool of ``jobs`` workers (see :func:`_mapper`) maps over the items, so
+    ``work`` must pickle (a module-level function, or a ``partial`` of one),
+    and so must the items and results.  The pool starts at the first item
+    drawn and ends when the last one is, or when the generator is closed.
     """
-    if jobs <= 1:
-        yield from map(work, items)
-        return
-    from multiprocessing import get_context  # only a pool pays for the import
-
-    chunk = min(-(-len(items) // (16 * jobs)), _SWEEP_CHUNK_MAX)
-    with get_context("fork").Pool(jobs) as pool:
-        yield from pool.imap(work, items, max(chunk, 1))
+    with _mapper(jobs) as run:
+        yield from run(work, items)
 
 
 def _expand(parent: Tuple[int, ...], clawfree: bool, check: Optional[Callable]):
@@ -536,14 +551,17 @@ def walk_levels(
     """Yield ``(graph, check(graph))`` for every class of order ``lo..hi``
     (``(graph, None)`` when ``check`` is None).
 
-    One :func:`sweep` per level: each work item expands one order-(n-1)
-    parent with :func:`accepted_children` and runs ``check`` on its children
-    next to that expansion, since canonical augmentation makes parents
-    independent.  Workers send back bitmask rows, which pickle cheaper than
-    graphs, and this process wraps each in a :class:`Graph`.  Classes come
-    out in the same order whatever ``jobs`` is.  The walk starts from the
-    deepest cached level below ``lo``, and each level below ``lo`` that it
-    expands (unchecked) is cached up to order :data:`LEVEL_CACHE_MAX`.
+    Each level is one map over its parents on the walk's one
+    :func:`_mapper`: each work item expands one order-(n-1) parent with
+    :func:`accepted_children` and runs ``check`` on its children next to
+    that expansion, since canonical augmentation makes parents independent.
+    Workers send back bitmask rows, which pickle cheaper than graphs, and
+    this process wraps each in a :class:`Graph`.  Classes come out in the
+    same order whatever ``jobs`` is.  With ``jobs > 1`` one pool serves
+    every level; it ends when the walk does or its generator is closed.
+    The walk starts from the deepest cached level below ``lo``, and each
+    level below ``lo`` that it expands (unchecked) is cached up to order
+    :data:`LEVEL_CACHE_MAX`.
     Checked levels are never cached: only the current one stays in this
     process, packed, as the next level's parents.
     """
@@ -555,18 +573,21 @@ def walk_levels(
     if lo == 1:
         g = Graph.from_bits(1, level[0])
         yield g, None if check is None else check(g)
-    for n in range(start + 1, hi + 1):
-        work = partial(_expand, clawfree=clawfree, check=check if n >= lo else None)
-        parents, data = level, array(_row_type(n))
-        for children in sweep(parents, work, jobs):
-            for rows, value in children:
-                if n < hi:
-                    data.extend(rows)
-                if n >= lo:
-                    yield Graph.from_bits(n, rows), value
-        level = _Level(n, data)
-        if n < lo and n <= LEVEL_CACHE_MAX:
-            _LEVELS[n, clawfree] = level
+        if hi == 1:
+            return  # nothing to expand, so no pool
+    with _mapper(jobs) as run:
+        for n in range(start + 1, hi + 1):
+            work = partial(_expand, clawfree=clawfree, check=check if n >= lo else None)
+            data = array(_row_type(n))
+            for children in run(work, level):
+                for rows, value in children:
+                    if n < hi:
+                        data.extend(rows)
+                    if n >= lo:
+                        yield Graph.from_bits(n, rows), value
+            level = _Level(n, data)
+            if n < lo and n <= LEVEL_CACHE_MAX:
+                _LEVELS[n, clawfree] = level
 
 
 def level_rows(n: int, clawfree: bool) -> Sequence[Tuple[int, ...]]:

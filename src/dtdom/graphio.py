@@ -1,8 +1,10 @@
 """Graph file formats: edge-list text and graph6.
 
 The graph6 codec follows the de-facto standard byte layout exactly (upper
-triangle by columns, 6-bit groups offset by 63) so that external corpora
-can be ingested and re-emitted byte-identically.
+triangle by columns, 6-bit groups offset by 63), so a canonical graph6
+line, whose padding bits are zero, round-trips byte for byte.  The reader
+ignores nonzero padding bits, as networkx does: ``Bx`` reads as the
+triangle and is written back as ``Bw``.
 """
 
 from __future__ import annotations

@@ -23,12 +23,14 @@ every class.
 Builtin universes run through :func:`~dtdom.enumeration.walk_levels`, which
 shards each level by its order-(n-1) parents and solves every class next to
 its expansion, holding one level of rows; trees and corpora have no parent
-and go through :func:`~dtdom.enumeration.sweep` as one list.  The one corpus
-reader, :func:`_corpus_classes`, reads the whole file before the builtin walk
-starts, so a bad corpus fails fast; its classes, chained after the walk's, go
-through each bound checker's one loop, and those below the theorem's order
-floor are violations, not checked.  Values come back in enumeration order, so
-a report is the same for every ``jobs`` (``elapsed_ms`` aside).
+and go through :func:`~dtdom.enumeration.sweep` as one list, the trees of
+every order in one.  A walk or a sweep forks at most one pool.  The one
+corpus reader, :func:`_corpus_classes`, reads the whole file before the
+builtin walk starts, so a bad corpus fails fast; its classes, chained after
+the walk's, go through each bound checker's one loop, and those below the
+theorem's order floor are violations, not checked.  Values come back in
+enumeration order, so a report is the same for every ``jobs``
+(``elapsed_ms`` aside).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, groupby
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .canon import certificate
@@ -260,12 +262,16 @@ def check_tree_theorem(max_n: int = 12, jobs: int = 1) -> VerificationReport:
         theorem="tree-characterization",
         universe=f"trees, 4 <= n <= {max_n} (builtin), excluding P5 and P6",
     )
-    for n in range(4, max_n + 1):
-        trees = [t for t in free_trees(n) if exceptional_member(t) is None]
+    # one sweep over every order, so one pool; the values come back by order
+    trees = [
+        t for n in range(4, max_n + 1) for t in free_trees(n) if exceptional_member(t) is None
+    ]
+    values = zip(trees, sweep(trees, _dtd_general, jobs))
+    for n, classes in groupby(values, key=lambda pair: pair[0].n):
         remaining = members(FamilyClass.CAL_T, n) + members(FamilyClass.CAL_F, n)
         remaining += _SMALL_EQUALITY_TREES.get(n, [])
         found: List[Graph] = []
-        for g, dtd in zip(trees, sweep(trees, _dtd_general, jobs)):
+        for g, dtd in classes:
             report.checked += 1
             if 3 * dtd > 2 * (n - 1):
                 report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")

@@ -80,6 +80,22 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_pools(monkeypatch):
+    """Record the worker count of every pool the fork context starts."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    original = ctx.Pool
+    pools = []
+
+    def counted(processes=None, *args, **kwargs):
+        pools.append(processes)
+        return original(processes, *args, **kwargs)
+
+    monkeypatch.setattr(ctx, "Pool", counted)
+    return pools
+
+
 @pytest.fixture(scope="session")
 def rng():
     return random.Random(20240817)

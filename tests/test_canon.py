@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import deque
 
 import networkx as nx
 import pytest
@@ -88,6 +89,92 @@ def test_incremental_refinement_matches_scratch(rng):
         v = cell & -cell
         split = base[:cell_idx] + [v, cell ^ v] + base[cell_idx + 1 :]
         assert _refine(n, g.bits, split, [v]) == _refine(n, g.bits, split, None)
+
+
+def _refine_by_peeling(n, rows, parts, queue):
+    """Reference refinement with no shortcut: every queued splitter scans
+    every cell, and masks are walked by peeling their lowest bit.  The
+    oracle of the next test."""
+    parts = list(parts)
+    work = deque(parts if queue is None else queue)
+    while work:
+        w = work.popleft()
+        single = not w & (w - 1)
+        if single:
+            reach = rows[w.bit_length() - 1]
+            reach2 = 0
+        else:
+            reach = 0
+            ww = w
+            while ww:
+                low = ww & -ww
+                ww ^= low
+                reach |= rows[low.bit_length() - 1]
+            if w.bit_count() == 2:
+                a = w & -w
+                reach2 = rows[a.bit_length() - 1] & rows[(w ^ a).bit_length() - 1]
+                single = None  # pair shortcut marker
+        i = 0
+        while i < len(parts):
+            cell = parts[i]
+            if cell & (cell - 1):
+                hit = cell & reach
+                if hit:
+                    if single:
+                        repl = [cell ^ hit, hit] if cell ^ hit else None
+                    elif single is None:
+                        two = cell & reach2
+                        one = hit ^ two
+                        repl = [g for g in (cell & ~reach, one, two) if g]
+                        if len(repl) < 2:
+                            repl = None
+                    else:
+                        buckets = {}
+                        c = cell
+                        while c:
+                            low = c & -c
+                            c ^= low
+                            cnt = (rows[low.bit_length() - 1] & w).bit_count()
+                            if cnt in buckets:
+                                buckets[cnt] |= low
+                            else:
+                                buckets[cnt] = low
+                        repl = (
+                            [buckets[k] for k in sorted(buckets)]
+                            if len(buckets) > 1
+                            else None
+                        )
+                    if repl:
+                        parts[i : i + 1] = repl
+                        if len(parts) == n:
+                            return parts  # discrete: nothing left to split
+                        work.extend(repl)
+                        i += len(repl)
+                        continue
+            i += 1
+    return parts
+
+
+def test_refinement_matches_the_peeling_oracle(rng):
+    # random ordered partitions and splitter queues; orders 13-16 take the
+    # rows wider than the bit table
+    wide = 0
+    for i in range(400):
+        n = 1 + i % 16
+        g = random_graph(n, rng.choice((0.15, 0.4, 0.7)), rng)
+        order = list(range(n))
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, n), rng.randrange(n))) if n > 1 else []
+        parts = [sum(1 << v for v in order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+        if rng.random() < 0.25:
+            queue = None
+        else:
+            queue = [c for c in parts if rng.random() < 0.5]
+            queue += [rng.randrange(1, 1 << n) for _ in range(rng.randrange(3))]
+        want = _refine_by_peeling(n, g.bits, parts, queue)
+        assert _refine(n, g.bits, parts, queue) == want
+        wide += n > 12
+    assert wide == 100
 
 
 def test_anchored_first_leaf_properties(rng):

@@ -1,6 +1,8 @@
 import gc
 import hashlib
+import multiprocessing
 import random
+import time
 import tracemalloc
 from collections.abc import Sequence
 
@@ -18,20 +20,21 @@ from dtdom import (
     is_tree,
     to_graph6,
 )
-from dtdom import enumeration, graph
-from dtdom.canon import anchored_profile, certificate
+from dtdom import Graph, enumeration, graph
+from dtdom.canon import anchored_profile, automorphism_generators, certificate
 from dtdom.enumeration import (
     _bfs_signature,
     _candidates,
     _deletion_check,
     _neighbor_degrees,
+    _orbit_representative_masks,
     level_rows,
     sweep,
     walk_levels,
 )
 from dtdom.graph import _component_masks
 
-from conftest import to_networkx
+from conftest import count_pools, to_networkx
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 CLAWFREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 14, 6: 50, 7: 191, 8: 881,
@@ -255,6 +258,71 @@ def test_sweep_keeps_input_order_across_chunks(size):
     assert list(sweep(items, hex, 2)) == want
 
 
+def _orbit_firsts(n, parent, masks):
+    """The first mask of each orbit of the parent's automorphism group, by
+    closing each mask under the search's generators, with no shortcut."""
+    gens = automorphism_generators(n, parent)
+    kept, seen = [], set()
+    for mask in masks:
+        if mask in seen:
+            continue
+        kept.append(mask)
+        orbit, frontier = {mask}, [mask]
+        while frontier:
+            m = frontier.pop()
+            for s in gens:
+                image = sum(1 << s[u] for u in range(n) if m >> u & 1)
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        seen |= orbit
+    return kept
+
+
+def test_orbit_representatives_match_the_full_group(monkeypatch):
+    real = enumeration._search
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, "_search", counted)
+    merged = 0
+    for clawfree, hi in ((True, 8), (False, 6)):
+        for n in range(1, hi + 1):
+            for parent in level_rows(n, clawfree):
+                parent, _, _, masks = _candidates(parent, clawfree)
+                kept = _orbit_representative_masks(n, parent, masks)
+                assert kept == _orbit_firsts(n, parent, masks), (parent, masks)
+                merged += len(kept) < len(masks)
+    # parents whose wide cells are all twin classes merge without a search
+    assert len(searches) < merged
+
+
+def test_one_pool_per_walk(monkeypatch):
+    pools = count_pools(monkeypatch)
+    serial = [(g.bits, v) for g, v in walk_levels(2, 8, True, Graph.degrees, jobs=1)]
+    assert pools == []
+    parallel = [(g.bits, v) for g, v in walk_levels(2, 8, True, Graph.degrees, jobs=2)]
+    assert pools == [2]
+    assert parallel == serial
+    assert len(serial) == sum(CLAWFREE_COUNTS[n] for n in range(2, 9))
+
+
+def test_closing_a_walk_ends_its_pool(monkeypatch):
+    pools = count_pools(monkeypatch)
+    walk = walk_levels(2, 9, True, None, jobs=2)
+    for _ in range(200):  # into order 7, past several levels
+        next(walk)
+    assert pools == [2] and multiprocessing.active_children()
+    walk.close()
+    deadline = time.monotonic() + 10
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert multiprocessing.active_children() == []
+
+
 def _full_certificate_rule(parent, mask):
     """The canonical-deletion rule with no shortcut: the new vertex must
     minimize (degree, sorted neighbor degrees, rooted BFS profile, rooted
@@ -311,3 +379,7 @@ def test_builtin_caps():
         list(connected_clawfree_graphs(13))
     with pytest.raises(GraphInputError):
         list(free_trees(17))
+    # an order-13 child's masks are wider than the expansion's bit table
+    path12 = tuple((1 << v - 1 if v else 0) | (1 << v + 1 if v < 11 else 0) for v in range(12))
+    with pytest.raises(GraphInputError):
+        enumeration.accepted_children(path12, True)

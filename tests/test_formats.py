@@ -28,6 +28,16 @@ def test_graph6_long_form():
     assert from_graph6(s) == g
 
 
+@pytest.mark.parametrize("line,canonical", [("Bx", "Bw"), ("A`", "A_")])
+def test_graph6_padding_bits_are_ignored(line, canonical):
+    # the lenient read matches networkx; only the canonical line round-trips
+    g = from_graph6(line)
+    assert g == from_graph6(canonical)
+    assert nx.utils.graphs_equal(to_networkx(g), nx.from_graph6_bytes(line.encode()))
+    assert g.edge_count == g.n * (g.n - 1) // 2  # the triangle, then K_2
+    assert to_graph6(g) == canonical
+
+
 def test_graph6_header_tolerated():
     g = Graph(3, [(0, 1), (1, 2)])
     assert from_graph6(">>graph6<<" + to_graph6(g)) == g

@@ -18,8 +18,14 @@ from dtdom import (
     leaves,
     support_vertices,
 )
-from dtdom.graph import bits_to_vertices, distance2_bits
+from dtdom.graph import _BITS, _from_mask, bits_to_vertices, distance2_bits
 from conftest import random_graph, to_networkx
+
+
+def test_bit_table_matches_peeling():
+    assert len(_BITS) == 1 << 12
+    for m, bits in enumerate(_BITS):
+        assert tuple(bits) == tuple(_from_mask(m))
 
 
 def test_graph_from_edges_examples():

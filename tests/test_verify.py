@@ -26,7 +26,7 @@ from dtdom import canon, constructor, domination, enumeration, graph, verify
 from dtdom.enumeration import walk_levels
 from dtdom.verify import constructor_verdict
 
-from conftest import count_calls, patch_bindings
+from conftest import count_calls, count_pools, patch_bindings
 
 
 def _payload(report):
@@ -302,7 +302,7 @@ def _small_corpus(tmp_path):
 @pytest.mark.parametrize(
     "theorem", ["census7", "tree", "graph", "clawfree", "mindeg2", "dtd-le-gt"]
 )
-def test_parallel_matches_serial(theorem, tmp_path):
+def test_parallel_matches_serial(theorem, tmp_path, monkeypatch):
     corpus = _small_corpus(tmp_path)
     run = {
         "census7": lambda jobs: check_order7_census(jobs=jobs),
@@ -312,6 +312,7 @@ def test_parallel_matches_serial(theorem, tmp_path):
         "mindeg2": lambda jobs: check_mindeg2_observation(max_n=7, jobs=jobs),
         "dtd-le-gt": lambda jobs: check_dtd_le_gt(max_n=6, jobs=jobs),
     }[theorem]
+    pools = count_pools(monkeypatch)
     reports = []
     for jobs in (1, 2):
         payload = json.loads(emit_report(run(jobs), "json"))
@@ -319,6 +320,9 @@ def test_parallel_matches_serial(theorem, tmp_path):
         reports.append(payload)
     assert reports[0] == reports[1]
     assert reports[0]["checked"] > 0
+    # one pool per walk or sweep: the tree orders share one, and a corpus
+    # gets its own after the walk's
+    assert pools == [2] * (2 if theorem in ("graph", "clawfree") else 1)
 
 
 def test_emit_report_formats():
