@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from .constructor import construct_dtd_clawfree, greedy_dtd
 from .domination import DomainError, DominationKind, _uncovered, exact_number
-from .enumeration import free_trees, walk_levels
+from .enumeration import _mapper, free_trees, walk_levels
 from .families import generate_named
 from .graph import GraphInputError
 from .graphio import FORMATS, _open, dump_graph, load_graph, to_graph6
@@ -183,11 +183,11 @@ def _cmd_verify(args) -> int:
 def _cmd_enumerate(args) -> int:
     jobs = _jobs(args)
     if args.klass == "trees":
-        stream = map(to_graph6, free_trees(args.n))
+        lines = sorted(map(to_graph6, free_trees(args.n)))
     else:
         clawfree = args.klass == "clawfree"
-        stream = (g6 for _, g6 in walk_levels(args.n, args.n, clawfree, to_graph6, jobs))
-    lines = sorted(stream)
+        with _mapper(jobs) as run:
+            lines = sorted(g6 for _, g6 in walk_levels(args.n, args.n, clawfree, to_graph6, run))
     _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
     return 0
 

@@ -29,12 +29,13 @@ here: :mod:`dtdom.verify`, their only reader, filters and dedups them.
 
 Because parents are independent units of work, :func:`walk_levels` shards
 each level by parent and runs a per-class check next to each expansion.
-Its levels share one pool, forked once per walk by :func:`_mapper`, which
-also serves :func:`sweep`: the package's one parallel path.  The walk is
-the only code that expands levels: the unchecked levels it builds on the
-way to its first checked one go into a cache bounded by order
-(:data:`LEVEL_CACHE_MAX`), so a later walk starts from them, and
-:func:`level_rows` reads the same cache.
+It maps every level with the ``run`` its caller gives it: ``map`` by
+default, or the ``run`` of a :func:`_mapper` block, the package's one
+parallel path, which a command opens once so that its walk and any flat
+map it makes share one pool.  The walk is the only code that expands
+levels: the unchecked levels it builds on the way to its first checked one
+go into a cache bounded by order (:data:`LEVEL_CACHE_MAX`), so a later walk
+starts from them, and :func:`level_rows` reads the same cache.
 A level, cached or held as the next order's parents, is one packed array of
 n-bit rows behind a read-only sequence of row tuples (:class:`_Level`).
 """
@@ -437,7 +438,7 @@ def accepted_children(parent: Tuple[int, ...], clawfree: bool) -> List[Tuple[int
     return out
 
 
-# -- the sweep engine -------------------------------------------------------------
+# -- the walk and its pool --------------------------------------------------------
 
 # Most work items per task a pool map sends.  The coordinating process holds
 # a few tasks' results at a time (those waiting for an earlier one), so this
@@ -445,7 +446,7 @@ def accepted_children(parent: Tuple[int, ...], clawfree: bool) -> List[Tuple[int
 # on one pool, peaks at 21.8 MB in that process, against 36.8 MB with a
 # thirty-second of the level per task.  At 64 items per task it already
 # spends about half the CPU it spends at 16.
-_SWEEP_CHUNK_MAX = 64
+_CHUNK_MAX = 64
 # Deepest order whose unchecked level is kept.  Packed, claw-free levels
 # 1..10 hold 32,028 classes in about 0.7 MB; claw-free order 11 alone has
 # 184,749.
@@ -502,11 +503,13 @@ def _mapper(jobs: int) -> Iterator[Callable[[Callable, Sequence], Iterator]]:
     """A ``run(work, items)`` that maps ``work`` over ``items`` in input order.
 
     With ``jobs <= 1`` it is ``map`` in this process.  Otherwise one fork
-    pool of ``jobs`` workers serves every call made inside the block, and
-    ends with it, also when a generator holding the block is closed.  This
-    is the package's only pool.  Each call's items go out in about 16
-    chunks per worker, enough to keep the workers balanced, but in chunks
-    of at most ``_SWEEP_CHUNK_MAX`` items.
+    pool of ``jobs`` workers serves every call made inside the block, a
+    walk's levels (:func:`walk_levels`) and flat lists alike, and ends with
+    the block, also when it exits on an error.  This is the package's only
+    pool, so ``work`` must pickle (a module-level function, or a ``partial``
+    of one), and so must the items and results.  Each call's items go out in
+    about 16 chunks per worker, enough to keep the workers balanced, but in
+    chunks of at most ``_CHUNK_MAX`` items.
     """
     if jobs <= 1:
         yield map
@@ -516,23 +519,10 @@ def _mapper(jobs: int) -> Iterator[Callable[[Callable, Sequence], Iterator]]:
     with get_context("fork").Pool(jobs) as pool:
 
         def run(work: Callable, items: Sequence) -> Iterator:
-            chunk = min(-(-len(items) // (16 * jobs)), _SWEEP_CHUNK_MAX)
+            chunk = min(-(-len(items) // (16 * jobs)), _CHUNK_MAX)
             return pool.imap(work, items, max(chunk, 1))
 
         yield run
-
-
-def sweep(items: Sequence, work: Callable, jobs: int = 1) -> Iterator:
-    """Yield ``work(item)`` for every item, in input order.
-
-    With ``jobs <= 1`` everything runs in this process.  Otherwise one fork
-    pool of ``jobs`` workers (see :func:`_mapper`) maps over the items, so
-    ``work`` must pickle (a module-level function, or a ``partial`` of one),
-    and so must the items and results.  The pool starts at the first item
-    drawn and ends when the last one is, or when the generator is closed.
-    """
-    with _mapper(jobs) as run:
-        yield from run(work, items)
 
 
 def _expand(parent: Tuple[int, ...], clawfree: bool, check: Optional[Callable]):
@@ -546,19 +536,20 @@ def _expand(parent: Tuple[int, ...], clawfree: bool, check: Optional[Callable]):
 
 
 def walk_levels(
-    lo: int, hi: int, clawfree: bool, check: Optional[Callable[[Graph], object]], jobs: int = 1
+    lo: int, hi: int, clawfree: bool, check: Optional[Callable[[Graph], object]],
+    run: Callable[[Callable, Sequence], Iterator] = map,
 ) -> Iterator[Tuple[Graph, object]]:
     """Yield ``(graph, check(graph))`` for every class of order ``lo..hi``
     (``(graph, None)`` when ``check`` is None).
 
-    Each level is one map over its parents on the walk's one
-    :func:`_mapper`: each work item expands one order-(n-1) parent with
-    :func:`accepted_children` and runs ``check`` on its children next to
-    that expansion, since canonical augmentation makes parents independent.
+    Each level is one ``run(work, parents)``: each work item expands one
+    order-(n-1) parent with :func:`accepted_children` and runs ``check`` on
+    its children next to that expansion, since canonical augmentation makes
+    parents independent.  ``run`` is ``map`` or the ``run`` of a
+    :func:`_mapper` block that the caller holds open around the walk.
     Workers send back bitmask rows, which pickle cheaper than graphs, and
     this process wraps each in a :class:`Graph`.  Classes come out in the
-    same order whatever ``jobs`` is.  With ``jobs > 1`` one pool serves
-    every level; it ends when the walk does or its generator is closed.
+    same order whatever maps them.
     The walk starts from the deepest cached level below ``lo``, and each
     level below ``lo`` that it expands (unchecked) is cached up to order
     :data:`LEVEL_CACHE_MAX`.
@@ -573,21 +564,18 @@ def walk_levels(
     if lo == 1:
         g = Graph.from_bits(1, level[0])
         yield g, None if check is None else check(g)
-        if hi == 1:
-            return  # nothing to expand, so no pool
-    with _mapper(jobs) as run:
-        for n in range(start + 1, hi + 1):
-            work = partial(_expand, clawfree=clawfree, check=check if n >= lo else None)
-            data = array(_row_type(n))
-            for children in run(work, level):
-                for rows, value in children:
-                    if n < hi:
-                        data.extend(rows)
-                    if n >= lo:
-                        yield Graph.from_bits(n, rows), value
-            level = _Level(n, data)
-            if n < lo and n <= LEVEL_CACHE_MAX:
-                _LEVELS[n, clawfree] = level
+    for n in range(start + 1, hi + 1):
+        work = partial(_expand, clawfree=clawfree, check=check if n >= lo else None)
+        data = array(_row_type(n))
+        for children in run(work, level):
+            for rows, value in children:
+                if n < hi:
+                    data.extend(rows)
+                if n >= lo:
+                    yield Graph.from_bits(n, rows), value
+        level = _Level(n, data)
+        if n < lo and n <= LEVEL_CACHE_MAX:
+            _LEVELS[n, clawfree] = level
 
 
 def level_rows(n: int, clawfree: bool) -> Sequence[Tuple[int, ...]]:

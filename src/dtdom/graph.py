@@ -78,7 +78,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.bits) // 2
+        return sum(map(int.bit_count, self.bits)) // 2
 
     def with_edge(self, u: int, v: int) -> "Graph":
         """New graph with one extra edge (``families`` builds G(k), C10' and C10'' with it)."""

@@ -1,6 +1,6 @@
 """Machine verification of the bounds, censuses, and characterizations.
 
-Each checker sweeps an exhaustively enumerated universe (or a supplied
+Each checker walks an exhaustively enumerated universe (or a supplied
 graph6 corpus), evaluates the exact solvers, and emits a structured
 report.  A report passes exactly when its violation list is empty; an
 equality case that matches no expected family is itself recorded as a
@@ -20,17 +20,18 @@ class that neither settles is solved exactly.  The census and
 the dtd-le-gt check compare exact values with each other, so they solve
 every class.
 
-Builtin universes run through :func:`~dtdom.enumeration.walk_levels`, which
-shards each level by its order-(n-1) parents and solves every class next to
-its expansion, holding one level of rows; trees and corpora have no parent
-and go through :func:`~dtdom.enumeration.sweep` as one list, the trees of
-every order in one.  A walk or a sweep forks at most one pool.  The one
-corpus reader, :func:`_corpus_classes`, reads the whole file before the
-builtin walk starts, so a bad corpus fails fast; its classes, chained after
-the walk's, go through each bound checker's one loop, and those below the
-theorem's order floor are violations, not checked.  Values come back in
-enumeration order, so a report is the same for every ``jobs``
-(``elapsed_ms`` aside).
+Each checker opens one :func:`~dtdom.enumeration._mapper` block around its
+loop, so it forks at most one pool, which ends with the loop, also on an
+error.  Builtin universes run through :func:`~dtdom.enumeration.walk_levels`
+on that block's ``run``, which shards each level by its order-(n-1) parents
+and solves every class next to its expansion, holding one level of rows;
+trees and corpora have no parent and are one flat ``run`` each, the trees
+of every order in one.  The one corpus reader, :func:`_corpus_classes`,
+reads the whole file before the block opens, so a bad corpus fails fast;
+its classes, chained after the walk's, go through each bound checker's one
+loop, and those below the theorem's order floor are violations, not
+checked.  Values come back in enumeration order, so a report is the same
+for every ``jobs`` (``elapsed_ms`` aside).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, groupby
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .canon import certificate
 from .constructor import _construct, _verified_witness
@@ -49,8 +50,8 @@ from .enumeration import (
     ALL_CONNECTED_MAX,
     CLAW_FREE_MAX,
     TREES_MAX,
+    _mapper,
     free_trees,
-    sweep,
     walk_levels,
 )
 from .families import FamilyClass, FamilyId, exceptional_member, first_match, members
@@ -156,13 +157,13 @@ _dtd_general = partial(_dtd_witness_first, under=_under_2n_3)
 
 
 def _corpus_classes(
-    report: VerificationReport, path: Optional[str], clawfree: bool, floor: int, work, jobs: int
-) -> Iterator[Tuple[Graph, object]]:
-    """``(graph, work(graph))`` for the first of each class of connected
-    (with ``clawfree``, claw-free) graphs in the graph6 file at ``path``; a
-    class below order ``floor`` is a ``corpus-order-below-<floor>``
-    violation instead.  The file is read on the call, before any builtin
-    walk; ``work`` runs as the pairs are drawn."""
+    report: VerificationReport, path: Optional[str], clawfree: bool, floor: int
+) -> List[Graph]:
+    """The first graph of each class of connected (with ``clawfree``,
+    claw-free) graphs in the graph6 file at ``path``, in file order; a class
+    below order ``floor`` is a ``corpus-order-below-<floor>`` violation
+    instead.  The whole file is read on the call, which a checker makes
+    before its pool opens, so a bad corpus fails at once."""
     seen, graphs = set(), []
     for g in iter_graph6_file(path) if path else ():
         if not is_connected(g) or (clawfree and not is_claw_free(g)):
@@ -175,8 +176,7 @@ def _corpus_classes(
             report.violations.append(f"corpus-order-below-{floor}:{to_graph6(g)}")
         else:
             graphs.append(g)
-    # zip stops at an empty list before it draws from sweep, so no pool starts
-    return zip(graphs, sweep(graphs, work, jobs))
+    return graphs
 
 
 def _record_equality(
@@ -198,7 +198,7 @@ def _record_equality(
 def constructor_verdict(g: Graph) -> Optional[Tuple[str, bool]]:
     """The constructor's route tag on a connected claw-free ``g`` and whether
     its set is a DTD-set of size at most 4n/7; None when ``g`` is exceptional.
-    The per-class check of the exhaustive constructor sweep, whose universe
+    The per-class check of the exhaustive constructor walk, whose universe
     already holds ``g`` connected and claw-free, so neither is re-checked."""
     if exceptional_member(g) is not None:
         return None
@@ -218,10 +218,11 @@ def check_order7_census(jobs: int = 1) -> VerificationReport:
         theorem="order7-census", universe="all connected graphs, n=7 (builtin)"
     )
     gt4 = []
-    for g, (dtd, gt) in walk_levels(7, 7, False, _dtd_and_gt, jobs):
-        report.checked += 1
-        if gt == 4:
-            gt4.append((g, dtd))
+    with _mapper(jobs) as run:
+        for g, (dtd, gt) in walk_levels(7, 7, False, _dtd_and_gt, run):
+            report.checked += 1
+            if gt == 4:
+                gt4.append((g, dtd))
     report.expect_count("connected", report.checked, 853)
     report.expect_count("total_domination_4", len(gt4), 20)
     clawfree = [(g, dtd) for g, dtd in gt4 if is_claw_free(g)]
@@ -262,28 +263,29 @@ def check_tree_theorem(max_n: int = 12, jobs: int = 1) -> VerificationReport:
         theorem="tree-characterization",
         universe=f"trees, 4 <= n <= {max_n} (builtin), excluding P5 and P6",
     )
-    # one sweep over every order, so one pool; the values come back by order
+    # one flat list of every order, so one map; the values come back by order
     trees = [
         t for n in range(4, max_n + 1) for t in free_trees(n) if exceptional_member(t) is None
     ]
-    values = zip(trees, sweep(trees, _dtd_general, jobs))
-    for n, classes in groupby(values, key=lambda pair: pair[0].n):
-        remaining = members(FamilyClass.CAL_T, n) + members(FamilyClass.CAL_F, n)
-        remaining += _SMALL_EQUALITY_TREES.get(n, [])
-        found: List[Graph] = []
-        for g, dtd in classes:
-            report.checked += 1
-            if 3 * dtd > 2 * (n - 1):
-                report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
-            elif 3 * dtd == 2 * (n - 1):
-                found.append(g)
-        report.counts[f"equality_n{n}"] = len(found)
-        for g in found:
-            hit = _record_equality(report, g, remaining)
-            if hit is not None:
-                remaining.remove(hit)
-        for name in sorted(map(str, remaining)):
-            report.violations.append(f"missing-equality:n={n} {name}")
+    with _mapper(jobs) as run:
+        values = zip(trees, run(_dtd_general, trees))
+        for n, classes in groupby(values, key=lambda pair: pair[0].n):
+            remaining = members(FamilyClass.CAL_T, n) + members(FamilyClass.CAL_F, n)
+            remaining += _SMALL_EQUALITY_TREES.get(n, [])
+            found: List[Graph] = []
+            for g, dtd in classes:
+                report.checked += 1
+                if 3 * dtd > 2 * (n - 1):
+                    report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
+                elif 3 * dtd == 2 * (n - 1):
+                    found.append(g)
+            report.counts[f"equality_n{n}"] = len(found)
+            for g in found:
+                hit = _record_equality(report, g, remaining)
+                if hit is not None:
+                    remaining.remove(hit)
+            for name in sorted(map(str, remaining)):
+                report.violations.append(f"missing-equality:n={n} {name}")
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
 
@@ -300,19 +302,20 @@ def check_graph_theorem(corpus: Optional[str] = None, jobs: int = 1) -> Verifica
     if corpus:
         universe += f" + corpus {corpus}"
     report = VerificationReport(theorem="general-bound", universe=universe)
-    classes = chain(
-        walk_levels(8, 8, False, _dtd_general, jobs),
-        _corpus_classes(report, corpus, False, 8, _dtd_general, jobs),
-    )
-    for g, dtd in classes:
-        report.checked += 1
-        n = g.n
-        if 3 * dtd > 2 * (n - 1):
-            report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
-        elif 3 * dtd == 2 * (n - 1):
-            fids = [fid for cls in _GENERAL_EQUALITY for fid in members(cls, n)]
-            if _record_equality(report, g, fids) is not None:
-                report.counts[f"equality_n{n}"] = report.counts.get(f"equality_n{n}", 0) + 1
+    graphs = _corpus_classes(report, corpus, False, 8)
+    with _mapper(jobs) as run:
+        classes = chain(
+            walk_levels(8, 8, False, _dtd_general, run), zip(graphs, run(_dtd_general, graphs))
+        )
+        for g, dtd in classes:
+            report.checked += 1
+            n = g.n
+            if 3 * dtd > 2 * (n - 1):
+                report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
+            elif 3 * dtd == 2 * (n - 1):
+                fids = [fid for cls in _GENERAL_EQUALITY for fid in members(cls, n)]
+                if _record_equality(report, g, fids) is not None:
+                    report.counts[f"equality_n{n}"] = report.counts.get(f"equality_n{n}", 0) + 1
     if report.counts.get("equality_n8"):
         report.violations.append("equality-at-n8")
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
@@ -334,20 +337,22 @@ def check_clawfree_theorem(max_n: int = 8, corpus: Optional[str] = None, jobs: i
     if corpus:
         universe += f" + corpus {corpus}"
     report = VerificationReport(theorem="clawfree-bound", universe=universe)
-    classes = chain(
-        walk_levels(2, max_n, True, _dtd_unless_exceptional, jobs),
-        _corpus_classes(report, corpus, True, 2, _dtd_unless_exceptional, jobs),
-    )
-    for g, dtd in classes:
-        report.checked += 1
-        if dtd is None:
-            report.counts["exceptional"] = report.counts.get("exceptional", 0) + 1
-        elif 7 * dtd > 4 * g.n:
-            report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
-        elif 7 * dtd == 4 * g.n:
-            report.counts["equality"] = report.counts.get("equality", 0) + 1
-            fids = members(FamilyClass.CAL_H, g.n) + members(FamilyClass.CAL_S, g.n)
-            _record_equality(report, g, fids, _clawfree_label)
+    graphs = _corpus_classes(report, corpus, True, 2)
+    with _mapper(jobs) as run:
+        classes = chain(
+            walk_levels(2, max_n, True, _dtd_unless_exceptional, run),
+            zip(graphs, run(_dtd_unless_exceptional, graphs)),
+        )
+        for g, dtd in classes:
+            report.checked += 1
+            if dtd is None:
+                report.counts["exceptional"] = report.counts.get("exceptional", 0) + 1
+            elif 7 * dtd > 4 * g.n:
+                report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
+            elif 7 * dtd == 4 * g.n:
+                report.counts["equality"] = report.counts.get("equality", 0) + 1
+                fids = members(FamilyClass.CAL_H, g.n) + members(FamilyClass.CAL_S, g.n)
+                _record_equality(report, g, fids, _clawfree_label)
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
 
@@ -365,18 +370,19 @@ def check_mindeg2_observation(max_n: int = 8, jobs: int = 1) -> VerificationRepo
         theorem="clawfree-mindeg2-strict",
         universe=f"connected claw-free graphs with min degree 2, n <= {max_n} (builtin)",
     )
-    for g, dtd in walk_levels(3, max_n, True, _dtd_if_mindeg2, jobs):
-        if dtd is None:
-            continue
-        report.checked += 1
-        if 7 * dtd < 4 * g.n:
-            continue
-        hit = first_match(g, _MINDEG2_EXCEPTIONS)
-        if hit is not None:
-            report.counts["exceptions"] = report.counts.get("exceptions", 0) + 1
-            report.equality_cases.append((to_graph6(g), str(hit)))
-        else:
-            report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
+    with _mapper(jobs) as run:
+        for g, dtd in walk_levels(3, max_n, True, _dtd_if_mindeg2, run):
+            if dtd is None:
+                continue
+            report.checked += 1
+            if 7 * dtd < 4 * g.n:
+                continue
+            hit = first_match(g, _MINDEG2_EXCEPTIONS)
+            if hit is not None:
+                report.counts["exceptions"] = report.counts.get("exceptions", 0) + 1
+                report.equality_cases.append((to_graph6(g), str(hit)))
+            else:
+                report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
 
@@ -391,13 +397,14 @@ def check_dtd_le_gt(max_n: int = 8, jobs: int = 1) -> VerificationReport:
         theorem="dtd-le-total",
         universe=f"all connected graphs, 2 <= n <= {max_n} (builtin)",
     )
-    for g, (dtd, gt) in walk_levels(2, max_n, False, _dtd_and_gt, jobs):
-        report.checked += 1
-        if dtd > gt:
-            report.violations.append(f"gap:{to_graph6(g)} dtd={dtd} gt={gt}")
-        elif dtd == gt:
-            report.counts["equality"] = report.counts.get("equality", 0) + 1
-        else:
-            report.counts["strict"] = report.counts.get("strict", 0) + 1
+    with _mapper(jobs) as run:
+        for g, (dtd, gt) in walk_levels(2, max_n, False, _dtd_and_gt, run):
+            report.checked += 1
+            if dtd > gt:
+                report.violations.append(f"gap:{to_graph6(g)} dtd={dtd} gt={gt}")
+            elif dtd == gt:
+                report.counts["equality"] = report.counts.get("equality", 0) + 1
+            else:
+                report.counts["strict"] = report.counts.get("strict", 0) + 1
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report

@@ -3,7 +3,7 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines as they complete.  The heaviest item is the exhaustive constructor
 sweep over all connected claw-free graphs through order 12 (about 1.9
-million graphs), which the sweep engine shards over the available cores.
+million graphs), which `walk_levels` shards over the available cores.
 """
 
 import os
@@ -37,7 +37,7 @@ from dtdom import (
     leaves,
     to_graph6,
 )
-from dtdom.enumeration import walk_levels
+from dtdom.enumeration import _mapper, walk_levels
 from dtdom.verify import constructor_verdict
 from conftest import random_connected_graph
 
@@ -164,14 +164,15 @@ def test_criterion_7_constructor_guarantee():
     counts = {}
     tags = {}
     failures = []
-    for g, verdict in walk_levels(2, 12, True, constructor_verdict, JOBS):
-        counts[g.n] = counts.get(g.n, 0) + 1
-        if verdict is None:
-            continue
-        tag, ok = verdict
-        tags[tag] = tags.get(tag, 0) + 1
-        if not ok:
-            failures.append(to_graph6(g))
+    with _mapper(JOBS) as run:
+        for g, verdict in walk_levels(2, 12, True, constructor_verdict, run):
+            counts[g.n] = counts.get(g.n, 0) + 1
+            if verdict is None:
+                continue
+            tag, ok = verdict
+            tags[tag] = tags.get(tag, 0) + 1
+            if not ok:
+                failures.append(to_graph6(g))
     assert not failures, failures[:5]
     assert counts == {n: CLAWFREE_COUNTS[n] for n in range(2, 13)}
     checked = sum(tags.values())

@@ -27,9 +27,9 @@ from dtdom.enumeration import (
     _candidates,
     _deletion_check,
     _neighbor_degrees,
+    _mapper,
     _orbit_representative_masks,
     level_rows,
-    sweep,
     walk_levels,
 )
 from dtdom.graph import _component_masks
@@ -254,8 +254,9 @@ def test_sweep_keeps_input_order_across_chunks(size):
     # 64 (the cap); either way the last chunk is short
     items = list(range(size))
     want = [hex(i) for i in items]
-    assert list(sweep(items, hex, 1)) == want
-    assert list(sweep(items, hex, 2)) == want
+    for jobs in (1, 2):
+        with _mapper(jobs) as run:
+            assert list(run(hex, items)) == want
 
 
 def _orbit_firsts(n, parent, masks):
@@ -301,22 +302,37 @@ def test_orbit_representatives_match_the_full_group(monkeypatch):
 
 
 def test_one_pool_per_walk(monkeypatch):
+    # one block serves a whole walk and a flat map after it, as a checker's
+    # walk and corpus share one
     pools = count_pools(monkeypatch)
-    serial = [(g.bits, v) for g, v in walk_levels(2, 8, True, Graph.degrees, jobs=1)]
+    serial = [(g.bits, v) for g, v in walk_levels(2, 8, True, Graph.degrees)]
+    items = list(range(300))
     assert pools == []
-    parallel = [(g.bits, v) for g, v in walk_levels(2, 8, True, Graph.degrees, jobs=2)]
+    mapped = []  # the size of each map the block's run is given
+    with _mapper(2) as run:
+
+        def counted(work, batch):
+            mapped.append(len(batch))
+            return run(work, batch)
+
+        parallel = [(g.bits, v) for g, v in walk_levels(2, 8, True, Graph.degrees, counted)]
+        flat = list(counted(hex, items))
     assert pools == [2]
+    # every level's parents went through it: orders 1..7 for orders 2..8
+    assert mapped == [CLAWFREE_COUNTS[n] for n in range(1, 8)] + [len(items)]
     assert parallel == serial
+    assert flat == list(map(hex, items))
     assert len(serial) == sum(CLAWFREE_COUNTS[n] for n in range(2, 9))
 
 
 def test_closing_a_walk_ends_its_pool(monkeypatch):
     pools = count_pools(monkeypatch)
-    walk = walk_levels(2, 9, True, None, jobs=2)
-    for _ in range(200):  # into order 7, past several levels
-        next(walk)
-    assert pools == [2] and multiprocessing.active_children()
-    walk.close()
+    with pytest.raises(KeyError):
+        with _mapper(2) as run:
+            for i, _ in enumerate(walk_levels(2, 9, True, None, run)):
+                if i == 200:  # into order 7, past several levels
+                    assert pools == [2] and multiprocessing.active_children()
+                    raise KeyError(i)
     deadline = time.monotonic() + 10
     while multiprocessing.active_children() and time.monotonic() < deadline:
         time.sleep(0.05)

@@ -261,7 +261,7 @@ def test_graph_theorem_rejects_small_corpus_orders(tmp_path):
 
 def _corpus_graphs(path, clawfree):
     report = VerificationReport(theorem="t", universe="u")
-    graphs = [g for g, _ in verify._corpus_classes(report, str(path), clawfree, 1, to_graph6, 1)]
+    graphs = verify._corpus_classes(report, str(path), clawfree, 1)
     assert report.passed
     return graphs
 
@@ -320,9 +320,9 @@ def test_parallel_matches_serial(theorem, tmp_path, monkeypatch):
         reports.append(payload)
     assert reports[0] == reports[1]
     assert reports[0]["checked"] > 0
-    # one pool per walk or sweep: the tree orders share one, and a corpus
-    # gets its own after the walk's
-    assert pools == [2] * (2 if theorem in ("graph", "clawfree") else 1)
+    # one pool per checker: the tree orders share it, and so do a walk and
+    # its corpus
+    assert pools == [2]
 
 
 def test_emit_report_formats():
