@@ -30,6 +30,8 @@ from .families import exceptional_member, generate, FamilyId
 from .graph import (
     Graph,
     GraphInputError,
+    _BITS,
+    _BITS_WIDTH,
     _component_masks,
     _from_mask,
     _induced,
@@ -548,6 +550,7 @@ def _greedy_cover(g: Graph, d2: Sequence[int]) -> FrozenSet[int]:
     # rows leave the neighbour rows as they are
     rows = [r | e << n for r, e in zip(g.bits, d2)] if any(d2) else g.bits
     full = (1 << n) - 1
+    narrow = n <= _BITS_WIDTH
     smask = 0
     adjcov = 0
     d2one = 0
@@ -560,12 +563,19 @@ def _greedy_cover(g: Graph, d2: Sequence[int]) -> FrozenSet[int]:
         # an uncovered u has a neighbour outside S (else u is covered), and
         # that neighbour's gain counts u, so the best gain is at least 1
         best_gain, best_v = -1, -1
-        for w in range(n):
-            if smask >> w & 1:
-                continue
-            gain = (rows[w] & mask).bit_count()
-            if gain > best_gain:
-                best_gain, best_v = gain, w
+        if narrow:
+            for w in _BITS[full & ~smask]:
+                gain = (rows[w] & mask).bit_count()
+                if gain > best_gain:
+                    best_gain, best_v = gain, w
+        else:
+            # a list of the free vertices costs more than these skips
+            for w in range(n):
+                if smask >> w & 1:
+                    continue
+                gain = (rows[w] & mask).bit_count()
+                if gain > best_gain:
+                    best_gain, best_v = gain, w
         smask |= 1 << best_v
         adjcov |= g.bits[best_v]
         d2two |= d2[best_v] & d2one

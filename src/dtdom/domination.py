@@ -4,8 +4,9 @@ Three set kinds are covered: dominating sets, total dominating sets, and
 disjunctive total dominating sets (every vertex has a neighbor in the set
 or at least two set members at distance exactly 2).  They differ only in
 their rows: dom is total domination over closed neighborhoods, and tdom is
-dtd with empty distance-2 rows.  So one uncovered-set predicate
-(``_uncovered``) and one exact search serve all three.  The exact solver is
+dtd with empty distance-2 rows.  So one scan for uncovered vertices
+(``_uncovered_vertices``, which the predicates stop at its first hit) and
+one exact search serve all three.  The exact solver is
 an ascending-cardinality search with logically forced-vertex propagation
 and a coverage bound over the best remaining candidates (see
 ``_cannot_cover``); nothing heuristic prunes a feasible branch, so its
@@ -17,11 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import FrozenSet, Iterable, Optional
+from typing import FrozenSet, Iterable, Iterator, Optional
 
 from .graph import (
     Graph,
     GraphInputError,
+    _BITS,
+    _BITS_WIDTH,
     _distance2_row,
     _from_mask,
     _require_vertex,
@@ -52,38 +55,52 @@ class SolveResult:
 # -- predicates ---------------------------------------------------------------
 
 
-def _uncovered(g: Graph, s: Iterable[int], kind: DominationKind) -> FrozenSet[int]:
-    """Vertices of ``g`` that ``s`` fails to dominate in the sense of ``kind``.
+def _uncovered_vertices(g: Graph, s: Iterable[int], kind: DominationKind) -> Iterator[int]:
+    """The vertices of ``g`` that ``s`` fails to dominate in the sense of
+    ``kind``, ascending.
 
     A vertex is covered by a member among its neighbors (its closed
-    neighborhood for dom) or, for dtd, by two members at distance 2.  The
-    distance-2 row is built only for vertices with no neighbor in ``s``.
-    A member outside ``0..n-1`` is a GraphInputError.
+    neighborhood for dom) or, for dtd, by two members at distance 2.  One
+    pass over ``s`` builds its mask and the mask of the vertices it covers
+    by adjacency; a distance-2 row is built only for a vertex left outside
+    it.  A member outside ``0..n-1`` is a GraphInputError.
     """
-    smask = 0
+    rows = g.bits
+    n = g.n
+    smask = adjcov = 0
     for v in s:
-        _require_vertex(g, v)
+        if not 0 <= v < n:
+            _require_vertex(g, v)
         smask |= 1 << v
-    closed = 1 if kind is DominationKind.DOMINATION else 0
+        adjcov |= rows[v]
+    if kind is DominationKind.DOMINATION:
+        adjcov |= smask
+    unc = ((1 << n) - 1) & ~adjcov
     disjunctive = kind is DominationKind.DISJUNCTIVE_TOTAL_DOMINATION
-    bad = []
-    for v, row in enumerate(g.bits):
-        if (row | closed << v) & smask:
+    for v in _BITS[unc] if n <= _BITS_WIDTH else _from_mask(unc):
+        if disjunctive and (_distance2_row(rows, v) & smask).bit_count() >= 2:
             continue
-        if disjunctive and (_distance2_row(g.bits, v) & smask).bit_count() >= 2:
-            continue
-        bad.append(v)
-    return frozenset(bad)
+        yield v
+
+
+def _uncovered(g: Graph, s: Iterable[int], kind: DominationKind) -> FrozenSet[int]:
+    """Every vertex of ``g`` that ``s`` fails to dominate in the sense of ``kind``."""
+    return frozenset(_uncovered_vertices(g, s, kind))
+
+
+def _dominates(g: Graph, s: Iterable[int], kind: DominationKind) -> bool:
+    """No vertex is left uncovered; the scan stops at the first one that is."""
+    return next(_uncovered_vertices(g, s, kind), None) is None
 
 
 def is_dominating_set(g: Graph, s: Iterable[int]) -> bool:
     """Every vertex outside ``s`` has a neighbor in ``s``."""
-    return not _uncovered(g, s, DominationKind.DOMINATION)
+    return _dominates(g, s, DominationKind.DOMINATION)
 
 
 def is_total_dominating_set(g: Graph, s: Iterable[int]) -> bool:
     """Every vertex of ``g``, members of ``s`` included, has a neighbor in ``s``."""
-    return not _uncovered(g, s, DominationKind.TOTAL_DOMINATION)
+    return _dominates(g, s, DominationKind.TOTAL_DOMINATION)
 
 
 def dtd_uncovered(g: Graph, s: Iterable[int]) -> FrozenSet[int]:
@@ -93,7 +110,7 @@ def dtd_uncovered(g: Graph, s: Iterable[int]) -> FrozenSet[int]:
 
 def is_dtd_set(g: Graph, s: Iterable[int]) -> bool:
     """Every vertex has a neighbor in ``s`` or two ``s``-members at distance 2."""
-    return not _uncovered(g, s, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION)
+    return _dominates(g, s, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION)
 
 
 # -- exact solver --------------------------------------------------------------

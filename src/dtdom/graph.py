@@ -7,7 +7,10 @@ enumerators work on those rows, and one routine, :func:`_relabeled_rows`,
 remaps them for every relabeling and induced subgraph.  Vertex sets cross
 the public API as frozensets, decoded with :func:`bits_to_vertices`.  Hot
 loops read a mask's vertices from one table, :data:`_BITS`, rather than
-peeling its bits one at a time.
+peeling its bits one at a time.  Rows of at most ``_BITS_WIDTH`` vertices take
+those loops and wider rows peel; a kernel picks its path with one size
+test per call.  The claw test also changes algorithm there: a narrow graph
+is scanned by non-adjacent pair, a wider one by center.
 """
 
 from __future__ import annotations
@@ -59,12 +62,12 @@ class Graph:
         return self.bits[v].bit_count()
 
     def degrees(self) -> Tuple[int, ...]:
-        return tuple(row.bit_count() for row in self.bits)
+        return tuple(map(int.bit_count, self.bits))
 
     def min_degree(self) -> int:
         if self.n == 0:
             return 0
-        return min(row.bit_count() for row in self.bits)
+        return min(map(int.bit_count, self.bits))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.bits[u] >> v & 1)
@@ -177,11 +180,15 @@ def _distance2_row(rows: Sequence[int], v: int) -> int:
     """Bitmask of the vertices at distance exactly 2 from ``v``."""
     row = rows[v]
     reach = 0
-    r = row
-    while r:
-        low = r & -r
-        reach |= rows[low.bit_length() - 1]
-        r ^= low
+    if len(rows) <= _BITS_WIDTH:
+        for u in _BITS[row]:
+            reach |= rows[u]
+    else:
+        r = row
+        while r:
+            low = r & -r
+            reach |= rows[low.bit_length() - 1]
+            r ^= low
     return reach & ~row & ~(1 << v)
 
 
@@ -214,12 +221,33 @@ def is_tree(g: Graph) -> bool:
 
 
 def find_claw(g: Graph) -> Optional[Tuple[int, int, int, int]]:
-    """A witness induced K_{1,3} as ``(center, a, b, c)``, or None.
+    """A witness induced K_{1,3} as ``(center, a, b, c)`` with its leaves
+    ascending, ``a < b < c``, or None.
 
-    Scans each neighborhood for an independent triple; fine at the target
-    sizes (a few hundred vertices at most).
+    Rows of at most ``_BITS_WIDTH`` vertices are scanned by non-adjacent
+    pair ``a < b``: the pair lies in a claw exactly when a common neighbor
+    has a neighbor outside ``N[a] | N[b]``, which is tested from the few
+    vertices outside.  Wider rows scan each neighborhood of three or more
+    for an independent triple instead; the pair scan is quadratic in n,
+    and this one keeps sparse graphs such as long paths linear.
     """
     bits = g.bits
+    if g.n <= _BITS_WIDTH:
+        full = (1 << g.n) - 1
+        for b, row_b in enumerate(bits):
+            closed_b = row_b | 1 << b
+            for a in _BITS[~row_b & ((1 << b) - 1)]:
+                row_a = bits[a]
+                common = row_a & row_b
+                if not common:
+                    continue
+                for d in _BITS[full & ~(row_a | closed_b | 1 << a)]:
+                    centers = bits[d] & common
+                    if centers:
+                        # d > b: with d < b, the pair a, d would have been
+                        # found at the smaller max(a, d)
+                        return ((centers & -centers).bit_length() - 1, a, b, d)
+        return None
     for center, row in enumerate(bits):
         if row.bit_count() < 3:
             continue

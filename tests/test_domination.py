@@ -4,6 +4,7 @@ import hashlib
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from dtdom import (
@@ -23,10 +24,10 @@ from dtdom import (
     is_total_dominating_set,
     support_exchange,
 )
-from dtdom.domination import _cannot_cover, _weight_rows
+from dtdom.domination import _cannot_cover, _uncovered, _weight_rows
 from dtdom.enumeration import connected_graphs
 from dtdom.graph import distance2_bits
-from conftest import brute_force_minimum, random_connected_graph, random_graph
+from conftest import brute_force_minimum, random_connected_graph, random_graph, to_networkx
 
 DOM = DominationKind.DOMINATION
 TDOM = DominationKind.TOTAL_DOMINATION
@@ -76,6 +77,45 @@ def test_set_member_outside_the_graph_is_an_input_error(predicate, foreign):
     # be read as a shift
     with pytest.raises(GraphInputError, match=f"vertex {foreign} out of range 0..6"):
         predicate(generate_named("P7"), {1, 2, 5, 6, foreign})
+
+
+def _uncovered_by_definition(g, s, kind):
+    """The vertices ``s`` leaves uncovered, from networkx distances."""
+    dist = dict(nx.all_pairs_shortest_path_length(to_networkx(g)))
+    bad = set()
+    for v in range(g.n):
+        if kind is DOM and v in s:
+            continue
+        if any(g.has_edge(v, u) for u in s):
+            continue
+        if kind is DTD and sum(dist[v].get(u) == 2 for u in s) >= 2:
+            continue
+        bad.add(v)
+    return bad
+
+
+@pytest.mark.parametrize(
+    "kind, predicate",
+    [(DOM, is_dominating_set), (TDOM, is_total_dominating_set), (DTD, is_dtd_set)],
+)
+def test_predicates_agree_with_the_uncovered_set(kind, predicate):
+    # orders on both sides of the 12-vertex table; a predicate stops at the
+    # first uncovered vertex, _uncovered collects them all
+    rng = random.Random(31)
+    seen = set()
+    for n in range(5, 21):
+        for _ in range(15):
+            g = random_graph(n, rng.choice((0.15, 0.3, 0.6)), rng)
+            s = set(rng.sample(range(n), rng.randrange(n + 1)))
+            unc = _uncovered(g, s, kind)
+            assert unc == _uncovered_by_definition(g, s, kind)
+            assert predicate(g, s) == (not unc)
+            # a one-shot generator is read once
+            assert predicate(g, (v for v in s)) == (not unc)
+            if kind is DTD:
+                assert dtd_uncovered(g, (v for v in s)) == unc
+            seen.add(not unc)
+    assert seen == {True, False}
 
 
 # -- exact solver ---------------------------------------------------------------

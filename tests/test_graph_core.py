@@ -67,45 +67,63 @@ def test_claw_detection_examples():
     assert not is_claw_free(generate_named("T(3)"))
 
 
-def test_claw_witness_is_induced(rng):
-    for _ in range(60):
-        g = random_graph(rng.randrange(4, 11), 0.35, rng)
-        claw = find_claw(g)
-        if claw is None:
-            assert is_claw_free(g)
-        else:
-            center, a, b, c = claw
-            assert all(g.has_edge(center, x) for x in (a, b, c))
-            assert not g.has_edge(a, b) and not g.has_edge(a, c) and not g.has_edge(b, c)
-
-
 def _has_induced_claw(g):
-    """Exhaustive: some four vertices induce a star K_{1,3}."""
-    h = to_networkx(g)
-    for quad in combinations(range(g.n), 4):
-        if sorted(d for _, d in h.subgraph(quad).degree()) == [1, 1, 1, 3]:
-            return True
+    """Exhaustive, by the definition: a vertex with three pairwise
+    non-adjacent neighbors."""
+    for center in range(g.n):
+        nbrs = [v for v in range(g.n) if g.has_edge(center, v)]
+        for a, b, c in combinations(nbrs, 3):
+            if not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c)):
+                return True
     return False
 
 
+def _check_claw(g):
+    """``is_claw_free`` and ``find_claw`` agree with the brute force, and a
+    witness is an induced claw, its center first and its leaves ascending.
+    Returns whether ``g`` is claw-free."""
+    want = not _has_induced_claw(g)
+    claw = find_claw(g)
+    assert is_claw_free(g) == want
+    assert (claw is None) == want
+    if claw is not None:
+        center, a, b, c = claw
+        assert a < b < c
+        assert all(g.has_edge(center, x) for x in (a, b, c))
+        assert not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c))
+    return want
+
+
+def test_claw_witness_is_induced(rng):
+    # orders on both sides of the pair scan's 12-vertex limit
+    for _ in range(80):
+        _check_claw(random_graph(rng.randrange(4, 21), 0.35, rng))
+
+
+def test_claw_detection_matches_brute_force_on_every_small_graph():
+    # the atlas holds every graph of order 0 to 7 up to isomorphism, 1,253
+    # of them, disconnected ones included
+    answers = [
+        _check_claw(Graph(h.number_of_nodes(), nx.convert_node_labels_to_integers(h).edges()))
+        for h in nx.graph_atlas_g()
+    ]
+    assert len(answers) == 1253 and set(answers) == {True, False}
+
+
 def test_claw_freeness_matches_exhaustive_search():
+    # orders 10 to 12 take the pair scan and 13 to 16 the center scan
     rng = random.Random(4242)
-    seen = set()
-    for _ in range(150):
-        n = rng.randrange(4, 10)
-        if rng.random() < 0.5:
-            g = random_graph(n, rng.choice((0.2, 0.5, 0.8)), rng)
-        else:
-            # line graphs are claw-free, so both answers get exercised
-            lg = nx.convert_node_labels_to_integers(
-                nx.line_graph(to_networkx(random_graph(n, 0.4, rng)))
-            )
-            g = Graph(lg.number_of_nodes(), lg.edges())
-        want = not _has_induced_claw(g)
-        assert is_claw_free(g) == want
-        assert (find_claw(g) is None) == want
-        seen.add(want)
-    assert seen == {True, False}
+    for order in range(10, 17):
+        seen = set()
+        for _ in range(20):
+            seen.add(_check_claw(random_graph(order, rng.choice((0.2, 0.5, 0.8)), rng)))
+        assert False in seen, order
+        for _ in range(10):
+            # line graphs are claw-free, and a graph with `order` edges has
+            # a line graph of that order
+            h = nx.gnm_random_graph(rng.randrange(7, order + 2), order, seed=rng.randrange(1 << 30))
+            lg = nx.convert_node_labels_to_integers(nx.line_graph(h))
+            assert _check_claw(Graph(order, lg.edges())), order
 
 
 def test_components_match_networkx():
