@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional, Sequence, Tuple
 
-from .graph import _BITS, _BITS_WIDTH, Graph, _from_mask, _relabeled_rows
+from .graph import Graph, _members, _relabeled_rows
 
 
 def _refine(n: int, rows: Sequence[int], parts: List[int], queue) -> List[int]:
@@ -38,7 +38,7 @@ def _refine(n: int, rows: Sequence[int], parts: List[int], queue) -> List[int]:
     parts = list(parts)
     work = deque(parts if queue is None else queue)
     queued = set(work)  # every mask queued so far, or left off as above
-    narrow = n <= _BITS_WIDTH
+    members = _members(n)
     open_ = 0  # union of the non-singleton cells
     for cell in parts:
         if cell & (cell - 1):
@@ -50,7 +50,7 @@ def _refine(n: int, rows: Sequence[int], parts: List[int], queue) -> List[int]:
             reach = rows[w.bit_length() - 1]
         else:
             reach = 0
-            for v in _BITS[w] if narrow else _from_mask(w):
+            for v in members[w]:
                 reach |= rows[v]
         left = reach & open_  # hit vertices in cells not yet scanned
         if not left:
@@ -75,7 +75,7 @@ def _refine(n: int, rows: Sequence[int], parts: List[int], queue) -> List[int]:
                         repl = None
                 else:
                     buckets = {}
-                    for v in _BITS[cell] if narrow else _from_mask(cell):
+                    for v in members[cell]:
                         cnt = (rows[v] & w).bit_count()
                         buckets[cnt] = buckets.get(cnt, 0) | 1 << v
                     repl = [buckets[k] for k in sorted(buckets)] if len(buckets) > 1 else None

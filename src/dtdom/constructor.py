@@ -30,11 +30,9 @@ from .families import exceptional_member, generate, FamilyId
 from .graph import (
     Graph,
     GraphInputError,
-    _BITS,
-    _BITS_WIDTH,
     _component_masks,
-    _from_mask,
     _induced,
+    _members,
     _require_vertex,
     _to_mask,
     bits_to_vertices,
@@ -94,7 +92,7 @@ class Decomposition:
 def _path_order(g: Graph, vs: int) -> Optional[List[int]]:
     """The vertices of the tree on mask ``vs`` in path order from its lowest
     end, or None when that tree is not a path."""
-    members = _from_mask(vs)
+    members = _members(g.n)[vs]
     degs = [(g.bits[v] & vs).bit_count() for v in members]
     if max(degs) > 2:
         return None
@@ -160,7 +158,7 @@ def _classify(g: Graph, vertices: FrozenSet[int], chosen: int) -> FragmentRecord
         else:
             profile = "interior-adjacent"
     elif k == 10 and edges == 10 and (
-        lab := _g3_labels(_induced(g, ids := _from_mask(vs)), ids)
+        lab := _g3_labels(_induced(g, ids := _members(g.n)[vs]), ids)
     ):
         kind = FragmentKind.G3
         # by the paper's symmetry u is the attached two-vertex arm, else
@@ -214,7 +212,7 @@ def _decompose(g: Graph, leaf: int, deep: bool) -> Decomposition:
         if deep and comp >> y & 1:
             continue
         # g is connected, so some X-vertex touches the fragment
-        chosen = next(w for w in _from_mask(xmask) if g.bits[w] & comp)
+        chosen = next(w for w in _members(g.n)[xmask] if g.bits[w] & comp)
         fragments.append(_classify(g, bits_to_vertices(comp), chosen))
     # claw-freeness makes X a clique whose vertices each touch at most one
     # fragment, so neither is re-checked here
@@ -487,8 +485,9 @@ def _construct(g: Graph) -> Tuple[FrozenSet[int], str]:
             # support of higher degree, if any, reroutes the first round to
             # a terminating case
             leaf_mask = _to_mask(lvs)
+            members = _members(g.n)
             for v in range(g.n):
-                nb_leaves = _from_mask(g.bits[v] & leaf_mask)
+                nb_leaves = members[g.bits[v] & leaf_mask]
                 if nb_leaves and g.degree(v) >= 3 and nb_leaves[0] != lvs[0]:
                     cand = _phase_one(g, nb_leaves[0])
                     if cand is None:
@@ -550,7 +549,7 @@ def _greedy_cover(g: Graph, d2: Sequence[int]) -> FrozenSet[int]:
     # rows leave the neighbour rows as they are
     rows = [r | e << n for r, e in zip(g.bits, d2)] if any(d2) else g.bits
     full = (1 << n) - 1
-    narrow = n <= _BITS_WIDTH
+    members = _members(n)
     smask = 0
     adjcov = 0
     d2one = 0
@@ -563,19 +562,10 @@ def _greedy_cover(g: Graph, d2: Sequence[int]) -> FrozenSet[int]:
         # an uncovered u has a neighbour outside S (else u is covered), and
         # that neighbour's gain counts u, so the best gain is at least 1
         best_gain, best_v = -1, -1
-        if narrow:
-            for w in _BITS[full & ~smask]:
-                gain = (rows[w] & mask).bit_count()
-                if gain > best_gain:
-                    best_gain, best_v = gain, w
-        else:
-            # a list of the free vertices costs more than these skips
-            for w in range(n):
-                if smask >> w & 1:
-                    continue
-                gain = (rows[w] & mask).bit_count()
-                if gain > best_gain:
-                    best_gain, best_v = gain, w
+        for w in members[full & ~smask]:
+            gain = (rows[w] & mask).bit_count()
+            if gain > best_gain:
+                best_gain, best_v = gain, w
         smask |= 1 << best_v
         adjcov |= g.bits[best_v]
         d2two |= d2[best_v] & d2one

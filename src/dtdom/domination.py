@@ -23,10 +23,9 @@ from typing import FrozenSet, Iterable, Iterator, Optional
 from .graph import (
     Graph,
     GraphInputError,
-    _BITS,
-    _BITS_WIDTH,
     _distance2_row,
     _from_mask,
+    _members,
     _require_vertex,
     bits_to_vertices,
     distance2_bits,
@@ -77,7 +76,7 @@ def _uncovered_vertices(g: Graph, s: Iterable[int], kind: DominationKind) -> Ite
         adjcov |= smask
     unc = ((1 << n) - 1) & ~adjcov
     disjunctive = kind is DominationKind.DISJUNCTIVE_TOTAL_DOMINATION
-    for v in _BITS[unc] if n <= _BITS_WIDTH else _from_mask(unc):
+    for v in _members(n)[unc]:
         if disjunctive and (_distance2_row(rows, v) & smask).bit_count() >= 2:
             continue
         yield v

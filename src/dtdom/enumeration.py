@@ -50,10 +50,10 @@ from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .canon import _refine, _search, anchored_profile, certificate
-from .graph import _BITS, _BITS_WIDTH, Graph, GraphInputError, _component_masks, _relabeled_rows
+from .graph import Graph, GraphInputError, _component_masks, _members, _relabeled_rows
 
 ALL_CONNECTED_MAX = 8
-CLAW_FREE_MAX = 12  # at most _BITS_WIDTH: see accepted_children
+CLAW_FREE_MAX = 12  # the exhaustive walk's bound; accepted_children has none
 TREES_MAX = 16
 
 
@@ -68,6 +68,7 @@ def _candidate_masks(
     pdeg: Sequence[int],
     noncut: int,
     claw_pairs,
+    members,
 ) -> List[int]:
     """Nonempty new-vertex neighborhoods that can possibly be accepted.
 
@@ -124,7 +125,7 @@ def _candidate_masks(
             else:
                 # mask stays triple-free iff v's non-neighbors in it form a clique
                 nn = mask & ~rows[v]
-                for u in _BITS[nn]:
+                for u in members[nn]:
                     if nn & apart[u]:
                         break
                 else:
@@ -138,7 +139,7 @@ def _candidate_masks(
                         if s >= cur_out or s > nmin_in:
                             live = False
                         elif s + 1 >= cur_out or s >= nmin_in:
-                            live = _one_closes_all(v, npairs, nhit, claw_pairs)
+                            live = _one_closes_all(v, npairs, nhit, claw_pairs, members)
                     if live:
                         stack.append((v + 1, mask | 1 << v, s, nmin_in, cur_out, npairs, nhit))
             if d < cur_out:
@@ -146,18 +147,18 @@ def _candidate_masks(
     return out
 
 
-def _one_closes_all(v: int, pairs: int, hit: int, claw_pairs) -> bool:
+def _one_closes_all(v: int, pairs: int, hit: int, claw_pairs, members) -> bool:
     """Whether one vertex after v closes every open pair in ``pairs`` and
     opens none, with ``hit`` the pairs its mask already hits.  That vertex
     hits the lowest open pair, so it is one of that pair's ends."""
     inside, hits, _, ends = claw_pairs
-    for w in _BITS[ends[(pairs & -pairs).bit_length() - 1]]:
+    for w in members[ends[(pairs & -pairs).bit_length() - 1]]:
         if w > v and not (pairs | inside[w]) & ~(hit | hits[w]):
             return True
     return False
 
 
-def _claw_pairs(rows: Sequence[int]):
+def _claw_pairs(rows: Sequence[int], members):
     """Bit-indexed non-adjacent pairs, for :func:`_candidate_masks`.
 
     Each non-adjacent pair gets one bit, in order of its higher endpoint.
@@ -177,7 +178,7 @@ def _claw_pairs(rows: Sequence[int]):
             if not rb >> a & 1:
                 hits[a] |= bit
                 hits[b] |= bit
-                for u in _BITS[rows[a] & rb]:
+                for u in members[rows[a] & rb]:
                     inside[u] |= bit
                 bit <<= 1
                 ends.append(1 << a | 1 << b)
@@ -188,13 +189,13 @@ def _claw_pairs(rows: Sequence[int]):
 # -- canonical-deletion acceptance ----------------------------------------------
 
 
-def _neighbor_degrees(rows: Sequence[int], degs: Sequence[int], u: int) -> List[int]:
-    out = [degs[w] for w in _BITS[rows[u]]]
+def _neighbor_degrees(rows: Sequence[int], degs: Sequence[int], u: int, members) -> List[int]:
+    out = [degs[w] for w in members[rows[u]]]
     out.sort()
     return out
 
 
-def _bfs_signature(rows: Sequence[int], degs: Sequence[int], src: int) -> Tuple:
+def _bfs_signature(rows: Sequence[int], degs: Sequence[int], src: int, members) -> Tuple:
     """Rooted BFS invariant: per level, the sorted multiset of
     (degree, neighbors on this level, neighbors one level back)."""
     seen = 1 << src
@@ -204,7 +205,7 @@ def _bfs_signature(rows: Sequence[int], degs: Sequence[int], src: int) -> Tuple:
     while frontier:
         level = []
         reach = 0
-        for b in _BITS[frontier]:
+        for b in members[frontier]:
             r = rows[b]
             level.append((degs[b], (r & frontier).bit_count(), (r & prev).bit_count()))
             reach |= r
@@ -216,7 +217,7 @@ def _bfs_signature(rows: Sequence[int], degs: Sequence[int], src: int) -> Tuple:
     return tuple(sig)
 
 
-def _deletion_check(parent, pdeg, comps, mask, msize) -> bool:
+def _deletion_check(parent, pdeg, comps, mask, msize, members) -> bool:
     """Is the new vertex the canonical deletion point of parent+mask?
 
     The new vertex (index n) is never a cutvertex; an old vertex u stays
@@ -235,7 +236,8 @@ def _deletion_check(parent, pdeg, comps, mask, msize) -> bool:
     leaves differ.  Every link is an invariant of the vertex-rooted child,
     so the answer is the same for every mask in one orbit of the parent's
     automorphisms.  The parent must be degree-ascending, as
-    :func:`_candidates` leaves it.
+    :func:`_candidates` leaves it, and ``members`` the child's members
+    table (:func:`graph._members` of its order).
     """
     n = len(parent)
 
@@ -253,7 +255,7 @@ def _deletion_check(parent, pdeg, comps, mask, msize) -> bool:
     lt1 = (1 << bisect_left(pdeg, msize - 1)) - 1
     lt = (1 << bisect_left(pdeg, msize)) - 1
     le = (1 << bisect_right(pdeg, msize)) - 1
-    for u in _BITS[(lt & ~mask) | (lt1 & mask)]:
+    for u in members[(lt & ~mask) | (lt1 & mask)]:
         if noncut(u):
             return False  # a smaller-degree non-cutvertex wins
     # Twins (equal open or closed neighbourhoods) are swapped by a child
@@ -265,7 +267,7 @@ def _deletion_check(parent, pdeg, comps, mask, msize) -> bool:
     # ties, with equal degree in parent and child, are always the latter.
     seen = {mask}
     ties = []
-    for u in _BITS[(le & ~lt & ~mask) | (lt & ~lt1 & mask)]:
+    for u in members[(le & ~lt & ~mask) | (lt & ~lt1 & mask)]:
         r = parent[u]
         rc = r | 1 << u
         if r not in seen and rc not in seen and noncut(u):
@@ -280,23 +282,23 @@ def _deletion_check(parent, pdeg, comps, mask, msize) -> bool:
     child.append(mask)
     degs = list(pdeg)
     degs.append(msize)
-    for u in _BITS[mask]:
+    for u in members[mask]:
         child[u] |= vbit
         degs[u] += 1
-    key_new = _neighbor_degrees(child, degs, n)
+    key_new = _neighbor_degrees(child, degs, n, members)
     final = []
     for u in ties:
-        key_u = _neighbor_degrees(child, degs, u)
+        key_u = _neighbor_degrees(child, degs, u, members)
         if key_u < key_new:
             return False
         if key_u == key_new:
             final.append(u)
     if not final:
         return True
-    sig_new = _bfs_signature(child, degs, n)
+    sig_new = _bfs_signature(child, degs, n, members)
     last = []
     for u in final:
-        sig_u = _bfs_signature(child, degs, u)
+        sig_u = _bfs_signature(child, degs, u, members)
         if sig_u < sig_new:
             return False
         if sig_u == sig_new:
@@ -324,12 +326,12 @@ def _deletion_check(parent, pdeg, comps, mask, msize) -> bool:
     return True
 
 
-def _twin_class(rows: Sequence[int], cell: int) -> bool:
+def _twin_class(rows: Sequence[int], cell: int, members) -> bool:
     """Whether the vertices of a cell of an equitable partition are pairwise
     twins.  Each has as many neighbours inside the cell, so they are twins
     exactly when they share their neighbours outside it and the cell is
     independent or a clique."""
-    vs = _BITS[cell]
+    vs = members[cell]
     inner = (rows[vs[0]] & cell).bit_count()
     if inner and inner != len(vs) - 1:
         return False
@@ -352,6 +354,7 @@ def _orbit_representative_masks(n: int, parent, masks: List[int]) -> List[int]:
     the cells, which are its own root partition, rather than refining them
     again.
     """
+    members = _members(n)
     cells = _refine(n, parent, [(1 << n) - 1], None)
     singles = sum(c for c in cells if not c & (c - 1))
     wide = [c for c in cells if c & (c - 1)]
@@ -360,7 +363,7 @@ def _orbit_representative_masks(n: int, parent, masks: List[int]) -> List[int]:
         first.setdefault((m & singles, tuple([(m & c).bit_count() for c in wide])), m)
     if len(first) == len(masks):
         return masks
-    if all(_twin_class(parent, c) for c in wide):
+    if all(_twin_class(parent, c, members) for c in wide):
         return list(first.values())
     gens = _search(n, parent, None, cells)[2]
     if not gens:
@@ -382,7 +385,7 @@ def _orbit_representative_masks(n: int, parent, masks: List[int]) -> List[int]:
             m = frontier.pop()
             for moved, table in tables:
                 im = m & ~moved
-                for u in _BITS[m & moved]:
+                for u in members[m & moved]:
                     im |= table[u]
                 if im not in orbit:
                     orbit.add(im)
@@ -407,7 +410,9 @@ def _candidates(parent: Tuple[int, ...], clawfree: bool):
     for u in range(n):
         if len(comps[u]) <= 1:
             noncut |= 1 << u
-    masks = _candidate_masks(parent, pdeg, noncut, _claw_pairs(parent) if clawfree else None)
+    members = _members(n)
+    claw_pairs = _claw_pairs(parent, members) if clawfree else None
+    masks = _candidate_masks(parent, pdeg, noncut, claw_pairs, members)
     return parent, pdeg, comps, masks
 
 
@@ -417,21 +422,21 @@ def accepted_children(parent: Tuple[int, ...], clawfree: bool) -> List[Tuple[int
     The canonical-deletion rule leaves only duplicates caused by automorphic
     neighborhoods of this same parent, so the candidate masks are cut to one
     per orbit of the parent's automorphism group, and each mask that passes
-    the deletion check yields one child.  The expansion loops read masks
-    from ``graph._BITS``, so a child has at most 12 vertices.
+    the deletion check yields one child.  The parent may have any order:
+    each per-parent step picks the members table of its width once
+    (:func:`graph._members`) and hands it to its per-mask loops.
     """
-    if len(parent) >= _BITS_WIDTH:
-        raise GraphInputError(f"children have at most {_BITS_WIDTH} vertices")
     parent, pdeg, comps, masks = _candidates(parent, clawfree)
     n = len(parent)
+    members = _members(n + 1)  # the child's rows have n + 1 bits
     vbit = 1 << n
     if len(masks) >= 2:
         masks = _orbit_representative_masks(n, parent, masks)
     out = []
     for mask in masks:
-        if _deletion_check(parent, pdeg, comps, mask, mask.bit_count()):
+        if _deletion_check(parent, pdeg, comps, mask, mask.bit_count(), members):
             child = list(parent)
-            for u in _BITS[mask]:
+            for u in members[mask]:
                 child[u] |= vbit
             child.append(mask)
             out.append(tuple(child))

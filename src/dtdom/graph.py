@@ -6,11 +6,12 @@ when ``uv`` is an edge); every predicate here, the solvers and the
 enumerators work on those rows, and one routine, :func:`_relabeled_rows`,
 remaps them for every relabeling and induced subgraph.  Vertex sets cross
 the public API as frozensets, decoded with :func:`bits_to_vertices`.  Hot
-loops read a mask's vertices from one table, :data:`_BITS`, rather than
-peeling its bits one at a time.  Rows of at most ``_BITS_WIDTH`` vertices take
-those loops and wider rows peel; a kernel picks its path with one size
-test per call.  The claw test also changes algorithm there: a narrow graph
-is scanned by non-adjacent pair, a wider one by center.
+loops read a mask's vertices from one members table, chosen by order:
+:func:`_members` gives the precomputed :data:`_BITS` for rows of at most
+``_BITS_WIDTH`` vertices and a view that peels each mask for wider ones,
+so every loop has one body whatever the order.  Only the claw test
+changes algorithm with width: a narrow graph is scanned by non-adjacent
+pair, a wider one by center.
 """
 
 from __future__ import annotations
@@ -114,9 +115,10 @@ def _bit_table(width: int) -> List[bytes]:
 
 # Rows of at most _BITS_WIDTH vertices read their members from _BITS: an index
 # and a walk over one bytes object instead of a peel (lowest bit, bit_length,
-# clear) per member.  Every enumerated class fits (CLAW_FREE_MAX is 12); the
-# shared helpers below peel wider rows.  Bytes iterate as fast as tuples of
-# ints and take half the memory: 4,096 of them, about 0.2 MB.
+# clear) per member.  Every class of the claw-free and connected walks fits
+# (CLAW_FREE_MAX is 12); _members hands wider rows a peeling view.  Bytes
+# iterate as fast as tuples of ints and take half the memory: 4,096 of them,
+# about 0.2 MB.
 _BITS_WIDTH = 12
 _BITS = _bit_table(_BITS_WIDTH)
 
@@ -139,6 +141,23 @@ def _from_mask(mask: int) -> List[int]:
     return out
 
 
+class _Peeled(dict):
+    """The members of any mask, peeled on each lookup and never stored."""
+
+    __missing__ = staticmethod(_from_mask)
+
+
+_PEELED = _Peeled()
+
+
+def _members(n: int) -> List[bytes] | _Peeled:
+    """The members table for masks over ``n`` vertices: ``_members(n)[mask]``
+    is the mask's vertices, ascending.  A caller picks it once per graph and
+    indexes it in its loops: a list lookup up to ``_BITS_WIDTH`` vertices,
+    a peel past them."""
+    return _BITS if n <= _BITS_WIDTH else _PEELED
+
+
 def bits_to_vertices(mask: int) -> VertexSet:
     """Decode a bitmask into a vertex set."""
     return frozenset(_from_mask(mask))
@@ -147,17 +166,11 @@ def bits_to_vertices(mask: int) -> VertexSet:
 def _reach(rows: Sequence[int], seed: int, within: int) -> int:
     """Mask of the vertices joined to the ``seed`` mask by paths inside ``within``."""
     comp = frontier = seed
-    narrow = len(rows) <= _BITS_WIDTH
+    members = _members(len(rows))
     while frontier:
         reach = 0
-        if narrow:
-            for v in _BITS[frontier]:
-                reach |= rows[v]
-        else:
-            while frontier:
-                low = frontier & -frontier
-                reach |= rows[low.bit_length() - 1]
-                frontier ^= low
+        for v in members[frontier]:
+            reach |= rows[v]
         frontier = reach & within & ~comp
         comp |= frontier
     return comp
@@ -180,15 +193,8 @@ def _distance2_row(rows: Sequence[int], v: int) -> int:
     """Bitmask of the vertices at distance exactly 2 from ``v``."""
     row = rows[v]
     reach = 0
-    if len(rows) <= _BITS_WIDTH:
-        for u in _BITS[row]:
-            reach |= rows[u]
-    else:
-        r = row
-        while r:
-            low = r & -r
-            reach |= rows[low.bit_length() - 1]
-            r ^= low
+    for u in _members(len(rows))[row]:
+        reach |= rows[u]
     return reach & ~row & ~(1 << v)
 
 
@@ -301,21 +307,12 @@ def _relabeled_rows(n: int, rows: Sequence[int], order: Sequence[int]) -> Tuple[
     for v in order:
         image[v] = bit
         bit <<= 1
+    members = _members(n)
     out = []
-    if n <= _BITS_WIDTH:
-        for v in order:
-            acc = 0
-            for u in _BITS[rows[v]]:
-                acc |= image[u]
-            out.append(acc)
-        return tuple(out)
     for v in order:
-        row = rows[v]
         acc = 0
-        while row:
-            low = row & -row
-            acc |= image[low.bit_length() - 1]
-            row ^= low
+        for u in members[rows[v]]:
+            acc |= image[u]
         out.append(acc)
     return tuple(out)
 

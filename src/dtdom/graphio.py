@@ -114,6 +114,10 @@ def from_graph6(line: str) -> Graph:
     if not s.isascii():
         raise GraphInputError("non-ASCII character in graph6 string")
     data = s.encode("ascii")
+    # every byte, the order prefix too, lies in 63..126, as networkx checks
+    for byte in data:
+        if not (63 <= byte <= 126):
+            raise GraphInputError(f"invalid graph6 byte {byte}")
     n, used = _decode_n(data)
     need = (n * (n - 1) // 2 + 5) // 6
     body = data[used:]
@@ -121,9 +125,6 @@ def from_graph6(line: str) -> Graph:
         raise GraphInputError(
             f"graph6 body length {len(body)} does not match order {n} (need {need})"
         )
-    for byte in body:
-        if not (63 <= byte <= 126):
-            raise GraphInputError(f"invalid graph6 byte {byte}")
     edges = []
     idx = 0
     for j in range(1, n):

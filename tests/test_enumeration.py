@@ -29,10 +29,11 @@ from dtdom.enumeration import (
     _neighbor_degrees,
     _mapper,
     _orbit_representative_masks,
+    accepted_children,
     level_rows,
     walk_levels,
 )
-from dtdom.graph import _component_masks
+from dtdom.graph import _component_masks, _members, _relabeled_rows
 
 from conftest import count_pools, to_networkx
 
@@ -40,7 +41,7 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 CLAWFREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 14, 6: 50, 7: 191, 8: 881,
                    9: 4494, 10: 26389}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47,
-               10: 106, 11: 235, 12: 551, 16: 19320}
+               10: 106, 11: 235, 12: 551, 13: 1301, 14: 3159, 16: 19320}
 
 
 @pytest.mark.parametrize("n", sorted(TREE_COUNTS))
@@ -347,10 +348,11 @@ def _full_certificate_rule(parent, mask):
     n = len(parent)
     child = [parent[u] | 1 << n if mask >> u & 1 else parent[u] for u in range(n)] + [mask]
     degs = [r.bit_count() for r in child]
+    members = _members(n + 1)
     links = (
         lambda u: degs[u],
-        lambda u: _neighbor_degrees(child, degs, u),
-        lambda u: _bfs_signature(child, degs, u),
+        lambda u: _neighbor_degrees(child, degs, u, members),
+        lambda u: _bfs_signature(child, degs, u, members),
         lambda u: anchored_profile(n + 1, child, u)[0],
         lambda u: certificate(n + 1, child, anchor=u),
     )
@@ -375,11 +377,12 @@ def test_deletion_check_matches_full_certificate_rule(monkeypatch):
 
     monkeypatch.setattr(enumeration, "certificate", counted)
     checked = 0
+    members = _members(9)
     for parent in level_rows(8, True):
         # the same parent set-up as accepted_children, before orbit merging
         parent, pdeg, comps, masks = _candidates(parent, True)
         for mask in masks:
-            got = _deletion_check(parent, pdeg, comps, mask, mask.bit_count())
+            got = _deletion_check(parent, pdeg, comps, mask, mask.bit_count(), members)
             assert got == _full_certificate_rule(parent, mask), (parent, mask)
             checked += 1
     assert checked == 12305
@@ -395,7 +398,52 @@ def test_builtin_caps():
         list(connected_clawfree_graphs(13))
     with pytest.raises(GraphInputError):
         list(free_trees(17))
-    # an order-13 child's masks are wider than the expansion's bit table
-    path12 = tuple((1 << v - 1 if v else 0) | (1 << v + 1 if v < 11 else 0) for v in range(12))
-    with pytest.raises(GraphInputError):
-        enumeration.accepted_children(path12, True)
+
+
+def test_leaf_children_of_trees_past_twelve_are_the_next_trees():
+    # a tree's non-cut vertices are its leaves, so the children of a tree
+    # whose new vertex is a leaf are the next order's trees, each once
+    level = [g.bits for g in free_trees(12)]
+    for n in (13, 14):
+        level = [
+            child
+            for parent in level
+            for child in accepted_children(parent, False)
+            if child[-1].bit_count() == 1
+        ]
+        assert len(level) == TREE_COUNTS[n]
+    assert all(is_tree(Graph.from_bits(14, rows)) for rows in level)
+
+
+def _grown_parents(clawfree, start, count, rng):
+    """``count`` parents of 12-14 vertices, each grown from a random class
+    of order ``start`` through randomly chosen children (a class with no
+    children starts the growth again)."""
+    pool = level_rows(start, clawfree)
+    out = []
+    while len(out) < count:
+        target = rng.randrange(12, 15)
+        rows = pool[rng.randrange(len(pool))]
+        while rows and len(rows) < target:
+            children = accepted_children(rows, clawfree)
+            rows = rng.choice(children) if children else None
+        if rows:
+            out.append(rows)
+    return out
+
+
+@pytest.mark.parametrize("clawfree,start", [(True, 9), (False, 7)])
+def test_children_of_wide_parents_are_distinct_and_relabeling_invariant(clawfree, start):
+    rng = random.Random(13)
+    for parent in _grown_parents(clawfree, start, 10, rng):
+        n = len(parent)
+        children = accepted_children(parent, clawfree)
+        certs = {certificate(n + 1, rows) for rows in children}
+        assert len(certs) == len(children), parent
+        for rows in children:
+            g = Graph.from_bits(n + 1, rows)
+            assert is_connected(g) and (is_claw_free(g) or not clawfree)
+        order = list(range(n))
+        rng.shuffle(order)
+        relabeled = _relabeled_rows(n, parent, order)
+        assert {certificate(n + 1, rows) for rows in accepted_children(relabeled, clawfree)} == certs

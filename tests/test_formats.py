@@ -52,6 +52,12 @@ def test_graph6_errors():
         from_graph6("B" + chr(20))
     with pytest.raises(GraphInputError, match="non-ASCII"):
         from_graph6("B\u00e9")
+    # order bytes outside 63..126, short and long form
+    with pytest.raises(GraphInputError, match="invalid graph6 byte 127"):
+        from_graph6("\x7f" + "?" * 336)
+    with pytest.raises(GraphInputError, match="invalid graph6 byte 62"):
+        from_graph6("~>??")
+    assert from_graph6("~???").n == 0
 
 
 def test_edgelist_round_trip(rng):

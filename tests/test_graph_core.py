@@ -18,14 +18,19 @@ from dtdom import (
     leaves,
     support_vertices,
 )
-from dtdom.graph import _BITS, _from_mask, bits_to_vertices, distance2_bits
+from dtdom.graph import _BITS, _from_mask, _members, bits_to_vertices, distance2_bits
 from conftest import random_graph, to_networkx
 
 
-def test_bit_table_matches_peeling():
+def test_bit_table_matches_peeling(rng):
     assert len(_BITS) == 1 << 12
     for m, bits in enumerate(_BITS):
         assert tuple(bits) == tuple(_from_mask(m))
+    assert all(_members(n) is _BITS for n in range(13))
+    for _ in range(200):
+        n = rng.randrange(13, 65)
+        m = rng.getrandbits(n)
+        assert list(_members(n)[m]) == _from_mask(m)
 
 
 def test_graph_from_edges_examples():
