@@ -25,7 +25,14 @@ from enum import Enum
 from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from .canon import isomorphism_map
-from .domination import DomainError, DominationKind, exact_number, is_dtd_set
+from .domination import (
+    DomainError,
+    DominationKind,
+    _greedy_cover,
+    _total_rows,
+    exact_number,
+    is_dtd_set,
+)
 from .families import exceptional_member, generate, FamilyId
 from .graph import (
     Graph,
@@ -507,8 +514,10 @@ def _construct(g: Graph) -> Tuple[FrozenSet[int], str]:
 
 
 def greedy_dtd(g: Graph) -> FrozenSet[int]:
-    """Valid DTD-set by maximum-new-coverage selection; no size guarantee."""
-    return _greedy_cover(g, distance2_bits(g))
+    """Valid DTD-set by maximum-new-coverage selection (the exact solver's
+    incumbent, ``domination._greedy_cover``); no size guarantee."""
+    rows = _total_rows(g, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION)
+    return bits_to_vertices(_greedy_cover(rows, distance2_bits(g)))
 
 
 def _greedy_tds(g: Graph) -> FrozenSet[int]:
@@ -517,7 +526,8 @@ def _greedy_tds(g: Graph) -> FrozenSet[int]:
     Every total dominating set is a DTD-set, so it is a DTD witness too
     (dtd <= gamma_t), one that needs no distance-2 rows.
     """
-    return _greedy_cover(g, (0,) * g.n)
+    rows = _total_rows(g, DominationKind.DISJUNCTIVE_TOTAL_DOMINATION)
+    return bits_to_vertices(_greedy_cover(rows, (0,) * g.n))
 
 
 def _verified_witness(g: Graph, fits: Callable[[int, int], bool]) -> Optional[FrozenSet[int]]:
@@ -529,45 +539,3 @@ def _verified_witness(g: Graph, fits: Callable[[int, int], bool]) -> Optional[Fr
         if fits(g.n, len(s)) and is_dtd_set(g, s):
             return s
     return None
-
-
-def _greedy_cover(g: Graph, d2: Sequence[int]) -> FrozenSet[int]:
-    """Add the vertex that covers the most uncovered vertices until every
-    vertex has a neighbour in the set or two members among its rows ``d2``.
-
-    With ``d2 = distance2_bits(g)`` the result is a DTD-set; with all-zero
-    rows it is a total dominating set, as in ``exact_number``.  Ties go to
-    the lowest vertex.
-    """
-    for v in range(g.n):
-        if not g.bits[v]:
-            raise DomainError(f"vertex {v} is isolated; dtd undefined")
-    n = g.n
-    # a vertex's gain is one popcount of its neighbour row and its
-    # distance-2 row side by side, against the uncovered vertices and those
-    # of them that already have one distance-2 member; empty distance-2
-    # rows leave the neighbour rows as they are
-    rows = [r | e << n for r, e in zip(g.bits, d2)] if any(d2) else g.bits
-    full = (1 << n) - 1
-    members = _members(n)
-    smask = 0
-    adjcov = 0
-    d2one = 0
-    d2two = 0
-    while True:
-        unc = full & ~(adjcov | d2two)
-        if not unc:
-            break
-        mask = unc | (unc & d2one) << n
-        # an uncovered u has a neighbour outside S (else u is covered), and
-        # that neighbour's gain counts u, so the best gain is at least 1
-        best_gain, best_v = -1, -1
-        for w in members[full & ~smask]:
-            gain = (rows[w] & mask).bit_count()
-            if gain > best_gain:
-                best_gain, best_v = gain, w
-        smask |= 1 << best_v
-        adjcov |= g.bits[best_v]
-        d2two |= d2[best_v] & d2one
-        d2one |= d2[best_v]
-    return bits_to_vertices(smask)

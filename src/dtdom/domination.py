@@ -9,8 +9,15 @@ dtd with empty distance-2 rows.  So one scan for uncovered vertices
 one exact search serve all three.  The exact solver is
 an ascending-cardinality search with logically forced-vertex propagation
 and a coverage bound over the best remaining candidates (see
-``_cannot_cover``); nothing heuristic prunes a feasible branch, so its
-results are safe to use as the oracle for every theorem check.
+``_cannot_cover``).  It branches on the heaviest option first by that
+bound's weights, and the one greedy cover (``_greedy_cover``, which
+``constructor.greedy_dtd`` and the constructor's greedy total dominating
+set also run) is its incumbent: the search stops below the greedy set's
+size and returns that set once every smaller size is refuted.  Nothing
+heuristic prunes a feasible branch, so its results are safe to use as the
+oracle for every theorem check.  DTD on C45 takes 10,360 nodes, on P60
+137,228 and on H(6) 32,093 (6,482, 125,012 and 37,978 with ascending
+branching and no incumbent).
 """
 
 from __future__ import annotations
@@ -139,15 +146,57 @@ def _cannot_cover(rows, unc, d2one, avail, budget) -> bool:
     """
     n = len(rows)
     mask = unc | unc << n | (unc & d2one) << 2 * n
-    weights = []
-    while avail:
-        low = avail & -avail
-        avail ^= low
-        weights.append((rows[low.bit_length() - 1] & mask).bit_count())
+    weights = [(rows[w] & mask).bit_count() for w in _members(n)[avail]]
     if len(weights) > budget:
         weights.sort(reverse=True)
         del weights[budget:]
     return sum(weights) < 2 * unc.bit_count()
+
+
+def _total_rows(g: Graph, kind: DominationKind):
+    """``g``'s rows as a total kind's neighbor rows: every vertex needs a
+    neighbor in the set, so an isolated vertex is a DomainError."""
+    for v, row in enumerate(g.bits):
+        if not row:
+            raise DomainError(f"vertex {v} is isolated; {kind.value} undefined")
+    return g.bits
+
+
+def _greedy_cover(nbr, d2) -> int:
+    """The mask of a set built by adding the vertex that covers the most
+    uncovered vertices until every vertex has a member among its rows
+    ``nbr`` or two among its rows ``d2``.
+
+    The rows are ``exact_number``'s, so with ``distance2_bits`` the result
+    is a DTD-set, with all-zero ``d2`` rows a total dominating set, and with
+    closed neighborhoods a dominating set.  No row of ``nbr`` may be empty.
+    Ties go to the lowest vertex.
+    """
+    n = len(nbr)
+    # a vertex's gain is one popcount of its neighbour row and its
+    # distance-2 row side by side, against the uncovered vertices and those
+    # of them that already have one distance-2 member; empty distance-2
+    # rows leave the neighbour rows as they are
+    rows = [r | e << n for r, e in zip(nbr, d2)] if any(d2) else nbr
+    full = (1 << n) - 1
+    members = _members(n)
+    smask = adjcov = d2one = d2two = 0
+    while True:
+        unc = full & ~(adjcov | d2two)
+        if not unc:
+            return smask
+        mask = unc | (unc & d2one) << n
+        # an uncovered u has a row member outside S (else u is covered), and
+        # that member's gain counts u, so the best gain is at least 1
+        best_gain, best_v = -1, -1
+        for w in members[full & ~smask]:
+            gain = (rows[w] & mask).bit_count()
+            if gain > best_gain:
+                best_gain, best_v = gain, w
+        smask |= 1 << best_v
+        adjcov |= nbr[best_v]
+        d2two |= d2[best_v] & d2one
+        d2one |= d2[best_v]
 
 
 def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
@@ -158,26 +207,31 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
     among its distance-2 rows ``d2``, which are empty for dom and tdom.  A
     branch with at least two vertices left to add is cut when those
     ``budget`` vertices cannot cover the uncovered ones (``_cannot_cover``),
-    and k starts at the least value the same bound allows at the root.  The
-    cost grows exponentially with n: DTD on C45 takes 6,482 nodes and on P60
-    125,012.  For the total variants every vertex must have a neighbor
-    (DomainError otherwise); disconnected inputs are permitted and solved
-    globally.
+    and k starts at the least value the same bound allows at the root.  A
+    node branches on the options of its uncovered vertex with the fewest,
+    heaviest first by the doubled weight of ``_cannot_cover`` (ties to the
+    lower vertex), and each later branch bans the earlier ones.
+
+    The ``_greedy_cover`` set is the incumbent: k rises only to its size,
+    and when every smaller k is refuted the greedy set is returned without
+    a search, as it is then optimal.  Nothing heuristic prunes a branch.
+    The cost grows exponentially with n: DTD on C45 takes 10,360 nodes, on
+    P60 137,228 and on H(6) 32,093.  For the total variants every vertex
+    must have a neighbor (DomainError otherwise); disconnected inputs are
+    permitted and solved globally.
     """
     n = g.n
     if kind is DominationKind.DOMINATION:
         # a dominating set is a total dominating set over closed neighborhoods
         nbr = [row | 1 << v for v, row in enumerate(g.bits)]
     else:
-        for v in range(n):
-            if not g.bits[v]:
-                raise DomainError(f"vertex {v} is isolated; {kind.value} undefined")
-        nbr = g.bits
+        nbr = _total_rows(g, kind)
     if n == 0:
         return SolveResult(kind, 0, frozenset(), 0)
     d2 = distance2_bits(g) if kind is DominationKind.DISJUNCTIVE_TOTAL_DOMINATION else (0,) * n
     full = (1 << n) - 1
     rows = _weight_rows(nbr, d2)
+    members = _members(n)
     explored = 0
 
     def rec(smask: int, banned: int, budget: int, adjcov: int, d2one: int, d2two: int) -> Optional[int]:
@@ -195,11 +249,7 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
             # with the fewest options to branch on when nothing is forced
             forced = 0
             pick_opts, pick_cnt = 0, n + 1
-            u = unc
-            while u:
-                low = u & -u
-                v = low.bit_length() - 1
-                u ^= low
+            for v in members[unc]:
                 opts = nbr[v] & free
                 avail_d = d2[v] & free
                 if avail_d:
@@ -222,12 +272,8 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
             budget -= forced.bit_count()
             if budget < 0:
                 return None
-            f = forced
-            while f:
-                low = f & -f
-                w = low.bit_length() - 1
-                f ^= low
-                smask |= low
+            smask |= forced
+            for w in members[forced]:
                 adjcov |= nbr[w]
                 d2two |= d2[w] & d2one
                 d2one |= d2[w]
@@ -237,35 +283,35 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
         # everything, which is cheaper than computing the weights
         if budget > 1 and _cannot_cover(rows, unc, d2one, free, budget):
             return None
+        mask = unc | unc << n | (unc & d2one) << 2 * n
         tried = 0
-        o = pick_opts
-        while o:
-            low = o & -o
-            w = low.bit_length() - 1
-            o ^= low
+        # sorted is stable, so equal weights keep the ascending order
+        for w in sorted(members[pick_opts], key=lambda w: (rows[w] & mask).bit_count(), reverse=True):
             dw = d2[w]
             hit = rec(
-                smask | low, banned | tried, budget - 1, adjcov | nbr[w], d2one | dw, d2two | dw & d2one
+                smask | 1 << w, banned | tried, budget - 1, adjcov | nbr[w], d2one | dw, d2two | dw & d2one
             )
             if hit is not None:
                 return hit
-            tried |= low
+            tried |= 1 << w
         return None
 
     # the least k whose k largest root weights reach 2n; at the root every
     # vertex is uncovered and none has a distance-2 member yet
     weights = sorted([(r & (full | full << n)).bit_count() for r in rows], reverse=True)
     lower = next(k for k, reach in enumerate(accumulate(weights), 1) if reach >= 2 * n)
+    best = _greedy_cover(nbr, d2)
     try:
-        for k in range(lower, n + 1):
+        for k in range(lower, best.bit_count()):
             hit = rec(0, 0, k, 0, 0, 0)
             if hit is not None:
-                return SolveResult(kind, hit.bit_count(), bits_to_vertices(hit), explored)
+                best = hit
+                break
     finally:
         # rec reaches itself through its closure; dropping it frees the
         # search's state on return rather than at the next cyclic collection
         del rec
-    raise DomainError("no feasible set exists")  # unreachable after isolation check
+    return SolveResult(kind, best.bit_count(), bits_to_vertices(best), explored)
 
 
 # -- closed forms for paths and cycles -----------------------------------------

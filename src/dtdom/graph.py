@@ -8,8 +8,9 @@ remaps them for every relabeling and induced subgraph.  Vertex sets cross
 the public API as frozensets, decoded with :func:`bits_to_vertices`.  Hot
 loops read a mask's vertices from one members table, chosen by order:
 :func:`_members` gives the precomputed :data:`_BITS` for rows of at most
-``_BITS_WIDTH`` vertices and a view that peels each mask for wider ones,
-so every loop has one body whatever the order.  Only the claw test
+``_BITS_WIDTH`` vertices, a view that joins three 12-bit lookups for rows
+of at most ``3 * _BITS_WIDTH``, and a view that peels each mask for wider
+ones, so every loop has one body whatever the order.  Only the claw test
 changes algorithm with width: a narrow graph is scanned by non-adjacent
 pair, a wider one by center.
 """
@@ -116,11 +117,17 @@ def _bit_table(width: int) -> List[bytes]:
 # Rows of at most _BITS_WIDTH vertices read their members from _BITS: an index
 # and a walk over one bytes object instead of a peel (lowest bit, bit_length,
 # clear) per member.  Every class of the claw-free and connected walks fits
-# (CLAW_FREE_MAX is 12); _members hands wider rows a peeling view.  Bytes
-# iterate as fast as tuples of ints and take half the memory: 4,096 of them,
-# about 0.2 MB.
+# (CLAW_FREE_MAX is 12); _members hands wider rows a view over the same table
+# or a peeling one.  Bytes iterate as fast as tuples of ints and take half the
+# memory: 4,096 of them, about 0.2 MB.
 _BITS_WIDTH = 12
 _BITS = _bit_table(_BITS_WIDTH)
+# _BITS with every member raised by 12 and by 24, for the second and third
+# 12-bit chunk of a mask (translate maps each byte; members stay below 36)
+_BITS_12, _BITS_24 = (
+    [bits.translate(shift) for bits in _BITS]
+    for shift in (bytes(range(k, 256)) + bytes(k) for k in (_BITS_WIDTH, 2 * _BITS_WIDTH))
+)
 
 
 def _to_mask(vertices: Iterable[int]) -> int:
@@ -141,21 +148,33 @@ def _from_mask(mask: int) -> List[int]:
     return out
 
 
+class _Chunked(dict):
+    """The members of a mask below ``2 ** 36``, joined from the ``_BITS``
+    entries of its three 12-bit chunks on each lookup and never stored."""
+
+    @staticmethod
+    def __missing__(mask: int) -> bytes:
+        return _BITS[mask & 4095] + _BITS_12[mask >> 12 & 4095] + _BITS_24[mask >> 24]
+
+
 class _Peeled(dict):
     """The members of any mask, peeled on each lookup and never stored."""
 
     __missing__ = staticmethod(_from_mask)
 
 
+_CHUNKED = _Chunked()
 _PEELED = _Peeled()
 
 
-def _members(n: int) -> List[bytes] | _Peeled:
+def _members(n: int) -> List[bytes] | _Chunked | _Peeled:
     """The members table for masks over ``n`` vertices: ``_members(n)[mask]``
     is the mask's vertices, ascending.  A caller picks it once per graph and
     indexes it in its loops: a list lookup up to ``_BITS_WIDTH`` vertices,
-    a peel past them."""
-    return _BITS if n <= _BITS_WIDTH else _PEELED
+    three joined lookups up to ``3 * _BITS_WIDTH``, a peel past them."""
+    if n <= _BITS_WIDTH:
+        return _BITS
+    return _CHUNKED if n <= 3 * _BITS_WIDTH else _PEELED
 
 
 def bits_to_vertices(mask: int) -> VertexSet:

@@ -175,6 +175,10 @@ def test_criterion_7_constructor_guarantee():
                 failures.append(to_graph6(g))
     assert not failures, failures[:5]
     assert counts == {n: CLAWFREE_COUNTS[n] for n in range(2, 13)}
+    # the route of every class is pinned, so a change in the fragment
+    # witnesses that the proof path consumes shows here; the three
+    # fallbacks are the order-7 graphs of ROADMAP item 1(a)
+    assert tags == {"proof-path": 134160, "witness-mindeg2": 1811011, "fallback-exact": 3}
     checked = sum(tags.values())
     total12 = CLAWFREE_COUNTS[12]
 

@@ -32,6 +32,7 @@ from conftest import brute_force_minimum, random_connected_graph, random_graph, 
 DOM = DominationKind.DOMINATION
 TDOM = DominationKind.TOTAL_DOMINATION
 DTD = DominationKind.DISJUNCTIVE_TOTAL_DOMINATION
+_PREDICATES = {DOM: is_dominating_set, TDOM: is_total_dominating_set, DTD: is_dtd_set}
 
 
 # -- predicates -----------------------------------------------------------------
@@ -202,7 +203,6 @@ def _partial_state(g, kind, smask):
 
 def test_coverage_bound_never_prunes_a_completion():
     rng = random.Random(20261018)
-    checks = {DOM: is_dominating_set, TDOM: is_total_dominating_set, DTD: is_dtd_set}
     states = pruned = 0
     while states < 3000:
         g = random_graph(rng.randint(2, 9), rng.choice((0.25, 0.4, 0.6)), rng)
@@ -224,7 +224,7 @@ def test_coverage_bound_never_prunes_a_completion():
         free = [v for v in range(g.n) if avail >> v & 1]
         for size in range(1, min(budget, len(free)) + 1):
             for extra in combinations(free, size):
-                assert not checks[kind](g, s + list(extra)), (kind, sorted(g.edges()), s, extra)
+                assert not _PREDICATES[kind](g, s + list(extra)), (kind, sorted(g.edges()), s, extra)
     assert pruned > 300
 
 
@@ -237,22 +237,30 @@ def _cycle_plus_chords(n, chords, rng):
     return Graph(n, sorted(edges))
 
 
-# sha256 over "kind value witness\n" for every kind and graph of the corpus
-# below, recorded before the coverage bound replaced the unit-capacity bound;
-# pins every witness, not only the values
-SOLVER_DIGEST = "d93d996441a9ce7a14acfe45b70cd9467b9f2bef1afb4240d093b98aa3165c12"
-# sha256 over "kind explored\n" on the same corpus, recorded before the three
-# kinds shared one search; pins the search tree, not only its result
-NODES_DIGEST = "5f753349bdcfd160f9e8dde9bb47a40585ec622874a8ace813b17f0b7b41924b"
+# sha256 over "kind value\n" for every kind and graph of the corpus below;
+# pins the values alone, which no change to the search may move
+VALUES_DIGEST = "4cd976c62896144c6c244fed7b16f3563fb2582fa6a90ecc09008de046e2baa8"
+# sha256 over "kind value witness\n" on the same corpus, recorded when the
+# branching took the heaviest option first and the greedy set became the
+# incumbent; pins every witness, not only the values
+SOLVER_DIGEST = "4111589d33a261d8a85eacf3e1fbc3c594f010f0d742d7ab796636fd0db05ea8"
+# sha256 over "kind explored\n" on the same corpus, recorded with the same
+# search; pins the search tree, not only its result
+NODES_DIGEST = "596af16696ed80ba974e4d53346bc17531fae8cc86816f328d03a537971fb41a"
 
 
 @functools.lru_cache(maxsize=1)
-def _pinned_corpus_results():
+def _pinned_corpus():
     rng = random.Random(7)
     corpus = [random_connected_graph(rng.randint(2, 14), rng) for _ in range(300)]
     corpus += [_cycle_plus_chords(rng.randint(18, 24), rng.randint(1, 4), rng) for _ in range(30)]
     corpus += [generate_named(f"{family}{n}") for family in "CP" for n in range(3, 31)]
-    return [exact_number(g, kind) for g in corpus for kind in (DOM, TDOM, DTD)]
+    return corpus
+
+
+@functools.lru_cache(maxsize=1)
+def _pinned_corpus_results():
+    return [exact_number(g, kind) for g in _pinned_corpus() for kind in (DOM, TDOM, DTD)]
 
 
 def test_exact_number_leaves_no_reference_cycle():
@@ -272,6 +280,30 @@ def test_exact_number_leaves_no_reference_cycle():
         gc.garbage.clear()
         gc.enable()
     assert leaked == []
+
+
+def test_solver_values_are_pinned():
+    h = hashlib.sha256()
+    for res in _pinned_corpus_results():
+        h.update(f"{res.kind.value} {res.value}\n".encode())
+    assert h.hexdigest() == VALUES_DIGEST
+
+
+def test_solver_witnesses_are_sets_of_the_value():
+    results = iter(_pinned_corpus_results())
+    for g in _pinned_corpus():
+        for kind in (DOM, TDOM, DTD):
+            res = next(results)
+            assert res.kind is kind and len(res.witness) == res.value
+            assert _PREDICATES[kind](g, res.witness), (kind, sorted(g.edges()), sorted(res.witness))
+
+
+def test_weight_ordering_keeps_the_chord_graphs_cheap():
+    # DTD on the corpus's 30 cycle-plus-chords graphs takes 8,297 nodes when
+    # the heaviest option is branched on first; in ascending order, with the
+    # same greedy incumbent, it took 9,856, and before both 11,180
+    results = _pinned_corpus_results()
+    assert sum(results[3 * i + 2].explored for i in range(300, 330)) <= 9_000
 
 
 def test_solver_outputs_are_pinned():
@@ -322,7 +354,8 @@ def test_formulas_match_solver_small():
         assert dtd_cycle_formula(n) == exact_number(cn, DTD).value
         assert dtd_path_formula(n) == exact_number(pn, DTD).value
         assert gt_cycle_formula(n) == exact_number(cn, TDOM).value
-    # the coverage bound settles C45 in 6,482 nodes; the unit-capacity bound took 112,436
+    # the coverage bound with heaviest-first branching settles C45 in 10,360
+    # nodes (6,482 in ascending order); the unit-capacity bound took 112,436
     assert exact_number(generate_named("C45"), DTD).explored < 20_000
 
 

@@ -31,6 +31,16 @@ def test_bit_table_matches_peeling(rng):
         n = rng.randrange(13, 65)
         m = rng.getrandbits(n)
         assert list(_members(n)[m]) == _from_mask(m)
+    # 13 to 36 vertices join three 12-bit chunks; a mask is checked with its
+    # own width, so top bits 12, 23, 24 and 35 sit at a chunk's edge and
+    # top bit 36 and up take the peel
+    masks = [rng.getrandbits(rng.randrange(13, 41)) | 1 << 12 for _ in range(300)]
+    for top in (12, 23, 24, 35, 36, 40):
+        masks += [1 << top, (2 << top) - 1, 1 << top | rng.getrandbits(top)]
+    for m in masks:
+        n = m.bit_length()
+        assert list(_members(n)[m]) == _from_mask(m), hex(m)
+    assert _members(36) is not _members(37)
 
 
 def test_graph_from_edges_examples():

@@ -77,12 +77,21 @@ def test_tree_theorem_reports_a_tree_over_the_bound(monkeypatch):
         seen.append(to_graph6(g))
         return replace(res, value=5)
 
-    patch_bindings(monkeypatch, constructor, "_greedy_cover", lambda g, d2: frozenset(range(g.n)))
+    _patch_greedy(monkeypatch, lambda g, greedy: frozenset(range(g.n)))
     patch_bindings(monkeypatch, domination, "exact_number", inflated)
     r = check_tree_theorem(max_n=7)
     assert len(seen) == 1
     assert r.violations == [f"bound:{seen[0]} dtd=5"]
     assert not r.passed
+
+
+def _patch_greedy(monkeypatch, stage):
+    """Make each greedy stage of the witness cascade, ``_greedy_tds`` and
+    ``greedy_dtd``, return ``stage(g, greedy)``, where ``greedy`` is the real
+    stage; the exact solver keeps its own greedy incumbent."""
+    for name in ("_greedy_tds", "greedy_dtd"):
+        real = getattr(constructor, name)
+        patch_bindings(monkeypatch, constructor, name, lambda g, real=real: stage(g, real))
 
 
 def _members_with(monkeypatch, cls, n, fids):
@@ -96,7 +105,7 @@ def _members_with(monkeypatch, cls, n, fids):
 def _overstate(monkeypatch, n, value):
     """Make the checkers read dtd(K_n) as ``value``: neither greedy stage
     settles K_n, and the exact solver reports ``value`` for it."""
-    cover, solve = constructor._greedy_cover, domination.exact_number
+    solve = domination.exact_number
 
     def complete(g):
         return g.n == n and g.edge_count == n * (n - 1) // 2
@@ -105,10 +114,7 @@ def _overstate(monkeypatch, n, value):
         res = solve(g, kind)
         return replace(res, value=value) if complete(g) and kind is verify.DTD else res
 
-    patch_bindings(
-        monkeypatch, constructor, "_greedy_cover",
-        lambda g, d2: frozenset(range(g.n)) if complete(g) else cover(g, d2),
-    )
+    _patch_greedy(monkeypatch, lambda g, greedy: frozenset(range(g.n)) if complete(g) else greedy(g))
     patch_bindings(monkeypatch, domination, "exact_number", inflated)
 
 
@@ -188,7 +194,7 @@ def test_clawfree_theorem_small():
 
 @pytest.mark.parametrize(
     "witness",
-    [lambda g, d2: frozenset(range(g.n)), lambda g, d2: frozenset({0})],
+    [lambda g, greedy: frozenset(range(g.n)), lambda g, greedy: frozenset({0})],
     ids=["all-vertices", "one-vertex"],
 )
 def test_greedy_witnesses_are_verified_not_trusted(witness, monkeypatch):
@@ -198,7 +204,7 @@ def test_greedy_witnesses_are_verified_not_trusted(witness, monkeypatch):
     # report must stay as it is
     runs = (lambda: check_clawfree_theorem(max_n=8), lambda: check_tree_theorem(max_n=10))
     want = [_payload(run()) for run in runs]
-    patch_bindings(monkeypatch, constructor, "_greedy_cover", witness)
+    _patch_greedy(monkeypatch, witness)
     assert [_payload(run()) for run in runs] == want
 
 
