@@ -6,11 +6,12 @@ components of G - X are "fragments", and every X-vertex touches at most
 one fragment.  One builder also roots it one step past a degree-2
 support, setting the leaf and its support aside.  Each fragment is
 classified once, when the decomposition is built: its kind, the clique
-vertex it hangs from, the profile of that attachment and the vertices the
-case analysis names (a path from its attachment end, G(3)'s coordinates).
-One selection loop reads those records -- Algorithm A on a leaf
-decomposition, Algorithm B past a support -- and builds a vertex set S;
-the builder then augments S case by case until it disjunctively totally
+vertex it hangs from, the profile of that attachment, the vertices the
+case analysis names (a path from its attachment end, G(3)'s coordinates)
+and the vertices its case selects, so each case's test sits next to the
+set it picks.  Algorithm A on a leaf decomposition and Algorithm B past a
+support seed a vertex set S and add the records' selections to it; the
+builder then augments S case by case until it disjunctively totally
 dominates.  ``_construct`` is the one route policy, for the input and, as
 the paper's inductive step, for every large fragment over 11 vertices;
 smaller ones are solved exactly.  Each candidate is verified against the
@@ -80,6 +81,9 @@ class FragmentRecord:
     # the vertices the case analysis names: for P3, P5 and P6 the path from
     # its attachment end; for G3 (w, w1, w2, w3, u1, u2, u3, v1, v2, v3)
     named: Tuple[int, ...] = ()
+    # the vertices this fragment's case adds to the selection, or None when
+    # the attachment lies outside the enumerated cases
+    selection: Optional[FrozenSet[int]] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -133,37 +137,54 @@ def _g3_labels(sub: Graph, ids: Sequence[int]) -> Optional[List[int]]:
     return None if phi is None else [v for _, v in sorted(zip(phi, ids))]
 
 
-def _classify(g: Graph, vertices: FrozenSet[int], chosen: int) -> FragmentRecord:
-    """The fragment's kind, its named vertices and the profile of its
-    attachment to ``chosen``, found once for both the profile and the
-    selection.  A G(3) fragment's vertices are named from its isomorphism
-    map to ``generate(G(3))``, the one canonical search on it."""
+def _classify(g: Graph, vs: int, chosen: int, deep: bool) -> FragmentRecord:
+    """The fragment on mask ``vs``: its kind, its named vertices, the profile
+    of its attachment to ``chosen`` and the vertices its case adds to the
+    selection, each case decided once.  A G(3) fragment's vertices are named
+    from its isomorphism map to ``generate(G(3))``, the one canonical search
+    on it."""
+    vertices = bits_to_vertices(vs)
     k = len(vertices)
-    vs = _to_mask(vertices)
     adj = bits_to_vertices(g.bits[chosen] & vs)
     edges = sum((g.bits[v] & vs).bit_count() for v in vertices) // 2
     named: Tuple[int, ...] = ()
+    sel: Optional[FrozenSet[int]] = frozenset()
     if k == 1:
+        # Algorithm B adds a bare vertex's clique vertex, Algorithm A nothing
         kind, profile = FragmentKind.P1, "isolated"
+        if deep:
+            sel = frozenset({chosen})
     elif k == 2:
         kind = FragmentKind.P2
-        profile = "both-adjacent" if len(adj) == 2 else "one-adjacent"
+        if len(adj) == 2:
+            profile, sel = "both-adjacent", frozenset({chosen})
+        else:
+            profile, sel = "one-adjacent", adj
     elif k == 3 and edges == 3:
-        kind, profile = FragmentKind.C3, "triangle"
+        kind, profile, sel = FragmentKind.C3, "triangle", frozenset({chosen, min(adj)})
     elif k in (3, 5, 6) and edges == k - 1 and (order := _path_order(g, vs)):  # a tree
         kind = {3: FragmentKind.P3, 5: FragmentKind.P5, 6: FragmentKind.P6}[k]
-        named = _oriented(order, adj)
+        o = named = _oriented(order, adj)
         if k == 3:
-            if named[1] in adj:
-                profile = "center-adjacent"
+            if o[1] in adj:
+                profile, sel = "center-adjacent", frozenset({chosen, min(adj)})
+            elif len(adj) == 1:
+                profile, sel = "leaf-adjacent", frozenset(o[:2])  # the leaf and the centre
             else:
-                profile = "leaf-adjacent" if len(adj) == 1 else "unclassified"
-        elif named[0] in adj or named[-1] in adj:
-            profile = "leaf-adjacent"
-        elif k == 6 and (named[1] in adj or named[-2] in adj):
+                profile, sel = "unclassified", None
+        elif o[0] in adj or o[-1] in adj:
+            profile, sel = "leaf-adjacent", frozenset({chosen, o[k - 3], o[k - 2]})
+        elif k == 6 and (o[1] in adj or o[-2] in adj):
             profile = "support-adjacent"
+            sel = frozenset({o[1], o[3], o[4]}) if o[2] in adj else None
         else:
             profile = "interior-adjacent"
+            if k == 5 and o[2] in adj and (o[1] in adj or o[3] in adj):
+                sel = frozenset({chosen, o[2], o[3]})
+            elif k == 6 and o[2] in adj and o[3] in adj:
+                sel = frozenset({chosen, o[1], o[3], o[4]})
+            else:
+                sel = None
     elif k == 10 and edges == 10 and (
         lab := _g3_labels(_induced(g, ids := _members(g.n)[vs]), ids)
     ):
@@ -175,19 +196,24 @@ def _classify(g: Graph, vertices: FrozenSet[int], chosen: int) -> FragmentRecord
             u, v = v, u
         named = (lab[0], *lab[7:10], *u, *v)
         w, w1, w2, w3, u1, u2, u3, v1, v2, v3 = named
+        base = frozenset({chosen, u1, u2, v1, v2, w1, w2})
         if w3 in adj:
-            profile = "leaf-w3"
+            profile, sel = "leaf-w3", base - {w1, w2} | {w3}
         elif u3 in adj or v3 in adj:
-            profile = "leaf-arm"
+            profile, sel = "leaf-arm", base - {u1, u2} | {u3}
         elif w2 in adj:
-            profile = "support-w2"
+            profile, sel = "support-w2", base - {w2}
         elif u2 in adj or v2 in adj:
-            profile = "support-arm"
+            profile, sel = "support-arm", base - {u2}
+        elif w1 in adj:
+            profile, sel = "center-w1", base - {u1, w1} | {w} if w in adj else None
         else:
-            profile = "center-w1" if w1 in adj else "center-arms"
+            profile = "center-arms"
+            sel = base - {u1, v1} | {w} if adj >= {w, u1, v1} else None
     else:
+        # a large fragment's set is built by ``_solved``, inside the fragment
         kind, profile = FragmentKind.OTHER, "non-exceptional"
-    return FragmentRecord(vertices, kind, chosen, profile, named)
+    return FragmentRecord(vertices, kind, chosen, profile, named, sel)
 
 
 # -- decomposition ----------------------------------------------------------------
@@ -220,7 +246,7 @@ def _decompose(g: Graph, leaf: int, deep: bool) -> Decomposition:
             continue
         # g is connected, so some X-vertex touches the fragment
         chosen = next(w for w in _members(g.n)[xmask] if g.bits[w] & comp)
-        fragments.append(_classify(g, bits_to_vertices(comp), chosen))
+        fragments.append(_classify(g, comp, chosen, deep))
     # claw-freeness makes X a clique whose vertices each touch at most one
     # fragment, so neither is re-checked here
     X = bits_to_vertices(xmask)
@@ -248,56 +274,9 @@ def decompose_beyond_support(g: Graph, z: int) -> Decomposition:
 # -- the per-fragment selection procedure ------------------------------------------
 
 
-def _fragment_selection(g: Graph, frag: FragmentRecord) -> FrozenSet[int]:
-    """One case per exceptional fragment shape and attachment profile."""
-    kind, chosen, profile, o = frag.kind, frag.chosen, frag.attachment_profile, frag.named
-    adj = bits_to_vertices(g.bits[chosen] & _to_mask(frag.vertices))
-    if kind is FragmentKind.P2:
-        return frozenset({chosen} if profile == "both-adjacent" else {min(adj)})
-    if kind is FragmentKind.C3:
-        return frozenset({chosen, min(adj)})
-    if kind is FragmentKind.P3:
-        if profile == "center-adjacent":
-            return frozenset({chosen, min(adj)})
-        if profile != "leaf-adjacent":
-            raise ProofPathError("P3 fragment attachment outside the enumerated cases")
-        return frozenset(o[:2])  # the attached leaf and the centre
-    if kind is FragmentKind.P5:
-        if profile != "leaf-adjacent" and (o[2] not in adj or not (o[1] in adj or o[3] in adj)):
-            raise ProofPathError("P5 fragment attachment outside the enumerated cases")
-        return frozenset({chosen, o[2], o[3]})
-    if kind is FragmentKind.P6:
-        if profile == "leaf-adjacent":
-            return frozenset({chosen, o[3], o[4]})
-        if profile == "support-adjacent":
-            if o[2] not in adj:
-                raise ProofPathError("P6 support attachment without its interior edge")
-            return frozenset({o[1], o[3], o[4]})
-        if o[2] not in adj or o[3] not in adj:
-            raise ProofPathError("P6 interior attachment outside the enumerated cases")
-        return frozenset({chosen, o[1], o[3], o[4]})
-    w, w1, w2, w3, u1, u2, u3, v1, v2, v3 = o
-    base = frozenset({chosen, u1, u2, v1, v2, w1, w2})
-    if profile == "leaf-w3":
-        return base - {w1, w2} | {w3}
-    if profile == "leaf-arm":
-        return base - {u1, u2} | {u3}
-    if profile == "support-w2":
-        return base - {w2}
-    if profile == "support-arm":
-        return base - {u2}
-    if w not in adj:
-        raise ProofPathError("G3 center attachment without the center edge")
-    if profile == "center-w1":
-        return base - {u1, w1} | {w}
-    if u1 not in adj or v1 not in adj:
-        raise ProofPathError("G3 attachment outside the enumerated cases")
-    return base - {u1, v1} | {w}
-
-
-def _select(g: Graph, dec: Decomposition) -> FrozenSet[int]:
-    """The per-fragment selection without the large fragments' sets, which
-    lie inside those fragments and never meet X.
+def _select(dec: Decomposition) -> FrozenSet[int]:
+    """The seeds and the union of the fragments' selections, without the
+    large fragments' sets, which lie inside those fragments and never meet X.
 
     Algorithm A on a leaf decomposition seeds x, and one more unassigned
     clique vertex when |Y| >= 4.  Algorithm B past a degree-2 support seeds
@@ -312,11 +291,12 @@ def _select(g: Graph, dec: Decomposition) -> FrozenSet[int]:
     else:
         s = {dec.x}
     for frag in dec.fragments:
-        if frag.kind is FragmentKind.P1:
-            if dec.deep:
-                s.add(frag.chosen)
-        elif frag.kind is not FragmentKind.OTHER:
-            s |= _fragment_selection(g, frag)
+        if frag.selection is None:
+            raise ProofPathError(
+                f"{frag.kind.value} fragment attachment ({frag.attachment_profile})"
+                " outside the enumerated cases"
+            )
+        s |= frag.selection
     return frozenset(s)
 
 
@@ -336,7 +316,7 @@ def algorithm_a(g: Graph, dec: Decomposition) -> FrozenSet[int]:
     necessarily a DTD-set yet."""
     if dec.deep:
         raise GraphInputError("algorithm A needs the leaf decomposition")
-    return _solved(g, dec, _select(g, dec))
+    return _solved(g, dec, _select(dec))
 
 
 def algorithm_b(g: Graph, dec: Decomposition) -> FrozenSet[int]:
@@ -345,7 +325,7 @@ def algorithm_b(g: Graph, dec: Decomposition) -> FrozenSet[int]:
     attached clique vertex."""
     if not dec.deep:
         raise GraphInputError("algorithm B needs the beyond-support decomposition")
-    return _solved(g, dec, _select(g, dec))
+    return _solved(g, dec, _select(dec))
 
 
 # -- the bounded builder -------------------------------------------------------------
@@ -376,7 +356,7 @@ def _phase_one(g: Graph, leaf: int) -> Optional[FrozenSet[int]]:
     dec = _decompose(g, leaf, deep=False)
     # the route is chosen without the large fragments' sets, and a large
     # fragment is solved only on a route that keeps the selection
-    s = _select(g, dec)
+    s = _select(dec)
     large = _kind_count(dec, FragmentKind.OTHER)
     if len(s & dec.X) < 2:
         p6 = _first_fragment(dec, FragmentKind.P6)
@@ -416,7 +396,7 @@ def _peel_p3_chain(g: Graph, dec: Decomposition) -> FrozenSet[int]:
 
 def _phase_two(g: Graph, leaf: int) -> FrozenSet[int]:
     dec = _decompose(g, leaf, deep=True)
-    s = _solved(g, dec, _select(g, dec))
+    s = _solved(g, dec, _select(dec))
     if len(dec.Y) >= 4:
         if is_dtd_set(g, s):
             return s
@@ -451,8 +431,8 @@ def _solve_within(sub: Graph, order: Sequence[int]) -> FrozenSet[int]:
 def construct_dtd_clawfree(g: Graph) -> Tuple[FrozenSet[int], str]:
     """A DTD-set of size at most 4n/7 for a connected claw-free graph, and
     the tag of the route ``_construct`` took.  A proof path that nests past
-    the interpreter's recursion limit (P999 under ``dtdom construct``)
-    raises DomainError naming the input's order.
+    the interpreter's recursion limit (from about 1,000 vertices, depending
+    on the caller's stack depth) raises DomainError naming the input's order.
     """
     if g.n < 2:
         raise GraphInputError("constructor needs n >= 2")

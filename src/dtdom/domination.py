@@ -16,8 +16,7 @@ set also run) is its incumbent: the search stops below the greedy set's
 size and returns that set once every smaller size is refuted.  Nothing
 heuristic prunes a feasible branch, so its results are safe to use as the
 oracle for every theorem check.  DTD on C45 takes 10,360 nodes, on P60
-137,228 and on H(6) 32,093 (6,482, 125,012 and 37,978 with ascending
-branching and no incumbent).
+137,228 and on H(6) 32,093.
 """
 
 from __future__ import annotations

@@ -204,6 +204,39 @@ def test_algorithm_b_seeds_and_bare_fragments():
         algorithm_a(g, dec)  # needs the leaf decomposition
 
 
+_G3_EDGES = list(generate_named("G(3)").edges())  # triangle 0-1-4, arms 0-7-8-9, 1-2-3, 4-5-6
+
+
+@pytest.mark.parametrize("edges, leaf, kind, profile", [
+    # the P3 3-4-5 hangs from 2 by both of its leaves
+    ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 5)], 0, FragmentKind.P3, "unclassified"),
+    # the P5 3-...-7 hangs from 2 by its middle vertex alone
+    ([(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (2, 5)], 0, FragmentKind.P5,
+     "interior-adjacent"),
+    # the P6 3-...-8 hangs from 2 by a support, without the interior vertex next to it
+    ([(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)], 0, FragmentKind.P6,
+     "support-adjacent"),
+    # the P6 3-...-8 hangs from 2 by one of its two interior vertices
+    ([(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 5)], 0, FragmentKind.P6,
+     "interior-adjacent"),
+    # G(3) hangs from 10 by w1 (vertex 7), without the centre w
+    (_G3_EDGES + [(10, 7), (10, 11), (11, 12)], 12, FragmentKind.G3, "center-w1"),
+    # G(3) hangs from 10 by the centre w (vertex 0), without u1 and v1
+    (_G3_EDGES + [(10, 0), (10, 11), (11, 12)], 12, FragmentKind.G3, "center-arms"),
+])
+def test_attachments_outside_the_cases_leave_the_proof_path(edges, leaf, kind, profile):
+    # each attachment makes a claw at the vertex it joins, so only the
+    # trusting _decompose reaches it; no claw-free input does
+    g = Graph(max(max(e) for e in edges) + 1, edges)
+    with pytest.raises(GraphInputError):
+        decompose(g, leaf)
+    dec = constructor._decompose(g, leaf, deep=False)
+    frag = next(f for f in dec.fragments if f.kind is kind)
+    assert frag.attachment_profile == profile
+    with pytest.raises(ProofPathError):
+        algorithm_a(g, dec)
+
+
 # -- the bounded builder ----------------------------------------------------------------
 
 
