@@ -512,8 +512,9 @@ def _greedy_tds(g: Graph) -> FrozenSet[int]:
 
 def _verified_witness(g: Graph, fits: Callable[[int, int], bool]) -> Optional[FrozenSet[int]]:
     """The first greedy set, ``_greedy_tds`` then ``greedy_dtd``, that is a
-    DTD-set whose size ``fits(n, |S|)`` accepts, or None; the min-degree-2
-    route and the bound checkers of ``verify`` each pass their size test."""
+    DTD-set whose size ``fits(n, |S|)`` accepts, or None.  The min-degree-2
+    route passes |S| <= 4n/7; ``verify._bound_value``, the per-class value
+    of every bound checker, passes a*|S| < b*n + c for its row's bound."""
     for greedy in (_greedy_tds, greedy_dtd):
         s = greedy(g)
         if fits(g.n, len(s)) and is_dtd_set(g, s):

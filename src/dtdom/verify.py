@@ -10,8 +10,13 @@ characterization being checked.  Equality cases are matched against
 so the expected families come from the one table in ``families``.  Reports
 identify graphs by graph6 strings so results reproduce across machines.
 
-The bound checkers (claw-free, min-degree-2, tree and general) compare each
-value only with their bound, so they are witness-first: a DTD-set that
+The four bound checkers (tree, general, claw-free and min-degree-2) are
+rows of one table, ``_Bound``, run by one loop, ``_check_bound``: a row
+holds what sets its theorem apart (the bound a*dtd <= b*n + c, strict or
+not, the filter that sets classes aside, the families a class on or over
+the bound must match, their label and counts, and the universe), so a new
+bound theorem is a row plus a universe.  They compare each value only with
+the bound, so they are witness-first: a DTD-set that
 :func:`~dtdom.domination.is_dtd_set` accepts and that is strictly under the
 bound proves the class neither breaks the bound nor meets it.  The witnesses
 come from the constructor's min-degree-2 cascade: a greedy total dominating
@@ -26,12 +31,12 @@ error.  Builtin universes run through :func:`~dtdom.enumeration.walk_levels`
 on that block's ``run``, which shards each level by its order-(n-1) parents
 and solves every class next to its expansion, holding one level of rows;
 trees and corpora have no parent and are one flat ``run`` each, the trees
-of every order in one.  The one corpus reader, :func:`_corpus_classes`,
-reads the whole file before the block opens, so a bad corpus fails fast;
-its classes, chained after the walk's, go through each bound checker's one
-loop, and those below the theorem's order floor are violations, not
-checked.  Values come back in enumeration order, so a report is the same
-for every ``jobs`` (``elapsed_ms`` aside).
+of every order in one, with the row's filter applied in the workers.  The
+one corpus reader, :func:`_corpus_classes`, reads the whole file before the
+block opens, so a bad corpus fails fast; its classes, chained after the
+walk's, go through the same loop, and those below the theorem's order floor
+are violations, not checked.  Values come back in enumeration order, so a
+report is the same for every ``jobs`` (``elapsed_ms`` aside).
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, groupby
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .canon import certificate
@@ -118,17 +123,20 @@ def emit_report(report: VerificationReport, fmt: str = "json") -> str:
 # -- per-graph values, computed next to the enumeration -----------------------
 
 
-def _under_4n_7(n: int, size: int) -> bool:
-    return 7 * size < 4 * n
+def _not_exceptional(g: Graph) -> bool:
+    return exceptional_member(g) is None
 
 
-def _under_2n_3(n: int, size: int) -> bool:
-    return 3 * size < 2 * (n - 1)
+def _min_degree_2(g: Graph) -> bool:
+    return g.min_degree() >= 2
 
 
-def _dtd_witness_first(g: Graph, under: Callable[[int, int], bool]) -> int:
-    """dtd(g), or the size of a DTD-set of ``g`` that ``under`` puts strictly
-    below the checked bound.
+def _bound_value(
+    bound: Tuple[int, int, int], keep: Optional[Callable[[Graph], bool]], g: Graph
+) -> Optional[int]:
+    """dtd(g), or the size of a DTD-set S of ``g`` strictly under the bound
+    ``a*|S| < b*n + c`` of ``bound = (a, b, c)``; None when ``keep`` sets
+    ``g`` aside.
 
     A verified DTD-set S proves dtd(g) <= |S|, so when S is strictly under
     the bound the class neither breaks it nor meets it with equality, and a
@@ -136,24 +144,15 @@ def _dtd_witness_first(g: Graph, under: Callable[[int, int], bool]) -> int:
     verdict from |S| as from dtd(g).  Every class that the constructor's
     ``_verified_witness`` does not settle gets its exact value.
     """
-    s = _verified_witness(g, under)
+    if keep is not None and not keep(g):
+        return None
+    a, b, c = bound
+    s = _verified_witness(g, lambda n, size: a * size < b * n + c)
     return len(s) if s is not None else exact_number(g, DTD).value
 
 
 def _dtd_and_gt(g: Graph) -> Tuple[int, int]:
     return exact_number(g, DTD).value, exact_number(g, TDOM).value
-
-
-def _dtd_unless_exceptional(g: Graph) -> Optional[int]:
-    return None if exceptional_member(g) is not None else _dtd_witness_first(g, _under_4n_7)
-
-
-def _dtd_if_mindeg2(g: Graph) -> Optional[int]:
-    return _dtd_witness_first(g, _under_4n_7) if g.min_degree() >= 2 else None
-
-
-# the tree and general checkers share the bound 2(n-1)/3
-_dtd_general = partial(_dtd_witness_first, under=_under_2n_3)
 
 
 def _corpus_classes(
@@ -177,22 +176,6 @@ def _corpus_classes(
         else:
             graphs.append(g)
     return graphs
-
-
-def _record_equality(
-    report: VerificationReport, g: Graph, fids: List[FamilyId],
-    label: Callable[[FamilyId], str] = str,
-) -> Optional[FamilyId]:
-    """Record the equality case ``g`` under ``label`` of its first match in
-    ``fids``, or as an unclassified violation; return the match."""
-    hit = first_match(g, fids)
-    g6 = to_graph6(g)
-    if hit is None:
-        report.equality_cases.append((g6, "unclassified"))
-        report.violations.append(f"unclassified-equality:{g6}")
-    else:
-        report.equality_cases.append((g6, label(hit)))
-    return hit
 
 
 def constructor_verdict(g: Graph) -> Optional[Tuple[str, bool]]:
@@ -249,8 +232,113 @@ def check_order7_census(jobs: int = 1) -> VerificationReport:
     return report
 
 
+@dataclass(frozen=True)
+class _Bound:
+    """One bound theorem: ``a*dtd <= b*n + c`` for ``bound = (a, b, c)``
+    (``<`` with ``strict``) on the classes that ``keep`` admits.  ``keep``
+    runs in the workers, so it is a module-level function or None (keep
+    all); the other callables stay in this process.  A class on the bound
+    must match ``equality(n)``, one over it (on it, when strict) ``over``;
+    a match is recorded under ``label`` and counted in ``count`` (formatted
+    with n).  A set-aside class counts in ``set_aside`` and as checked, or,
+    with None, in neither.  With ``complete`` every member of ``equality(n)``
+    must show up at each order.  The universe is the trees with ``trees``,
+    else the connected graphs, claw-free with ``clawfree`` (so is a corpus).
+    """
+
+    theorem: str
+    bound: Tuple[int, int, int]
+    keep: Optional[Callable[[Graph], bool]]
+    equality: Callable[[int], List[FamilyId]]
+    strict: bool = False
+    over: Tuple[FamilyId, ...] = ()
+    label: Callable[[FamilyId], str] = str
+    count: str = "equality_n{n}"
+    set_aside: Optional[str] = None
+    complete: bool = False
+    trees: bool = False
+    clawfree: bool = False
+
+
 # the trees besides T(k) and F(k) that meet 2(n-1)/3: the star K_{1,3} and T*
 _SMALL_EQUALITY_TREES = {4: [FamilyId("Star", (3,))], 7: [FamilyId("TStar")]}
+
+
+def _families(*classes: FamilyClass) -> Callable[[int], List[FamilyId]]:
+    return lambda n: [fid for cls in classes for fid in members(cls, n)]
+
+
+_TREE = _Bound(
+    "tree-characterization", (3, 2, -2), _not_exceptional,
+    lambda n: members(FamilyClass.CAL_T, n) + members(FamilyClass.CAL_F, n)
+    + _SMALL_EQUALITY_TREES.get(n, []),
+    complete=True, trees=True,
+)
+_GENERAL = _Bound(
+    "general-bound", (3, 2, -2), None,
+    _families(FamilyClass.CAL_T, FamilyClass.CAL_F, FamilyClass.CAL_G),
+)
+_CLAWFREE = _Bound(
+    "clawfree-bound", (7, 4, 0), _not_exceptional, _families(FamilyClass.CAL_H, FamilyClass.CAL_S),
+    # an H(k) member keeps its own name; the S-list is labeled as a whole
+    label=lambda hit: str(hit) if hit.kind == "H" else FamilyClass.CAL_S.value,
+    count="equality", set_aside="exceptional", clawfree=True,
+)
+_MINDEG2 = _Bound(
+    "clawfree-mindeg2-strict", (7, 4, 0), _min_degree_2, _families(), strict=True,
+    over=(FamilyId("C", (3,)), FamilyId("C", (7,))), count="exceptions", clawfree=True,
+)
+
+
+def _check_bound(
+    row: _Bound, universe: str, lo: int, hi: int, jobs: int, corpus: Optional[str] = None
+) -> VerificationReport:
+    """The report of ``row``'s theorem over the classes of order ``lo..hi``
+    and the classes of the graph6 file ``corpus``, whose floor is ``lo``."""
+    t0 = time.monotonic()
+    if corpus:
+        universe += f" + corpus {corpus}"
+    report = VerificationReport(theorem=row.theorem, universe=universe)
+    if row.trees:
+        # trees have no corpus; every order is in one flat list, so one map
+        graphs = [t for n in range(lo, hi + 1) for t in free_trees(n)]
+    else:
+        graphs = _corpus_classes(report, corpus, row.clawfree, lo)
+    value = partial(_bound_value, row.bound, row.keep)
+    a, b, c = row.bound
+    matched = set()
+    with _mapper(jobs) as run:
+        walk = () if row.trees else walk_levels(lo, hi, row.clawfree, value, run)
+        for g, dtd in chain(walk, zip(graphs, run(value, graphs))):
+            if dtd is None:
+                if row.set_aside is not None:
+                    report.checked += 1
+                    report.counts[row.set_aside] = report.counts.get(row.set_aside, 0) + 1
+                continue
+            report.checked += 1
+            slack = b * g.n + c - a * dtd
+            if slack > 0:
+                continue
+            over = slack < 0 or row.strict
+            hit = first_match(g, row.over if over else row.equality(g.n))
+            g6 = to_graph6(g)
+            if hit is not None:
+                matched.add(hit)
+                report.equality_cases.append((g6, row.label(hit)))
+                name = row.count.format(n=g.n)
+                report.counts[name] = report.counts.get(name, 0) + 1
+            elif over:
+                report.violations.append(f"bound:{g6} dtd={dtd}")
+            else:
+                report.equality_cases.append((g6, "unclassified"))
+                report.violations.append(f"unclassified-equality:{g6}")
+    if row.complete:
+        for n in range(lo, hi + 1):
+            report.counts.setdefault(row.count.format(n=n), 0)
+            for name in sorted(str(fid) for fid in row.equality(n) if fid not in matched):
+                report.violations.append(f"missing-equality:n={n} {name}")
+    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
+    return report
 
 
 def check_tree_theorem(max_n: int = 12, jobs: int = 1) -> VerificationReport:
@@ -258,39 +346,8 @@ def check_tree_theorem(max_n: int = 12, jobs: int = 1) -> VerificationReport:
     3*dtd <= 2(n-1), with equality exactly on the expected families."""
     if not 4 <= max_n <= TREES_MAX:
         raise GraphInputError(f"tree check supports 4 <= max_n <= {TREES_MAX}")
-    t0 = time.monotonic()
-    report = VerificationReport(
-        theorem="tree-characterization",
-        universe=f"trees, 4 <= n <= {max_n} (builtin), excluding P5 and P6",
-    )
-    # one flat list of every order, so one map; the values come back by order
-    trees = [
-        t for n in range(4, max_n + 1) for t in free_trees(n) if exceptional_member(t) is None
-    ]
-    with _mapper(jobs) as run:
-        values = zip(trees, run(_dtd_general, trees))
-        for n, classes in groupby(values, key=lambda pair: pair[0].n):
-            remaining = members(FamilyClass.CAL_T, n) + members(FamilyClass.CAL_F, n)
-            remaining += _SMALL_EQUALITY_TREES.get(n, [])
-            found: List[Graph] = []
-            for g, dtd in classes:
-                report.checked += 1
-                if 3 * dtd > 2 * (n - 1):
-                    report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
-                elif 3 * dtd == 2 * (n - 1):
-                    found.append(g)
-            report.counts[f"equality_n{n}"] = len(found)
-            for g in found:
-                hit = _record_equality(report, g, remaining)
-                if hit is not None:
-                    remaining.remove(hit)
-            for name in sorted(map(str, remaining)):
-                report.violations.append(f"missing-equality:n={n} {name}")
-    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return report
-
-
-_GENERAL_EQUALITY = (FamilyClass.CAL_T, FamilyClass.CAL_F, FamilyClass.CAL_G)
+    universe = f"trees, 4 <= n <= {max_n} (builtin), excluding P5 and P6"
+    return _check_bound(_TREE, universe, 4, max_n, jobs)
 
 
 def check_graph_theorem(corpus: Optional[str] = None, jobs: int = 1) -> VerificationReport:
@@ -298,32 +355,7 @@ def check_graph_theorem(corpus: Optional[str] = None, jobs: int = 1) -> Verifica
     equality case as 3*dtd = 14 has no integer solution; corpus graphs of
     order >= 8 are checked the same way, with equality cases classified into
     the three extremal families."""
-    t0 = time.monotonic()
-    universe = "all connected graphs, n=8 (builtin)"
-    if corpus:
-        universe += f" + corpus {corpus}"
-    report = VerificationReport(theorem="general-bound", universe=universe)
-    graphs = _corpus_classes(report, corpus, False, 8)
-    with _mapper(jobs) as run:
-        classes = chain(
-            walk_levels(8, 8, False, _dtd_general, run), zip(graphs, run(_dtd_general, graphs))
-        )
-        for g, dtd in classes:
-            report.checked += 1
-            n = g.n
-            if 3 * dtd > 2 * (n - 1):
-                report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
-            elif 3 * dtd == 2 * (n - 1):
-                fids = [fid for cls in _GENERAL_EQUALITY for fid in members(cls, n)]
-                if _record_equality(report, g, fids) is not None:
-                    report.counts[f"equality_n{n}"] = report.counts.get(f"equality_n{n}", 0) + 1
-    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return report
-
-
-def _clawfree_label(hit: FamilyId) -> str:
-    """An H(k) member keeps its own name; the S-list is labeled as a whole."""
-    return str(hit) if hit.kind == "H" else FamilyClass.CAL_S.value
+    return _check_bound(_GENERAL, "all connected graphs, n=8 (builtin)", 8, 8, jobs, corpus)
 
 
 def check_clawfree_theorem(max_n: int = 8, corpus: Optional[str] = None, jobs: int = 1) -> VerificationReport:
@@ -331,32 +363,8 @@ def check_clawfree_theorem(max_n: int = 8, corpus: Optional[str] = None, jobs: i
     and every equality case lies in the two equality families."""
     if not 2 <= max_n <= CLAW_FREE_MAX:
         raise GraphInputError(f"claw-free check supports 2 <= max_n <= {CLAW_FREE_MAX}")
-    t0 = time.monotonic()
     universe = f"connected claw-free graphs, 2 <= n <= {max_n} (builtin)"
-    if corpus:
-        universe += f" + corpus {corpus}"
-    report = VerificationReport(theorem="clawfree-bound", universe=universe)
-    graphs = _corpus_classes(report, corpus, True, 2)
-    with _mapper(jobs) as run:
-        classes = chain(
-            walk_levels(2, max_n, True, _dtd_unless_exceptional, run),
-            zip(graphs, run(_dtd_unless_exceptional, graphs)),
-        )
-        for g, dtd in classes:
-            report.checked += 1
-            if dtd is None:
-                report.counts["exceptional"] = report.counts.get("exceptional", 0) + 1
-            elif 7 * dtd > 4 * g.n:
-                report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
-            elif 7 * dtd == 4 * g.n:
-                report.counts["equality"] = report.counts.get("equality", 0) + 1
-                fids = members(FamilyClass.CAL_H, g.n) + members(FamilyClass.CAL_S, g.n)
-                _record_equality(report, g, fids, _clawfree_label)
-    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return report
-
-
-_MINDEG2_EXCEPTIONS = (FamilyId("C", (3,)), FamilyId("C", (7,)))
+    return _check_bound(_CLAWFREE, universe, 2, max_n, jobs, corpus)
 
 
 def check_mindeg2_observation(max_n: int = 8, jobs: int = 1) -> VerificationReport:
@@ -364,26 +372,8 @@ def check_mindeg2_observation(max_n: int = 8, jobs: int = 1) -> VerificationRepo
     4n/7 except for the 3-cycle and the 7-cycle."""
     if not 3 <= max_n <= CLAW_FREE_MAX:
         raise GraphInputError(f"min-degree-2 check supports 3 <= max_n <= {CLAW_FREE_MAX}")
-    t0 = time.monotonic()
-    report = VerificationReport(
-        theorem="clawfree-mindeg2-strict",
-        universe=f"connected claw-free graphs with min degree 2, n <= {max_n} (builtin)",
-    )
-    with _mapper(jobs) as run:
-        for g, dtd in walk_levels(3, max_n, True, _dtd_if_mindeg2, run):
-            if dtd is None:
-                continue
-            report.checked += 1
-            if 7 * dtd < 4 * g.n:
-                continue
-            hit = first_match(g, _MINDEG2_EXCEPTIONS)
-            if hit is not None:
-                report.counts["exceptions"] = report.counts.get("exceptions", 0) + 1
-                report.equality_cases.append((to_graph6(g), str(hit)))
-            else:
-                report.violations.append(f"bound:{to_graph6(g)} dtd={dtd}")
-    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return report
+    universe = f"connected claw-free graphs with min degree 2, n <= {max_n} (builtin)"
+    return _check_bound(_MINDEG2, universe, 3, max_n, jobs)
 
 
 def check_dtd_le_gt(max_n: int = 8, jobs: int = 1) -> VerificationReport:

@@ -170,6 +170,22 @@ _FAILURES = {
         lambda: check_mindeg2_observation(max_n=4),
         "bound:C~ dtd=3",
     ),
+    # K7 read as dtd 4 lies exactly on 4n/7, which the observation forbids
+    "mindeg2-on-the-bound": (
+        lambda mp: _overstate(mp, 7, 4),
+        lambda: check_mindeg2_observation(max_n=7),
+        "bound:F~~~w dtd=4",
+    ),
+    "clawfree-unclassified-equality": (
+        lambda mp: _blind_matcher(mp, "L(1)"),
+        lambda: check_clawfree_theorem(max_n=7),
+        "unclassified-equality:FHEI?",
+    ),
+    "tree-unclassified-equality": (
+        lambda mp: _blind_matcher(mp, "T(2)"),
+        lambda: check_tree_theorem(max_n=7),
+        ["unclassified-equality:Fh_GG", "missing-equality:n=7 T(2)"],
+    ),
 }
 
 
@@ -179,8 +195,26 @@ def test_checker_reports_each_failure(case, census_report, monkeypatch):
     patch, run, want = _FAILURES[case]
     patch(monkeypatch)
     r = run()
-    assert r.violations == [want.replace("<L(4)>", l4)]
+    wants = [want] if isinstance(want, str) else want
+    assert r.violations == [w.replace("<L(4)>", l4) for w in wants]
     assert r.passed is False
+
+
+@pytest.mark.parametrize(
+    "hidden, run, count, want",
+    [
+        ("L(1)", lambda: check_clawfree_theorem(max_n=7), "equality", 5),
+        ("T(2)", lambda: check_tree_theorem(max_n=7), "equality_n7", 2),
+    ],
+    ids=["clawfree", "tree"],
+)
+def test_equality_counts_only_matched_classes(hidden, run, count, want, monkeypatch):
+    # a class on the bound that matches no family is a violation, not an
+    # equality case of the theorem, so it is left out of the count
+    _blind_matcher(monkeypatch, hidden)
+    r = run()
+    assert r.counts[count] == want
+    assert not r.passed
 
 
 def test_clawfree_theorem_small():
