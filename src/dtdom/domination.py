@@ -8,15 +8,19 @@ dtd with empty distance-2 rows.  So one scan for uncovered vertices
 (``_uncovered_vertices``, which the predicates stop at its first hit) and
 one exact search serve all three.  The exact solver is
 an ascending-cardinality search with logically forced-vertex propagation
-and a coverage bound over the best remaining candidates (see
-``_cannot_cover``).  It branches on the heaviest option first by that
-bound's weights, and the one greedy cover (``_greedy_cover``, which
+and a coverage bound (``_cannot_cover``): the best remaining candidates
+must reach the coverage the uncovered vertices need, and a per-vertex
+charge, each uncovered vertex paying 2 over the heaviest weight that gives
+to it, must not exceed the budget.  It branches on the heaviest option
+first by that bound's weights, from the same ranked list, a node with one
+vertex left to add picks its covering option without a child call, and
+the one greedy cover (``_greedy_cover``, which
 ``constructor.greedy_dtd`` and the constructor's greedy total dominating
 set also run) is its incumbent: the search stops below the greedy set's
 size and returns that set once every smaller size is refuted.  Nothing
 heuristic prunes a feasible branch, so its results are safe to use as the
-oracle for every theorem check.  DTD on C45 takes 10,360 nodes, on P60
-137,228 and on H(6) 32,093.
+oracle for every theorem check.  DTD on C45 takes 963 nodes, on P60 7,476
+and on H(6) 12,618.
 """
 
 from __future__ import annotations
@@ -125,31 +129,73 @@ def _weight_rows(nbr, d2) -> list:
     """Per vertex w, a row in three blocks of n bits: its neighbors and its
     distance-2 vertices, then its neighbors, then its distance-2 vertices.
 
-    Against the mask of ``_cannot_cover`` its popcount is w's doubled weight:
-    2 for each uncovered neighbor, 2 for each uncovered vertex at distance 2
-    that already has one distance-2 member, and 1 for each other uncovered
-    vertex at distance 2.  For dom and tdom the distance-2 rows are empty.
+    Against the mask of ``_ranked`` its popcount is w's doubled weight: 2 for
+    each uncovered neighbor, 2 for each uncovered vertex at distance 2 that
+    already has one distance-2 member, and 1 for each other uncovered vertex
+    at distance 2.  That is exactly what w would give towards covering the
+    uncovered vertices, and its first block alone is the set of uncovered
+    vertices w gives to.  For dom and tdom the distance-2 rows are empty.
     """
     n = len(nbr)
     return [r | e | r << n | e << 2 * n for r, e in zip(nbr, d2)]
 
 
-def _cannot_cover(rows, unc, d2one, avail, budget) -> bool:
-    """True when no ``budget`` vertices of ``avail`` can cover all of ``unc``.
+def _ranked(rows, unc, d2one, avail) -> list:
+    """The vertices of ``avail``, heaviest first by the doubled weight of
+    ``_weight_rows``, ties to the lower vertex.
+
+    Each entry packs a weight and a vertex w into one integer, ``weight <<
+    2b | low - w``, where ``b = n.bit_length()`` and ``low = (1 << b) - 1``,
+    so one integer sort orders them.  The low parts of at most n entries sum
+    below ``1 << 2b``, so the sum of any entries, shifted down by 2b, is the
+    exact sum of their weights, for every n.
+    """
+    n = len(rows)
+    b = n.bit_length()
+    shift, low = 2 * b, (1 << b) - 1
+    mask = unc | unc << n | (unc & d2one) << 2 * n
+    ranked = [(rows[w] & mask).bit_count() << shift | low - w for w in _members(n)[avail]]
+    ranked.sort(reverse=True)
+    return ranked
+
+
+def _cannot_cover(rows, unc, ranked, budget) -> bool:
+    """True when no ``budget`` vertices of ``ranked`` (from ``_ranked``) can
+    cover all of ``unc``.
 
     Each vertex a completion covers collects at least 2 from its members'
     doubled weights (see ``_weight_rows``): 2 from one neighbor, 2 from one
     more distance-2 member when it has one already, else 1 from each of the
     two it needs.  So a completion exists only if the ``budget`` largest
     weights reach ``2 * |unc|``.
+
+    The second test charges each uncovered vertex v ``2 / W_v``, where
+    ``W_v`` is the weight of the heaviest candidate that gives to v, by
+    adjacency or at distance 2.  A completion S gives v ``c(w, v)`` from each
+    member w, at least 2 in all, and w gives out exactly its weight
+    ``W(w) <= W_v``, so ``|S| >= sum_w sum_v c(w, v) / W(w) >= sum_v 2 / W_v``.
+    A vertex no candidate gives to has no completion at all.  The charge is
+    summed as an exact fraction, so rounding cannot prune a completion.
     """
-    n = len(rows)
-    mask = unc | unc << n | (unc & d2one) << 2 * n
-    weights = [(rows[w] & mask).bit_count() for w in _members(n)[avail]]
-    if len(weights) > budget:
-        weights.sort(reverse=True)
-        del weights[budget:]
-    return sum(weights) < 2 * unc.bit_count()
+    b = len(rows).bit_length()
+    shift, low = 2 * b, (1 << b) - 1
+    if sum(ranked[:budget]) >> shift < 2 * unc.bit_count():
+        return True
+    # the candidates come heaviest first, so the first one that gives to a
+    # vertex sets its W_v; num / den is the charge so far, and den is a
+    # multiple of every weight seen
+    left, num, den, last = unc, 0, 1, 0
+    for p in ranked:
+        got = rows[low - (p & low)] & left
+        if got:
+            weight = p >> shift
+            if weight != last:
+                num, den, last = num * weight, den * weight, weight
+            num += 2 * got.bit_count() * den // weight
+            left &= ~got
+            if not left:
+                return num > budget * den
+    return True
 
 
 def _total_rows(g: Graph, kind: DominationKind):
@@ -205,17 +251,23 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
     among its rows ``nbr`` (closed neighborhoods for dom) or by two members
     among its distance-2 rows ``d2``, which are empty for dom and tdom.  A
     branch with at least two vertices left to add is cut when those
-    ``budget`` vertices cannot cover the uncovered ones (``_cannot_cover``),
-    and k starts at the least value the same bound allows at the root.  A
-    node branches on the options of its uncovered vertex with the fewest,
-    heaviest first by the doubled weight of ``_cannot_cover`` (ties to the
-    lower vertex), and each later branch bans the earlier ones.
+    ``budget`` vertices cannot cover the uncovered ones (``_cannot_cover``,
+    which only cuts subtrees with no completion), and k starts at the least
+    value its first test allows at the root.  A node branches on the options
+    of its uncovered vertex with the fewest (the first such vertex), heaviest
+    first by the doubled weight of ``_weight_rows`` (ties to the lower
+    vertex), and each later branch bans the earlier ones; one ``_ranked``
+    list per node serves both the bound and that order.  With one vertex
+    left to add, the options that cover everything are exactly those of
+    weight ``2 * |unc|``, which would be tried first, so the node returns
+    the lowest of them, or fails, without a child call, and ``explored``
+    counts the children it would have called: 1 if one covers, else all.
 
     The ``_greedy_cover`` set is the incumbent: k rises only to its size,
     and when every smaller k is refuted the greedy set is returned without
     a search, as it is then optimal.  Nothing heuristic prunes a branch.
-    The cost grows exponentially with n: DTD on C45 takes 10,360 nodes, on
-    P60 137,228 and on H(6) 32,093.  For the total variants every vertex
+    The cost grows exponentially with n: DTD on C45 takes 963 nodes, on P60
+    7,476 and on H(6) 12,618.  For the total variants every vertex
     must have a neighbor (DomainError otherwise); disconnected inputs are
     permitted and solved globally.
     """
@@ -231,6 +283,8 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
     full = (1 << n) - 1
     rows = _weight_rows(nbr, d2)
     members = _members(n)
+    # the vertex part of a _ranked entry
+    low = (1 << n.bit_length()) - 1
     explored = 0
 
     def rec(smask: int, banned: int, budget: int, adjcov: int, d2one: int, d2two: int) -> Optional[int]:
@@ -277,15 +331,27 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
                 d2two |= d2[w] & d2one
                 d2one |= d2[w]
 
-        # coverage bound over the budget best candidates; at budget 1 each
-        # child fails in its first forced-vertex pass unless it covers
-        # everything, which is cheaper than computing the weights
-        if budget > 1 and _cannot_cover(rows, unc, d2one, free, budget):
+        if budget == 1:
+            # the children that cover every uncovered vertex are those of
+            # weight 2 * |unc|, which sort first, lowest vertex first; every
+            # other child fails at budget 0, so none is called, and explored
+            # counts what the children would have
+            for w in members[pick_opts]:
+                if not unc & ~(nbr[w] | d2[w] & d2one):
+                    explored += 1
+                    return smask | 1 << w
+            explored += pick_opts.bit_count()
             return None
-        mask = unc | unc << n | (unc & d2one) << 2 * n
+        # one weight pass: the ranked candidates feed the coverage bound and
+        # order the children, heaviest first
+        ranked = _ranked(rows, unc, d2one, free)
+        if _cannot_cover(rows, unc, ranked, budget):
+            return None
         tried = 0
-        # sorted is stable, so equal weights keep the ascending order
-        for w in sorted(members[pick_opts], key=lambda w: (rows[w] & mask).bit_count(), reverse=True):
+        for p in ranked:
+            w = low - (p & low)
+            if not pick_opts >> w & 1:
+                continue
             dw = d2[w]
             hit = rec(
                 smask | 1 << w, banned | tried, budget - 1, adjcov | nbr[w], d2one | dw, d2two | dw & d2one
@@ -293,6 +359,8 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
             if hit is not None:
                 return hit
             tried |= 1 << w
+            if tried == pick_opts:
+                break
         return None
 
     # the least k whose k largest root weights reach 2n; at the root every

@@ -24,7 +24,7 @@ from dtdom import (
     is_total_dominating_set,
     support_exchange,
 )
-from dtdom.domination import _cannot_cover, _uncovered, _weight_rows
+from dtdom.domination import _cannot_cover, _ranked, _uncovered, _weight_rows
 from dtdom.enumeration import connected_graphs
 from dtdom.graph import distance2_bits
 from conftest import brute_force_minimum, random_connected_graph, random_graph, to_networkx
@@ -202,8 +202,12 @@ def _partial_state(g, kind, smask):
 
 
 def test_coverage_bound_never_prunes_a_completion():
+    # the bound exact_number runs, on random partial states; every state it
+    # prunes is checked to have no completion within the budget, and the
+    # states that the top-budget weight sum alone would keep show that the
+    # per-vertex charge prunes on its own
     rng = random.Random(20261018)
-    states = pruned = 0
+    states = pruned = charge_only = 0
     while states < 3000:
         g = random_graph(rng.randint(2, 9), rng.choice((0.25, 0.4, 0.6)), rng)
         kind = rng.choice((DOM, TDOM, DTD))
@@ -217,15 +221,24 @@ def test_coverage_bound_never_prunes_a_completion():
         states += 1
         budget = rng.randint(1, g.n)
         avail = ((1 << g.n) - 1) & ~smask & ~banned
-        if not _cannot_cover(_weight_rows(nbr, d2), unc, d2one, avail, budget):
+        rows = _weight_rows(nbr, d2)
+        if not _cannot_cover(rows, unc, _ranked(rows, unc, d2one, avail), budget):
             continue
         pruned += 1
         s = [v for v in range(g.n) if smask >> v & 1]
         free = [v for v in range(g.n) if avail >> v & 1]
+        # the doubled weights: 2 per uncovered neighbor or distance-2 vertex
+        # with one member already, 1 per other uncovered distance-2 vertex
+        weights = sorted(
+            (2 * (nbr[w] & unc).bit_count() + (d2[w] & unc).bit_count() + (d2[w] & unc & d2one).bit_count()
+             for w in free),
+            reverse=True,
+        )
+        charge_only += sum(weights[:budget]) >= 2 * unc.bit_count()
         for size in range(1, min(budget, len(free)) + 1):
             for extra in combinations(free, size):
                 assert not _PREDICATES[kind](g, s + list(extra)), (kind, sorted(g.edges()), s, extra)
-    assert pruned > 300
+    assert pruned > 300 and charge_only > 100, (pruned, charge_only)
 
 
 def _cycle_plus_chords(n, chords, rng):
@@ -244,9 +257,11 @@ VALUES_DIGEST = "4cd976c62896144c6c244fed7b16f3563fb2582fa6a90ecc09008de046e2baa
 # branching took the heaviest option first and the greedy set became the
 # incumbent; pins every witness, not only the values
 SOLVER_DIGEST = "4111589d33a261d8a85eacf3e1fbc3c594f010f0d742d7ab796636fd0db05ea8"
-# sha256 over "kind explored\n" on the same corpus, recorded with the same
-# search; pins the search tree, not only its result
-NODES_DIGEST = "596af16696ed80ba974e4d53346bc17531fae8cc86816f328d03a537971fb41a"
+# sha256 over "kind explored\n" on the same corpus, recorded when the
+# coverage bound gained its per-vertex charge and a node with one vertex
+# left to add stopped calling its children; pins the search tree, not only
+# its result
+NODES_DIGEST = "bd673477735d0b6b2254fd2d2d9315a9b7204bc2dd7f364aacb888bf7a327bc3"
 
 
 @functools.lru_cache(maxsize=1)
@@ -299,11 +314,12 @@ def test_solver_witnesses_are_sets_of_the_value():
 
 
 def test_weight_ordering_keeps_the_chord_graphs_cheap():
-    # DTD on the corpus's 30 cycle-plus-chords graphs takes 8,297 nodes when
-    # the heaviest option is branched on first; in ascending order, with the
-    # same greedy incumbent, it took 9,856, and before both 11,180
+    # DTD on the corpus's 30 cycle-plus-chords graphs takes 4,955 nodes with
+    # the heaviest option first and the per-vertex charge; without the
+    # charge it took 8,297, in ascending order with the same greedy
+    # incumbent 9,856, and before both 11,180
     results = _pinned_corpus_results()
-    assert sum(results[3 * i + 2].explored for i in range(300, 330)) <= 9_000
+    assert sum(results[3 * i + 2].explored for i in range(300, 330)) <= 5_500
 
 
 def test_solver_outputs_are_pinned():
@@ -354,9 +370,19 @@ def test_formulas_match_solver_small():
         assert dtd_cycle_formula(n) == exact_number(cn, DTD).value
         assert dtd_path_formula(n) == exact_number(pn, DTD).value
         assert gt_cycle_formula(n) == exact_number(cn, TDOM).value
-    # the coverage bound with heaviest-first branching settles C45 in 10,360
-    # nodes (6,482 in ascending order); the unit-capacity bound took 112,436
-    assert exact_number(generate_named("C45"), DTD).explored < 20_000
+
+
+@pytest.mark.parametrize(
+    "name,formula,ceiling", [("P60", dtd_path_formula, 10_000), ("C45", dtd_cycle_formula, 1_500)], ids=("P60", "C45")
+)
+def test_wide_paths_and_cycles_solve_in_few_nodes(name, formula, ceiling):
+    # with the per-vertex charge DTD settles P60 in 7,476 nodes and C45 in
+    # 963; the weight sum alone took 137,228 and 10,360 (C45 took 6,482 in
+    # ascending order, and 112,436 under the unit-capacity bound)
+    g = generate_named(name)
+    res = exact_number(g, DTD)
+    assert res.value == formula(g.n) and is_dtd_set(g, res.witness)
+    assert res.explored < ceiling
 
 
 def test_cycle_witness_examples():
