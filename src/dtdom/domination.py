@@ -12,15 +12,16 @@ and a coverage bound (``_cannot_cover``): the best remaining candidates
 must reach the coverage the uncovered vertices need, and a per-vertex
 charge, each uncovered vertex paying 2 over the heaviest weight that gives
 to it, must not exceed the budget.  It branches on the heaviest option
-first by that bound's weights, from the same ranked list, a node with one
-vertex left to add picks its covering option without a child call, and
-the one greedy cover (``_greedy_cover``, which
-``constructor.greedy_dtd`` and the constructor's greedy total dominating
-set also run) is its incumbent: the search stops below the greedy set's
-size and returns that set once every smaller size is refuted.  Nothing
-heuristic prunes a feasible branch, so its results are safe to use as the
-oracle for every theorem check.  DTD on C45 takes 963 nodes, on P60 7,476
-and on H(6) 12,618.
+first by that bound's weights, from the same ranked list, after taking or
+banning a hub (a candidate half again heavier than the median and than
+every option of the branching vertex), a node with one vertex left to add
+picks its covering option without a child call, and the one greedy cover
+(``_greedy_cover``, which ``constructor.greedy_dtd`` and the constructor's
+greedy total dominating set also run) is its incumbent: the search stops
+below the greedy set's size and returns that set once every smaller size
+is refuted.  Nothing heuristic prunes a feasible branch, so its results
+are safe to use as the oracle for every theorem check.  DTD on C45 takes
+963 nodes, on P60 7,424, on H(6) 772, on H(8) 6,924 and on G(20) 58.
 """
 
 from __future__ import annotations
@@ -263,13 +264,29 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
     the lowest of them, or fails, without a child call, and ``explored``
     counts the children it would have called: 1 if one covers, else all.
 
+    The fewest-options vertex is often a light path or pendant vertex while
+    a hub stays undecided, and an undecided hub inflates the weights around
+    it, so the bound stays weak.  So, with at least two vertices left to add
+    and the bound passed, a node first looks at the head h of its ranked
+    list.  When h is no option of the picked vertex and ``2 * W(h)`` is at
+    least ``3 * W`` of both the median entry (``ranked[len(ranked) // 2]``)
+    and the picked vertex's heaviest option, the node takes h in one child
+    call and, if that fails, bans h and runs its forced pass, bound and
+    pick again in the same frame; each ban counts 1 in ``explored``.  Taking
+    or banning h splits the node's completions completely, so nothing is
+    lost.  The factor 3/2 is fixed: against the median alone G(n, p) with n
+    20-30 ran 1.16-1.30 times slower, with a factor of 2 the gain on H(k)
+    was lost, and always taking the heaviest candidate first sent P60 to
+    21,863 nodes and C45 to 1,564.
+
     The ``_greedy_cover`` set is the incumbent: k rises only to its size,
     and when every smaller k is refuted the greedy set is returned without
     a search, as it is then optimal.  Nothing heuristic prunes a branch.
     The cost grows exponentially with n: DTD on C45 takes 963 nodes, on P60
-    7,476 and on H(6) 12,618.  For the total variants every vertex
-    must have a neighbor (DomainError otherwise); disconnected inputs are
-    permitted and solved globally.
+    7,424, on H(6) 772 (12,618 without the hub step), on H(8) 6,924
+    (474,494) and on G(20) 58 (1,267,046).  For the total variants every
+    vertex must have a neighbor (DomainError otherwise); disconnected inputs
+    are permitted and solved globally.
     """
     n = g.n
     if kind is DominationKind.DOMINATION:
@@ -283,13 +300,14 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
     full = (1 << n) - 1
     rows = _weight_rows(nbr, d2)
     members = _members(n)
-    # the vertex part of a _ranked entry
-    low = (1 << n.bit_length()) - 1
+    # the weight and vertex parts of a _ranked entry
+    shift, low = 2 * n.bit_length(), (1 << n.bit_length()) - 1
     explored = 0
 
     def rec(smask: int, banned: int, budget: int, adjcov: int, d2one: int, d2two: int) -> Optional[int]:
         nonlocal explored
         explored += 1
+        ranked = None
         while True:
             unc = full & ~(adjcov | d2two)
             if not unc:
@@ -320,33 +338,57 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
                     forced |= opts
                 elif cnt < pick_cnt:
                     pick_opts, pick_cnt = opts, cnt
-            if not forced:
-                break
-            budget -= forced.bit_count()
-            if budget < 0:
-                return None
-            smask |= forced
-            for w in members[forced]:
-                adjcov |= nbr[w]
-                d2two |= d2[w] & d2one
-                d2one |= d2[w]
+            if forced:
+                ranked = None
+                budget -= forced.bit_count()
+                if budget < 0:
+                    return None
+                smask |= forced
+                for w in members[forced]:
+                    adjcov |= nbr[w]
+                    d2two |= d2[w] & d2one
+                    d2one |= d2[w]
+                continue
 
-        if budget == 1:
-            # the children that cover every uncovered vertex are those of
-            # weight 2 * |unc|, which sort first, lowest vertex first; every
-            # other child fails at budget 0, so none is called, and explored
-            # counts what the children would have
-            for w in members[pick_opts]:
-                if not unc & ~(nbr[w] | d2[w] & d2one):
-                    explored += 1
-                    return smask | 1 << w
-            explored += pick_opts.bit_count()
-            return None
-        # one weight pass: the ranked candidates feed the coverage bound and
-        # order the children, heaviest first
-        ranked = _ranked(rows, unc, d2one, free)
-        if _cannot_cover(rows, unc, ranked, budget):
-            return None
+            if budget == 1:
+                # the children that cover every uncovered vertex are those of
+                # weight 2 * |unc|, which sort first, lowest vertex first;
+                # every other child fails at budget 0, so none is called, and
+                # explored counts what the children would have
+                for w in members[pick_opts]:
+                    if not unc & ~(nbr[w] | d2[w] & d2one):
+                        explored += 1
+                        return smask | 1 << w
+                explored += pick_opts.bit_count()
+                return None
+            # one weight pass: the ranked candidates feed the coverage bound
+            # and order the children, heaviest first; a ban that forced
+            # nothing left every other weight as it was
+            if ranked is None:
+                ranked = _ranked(rows, unc, d2one, free)
+            if _cannot_cover(rows, unc, ranked, budget):
+                return None
+            # the hub step: when the heaviest candidate h is no option of the
+            # picked vertex and outweighs both the median candidate and the
+            # picked vertex's heaviest option by half again, take h, and on
+            # failure ban it and propagate again in this frame
+            h = low - (ranked[0] & low)
+            hub = 2 * (ranked[0] >> shift)
+            if (
+                pick_opts >> h & 1
+                or hub < 3 * (ranked[len(ranked) // 2] >> shift)
+                or hub < 3 * (next(p for p in ranked if pick_opts >> (low - (p & low)) & 1) >> shift)
+            ):
+                break
+            dh = d2[h]
+            hit = rec(smask | 1 << h, banned, budget - 1, adjcov | nbr[h], d2one | dh, d2two | dh & d2one)
+            if hit is not None:
+                return hit
+            # the ban step counts as one node
+            banned |= 1 << h
+            explored += 1
+            del ranked[0]
+
         tried = 0
         for p in ranked:
             w = low - (p & low)

@@ -253,15 +253,14 @@ def _cycle_plus_chords(n, chords, rng):
 # sha256 over "kind value\n" for every kind and graph of the corpus below;
 # pins the values alone, which no change to the search may move
 VALUES_DIGEST = "4cd976c62896144c6c244fed7b16f3563fb2582fa6a90ecc09008de046e2baa8"
-# sha256 over "kind value witness\n" on the same corpus, recorded when the
-# branching took the heaviest option first and the greedy set became the
-# incumbent; pins every witness, not only the values
-SOLVER_DIGEST = "4111589d33a261d8a85eacf3e1fbc3c594f010f0d742d7ab796636fd0db05ea8"
-# sha256 over "kind explored\n" on the same corpus, recorded when the
-# coverage bound gained its per-vertex charge and a node with one vertex
-# left to add stopped calling its children; pins the search tree, not only
-# its result
-NODES_DIGEST = "bd673477735d0b6b2254fd2d2d9315a9b7204bc2dd7f364aacb888bf7a327bc3"
+# sha256 over "kind value witness\n" on the same corpus, recorded when a
+# node began to take or ban a hub before its fewest-options branch, which
+# moved 6 of the 1,158 witnesses; pins every witness, not only the values
+SOLVER_DIGEST = "a685e6fcfbd2206d3e85f14e082454c57894e43f8ee89322c46d0a0d8be11979"
+# sha256 over "kind explored\n" on the same corpus, recorded with the hub
+# step (totals DOM 2,011, TDOM 1,766, DTD 7,529; 2,001, 2,088 and 9,188
+# before it); pins the search tree, not only its result
+NODES_DIGEST = "cf77266eaf5f949f1630a3fb57355a4ca57e27851b47c4f21960f9d9b11da1dc"
 
 
 @functools.lru_cache(maxsize=1)
@@ -314,12 +313,13 @@ def test_solver_witnesses_are_sets_of_the_value():
 
 
 def test_weight_ordering_keeps_the_chord_graphs_cheap():
-    # DTD on the corpus's 30 cycle-plus-chords graphs takes 4,955 nodes with
-    # the heaviest option first and the per-vertex charge; without the
-    # charge it took 8,297, in ascending order with the same greedy
-    # incumbent 9,856, and before both 11,180
+    # DTD on the corpus's 30 cycle-plus-chords graphs takes 3,361 nodes with
+    # the hub step, the heaviest option first and the per-vertex charge;
+    # without the hub step it took 4,955, without the charge 8,297, in
+    # ascending order with the same greedy incumbent 9,856, and before all
+    # of them 11,180
     results = _pinned_corpus_results()
-    assert sum(results[3 * i + 2].explored for i in range(300, 330)) <= 5_500
+    assert sum(results[3 * i + 2].explored for i in range(300, 330)) <= 3_700
 
 
 def test_solver_outputs_are_pinned():
@@ -335,6 +335,52 @@ def test_solver_node_counts_are_pinned():
     for res in _pinned_corpus_results():
         h.update(f"{res.kind.value} {res.explored}\n".encode())
     assert h.hexdigest() == NODES_DIGEST
+
+
+def _milp_minimum(g, kind):
+    """The least |S| by scipy's MILP solver, with one row per vertex v over
+    networkx distances: 2 x(N(v)) + x(D2(v)) >= 2 for dtd, x(N(v)) >= 1 for
+    tdom and x(N[v]) >= 1 for dom, each doubled to the same right side."""
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    a = np.zeros((g.n, g.n))
+    for v, dist in nx.all_pairs_shortest_path_length(to_networkx(g), cutoff=2):
+        for u, d in dist.items():
+            if d == 1 or (d == 0 and kind is DOM):
+                a[v, u] = 2
+            elif d == 2 and kind is DTD:
+                a[v, u] = 1
+    res = optimize.milp(
+        np.ones(g.n),
+        constraints=optimize.LinearConstraint(a, 2, np.inf),
+        integrality=np.ones(g.n),
+        bounds=optimize.Bounds(0, 1),
+    )
+    assert res.success, res.message
+    return round(res.fun)
+
+
+def _sparse_connected_graph(n, rng):
+    # a random spanning tree plus at most n / 3 chords: low degrees keep the
+    # values near n / 2, where the search is deepest
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    while len(edges) < n - 1 + rng.randint(0, n // 3):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph(n, sorted(edges))
+
+
+def test_solver_matches_an_integer_program():
+    # a second oracle with nothing in common with the search: seeded random
+    # connected graphs of up to 40 vertices, sparse and dense, and the named
+    # families, all three kinds (a few seconds)
+    rng = random.Random(37)
+    graphs = [_sparse_connected_graph(rng.randint(10, 40), rng) for _ in range(100)]
+    graphs += [random_connected_graph(rng.randint(10, 40), rng) for _ in range(20)]
+    named = ("P40", "C40", "T(8)", "F(8)", "G(8)", "H(4)", "H(5)", "L(13)", "L(14)")
+    graphs += [generate_named(name) for name in named]
+    for g in graphs:
+        for kind in (DOM, TDOM, DTD):
+            assert exact_number(g, kind).value == _milp_minimum(g, kind), (kind, sorted(g.edges()))
 
 
 # -- closed forms -----------------------------------------------------------------
@@ -373,12 +419,13 @@ def test_formulas_match_solver_small():
 
 
 @pytest.mark.parametrize(
-    "name,formula,ceiling", [("P60", dtd_path_formula, 10_000), ("C45", dtd_cycle_formula, 1_500)], ids=("P60", "C45")
+    "name,formula,ceiling", [("P60", dtd_path_formula, 7_500), ("C45", dtd_cycle_formula, 1_000)], ids=("P60", "C45")
 )
 def test_wide_paths_and_cycles_solve_in_few_nodes(name, formula, ceiling):
-    # with the per-vertex charge DTD settles P60 in 7,476 nodes and C45 in
-    # 963; the weight sum alone took 137,228 and 10,360 (C45 took 6,482 in
-    # ascending order, and 112,436 under the unit-capacity bound)
+    # with the per-vertex charge and the hub step DTD settles P60 in 7,424
+    # nodes and C45 in 963 (the hub step moves P60 from 7,476 and leaves C45
+    # alone); the weight sum alone took 137,228 and 10,360 (C45 took 6,482
+    # in ascending order, and 112,436 under the unit-capacity bound)
     g = generate_named(name)
     res = exact_number(g, DTD)
     assert res.value == formula(g.n) and is_dtd_set(g, res.witness)

@@ -22,6 +22,7 @@ from dtdom import (
     in_class,
     is_claw_free,
     is_connected,
+    is_dtd_set,
     is_isomorphic,
     is_tree,
     parse_family_id,
@@ -195,6 +196,24 @@ def test_reference_values_match_solver_small(text):
     fid = parse_family_id(text)
     g = generate(fid)
     assert exact_number(g, DTD).value == dtd_reference_value(fid)
+
+
+def test_reference_values_match_solver_at_scale():
+    # the extremal families up to 61 vertices; the solver takes or bans
+    # their hubs (the centres of T, F and G, the clique vertices of H) before
+    # its fewest-options branch, so all sixteen take 10,762 nodes together.
+    # Without that step G(20) alone took 1,267,046 and H(8) 474,494
+    names = [f"{kind}({k})" for kind in "TFG" for k in (5, 10, 20)]
+    names += [f"H({t})" for t in range(4, 9)] + ["L(13)", "L(14)"]
+    explored = 0
+    for text in names:
+        fid = parse_family_id(text)
+        g = generate(fid)
+        res = exact_number(g, DTD)
+        assert res.value == dtd_reference_value(fid), text
+        assert is_dtd_set(g, res.witness), text
+        explored += res.explored
+    assert explored <= 12_000
 
 
 def test_relate_gadget_values():
