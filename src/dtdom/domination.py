@@ -6,22 +6,22 @@ or at least two set members at distance exactly 2).  They differ only in
 their rows: dom is total domination over closed neighborhoods, and tdom is
 dtd with empty distance-2 rows.  So one scan for uncovered vertices
 (``_uncovered_vertices``, which the predicates stop at its first hit) and
-one exact search serve all three.  The exact solver is
-an ascending-cardinality search with logically forced-vertex propagation
-and a coverage bound (``_cannot_cover``): the best remaining candidates
-must reach the coverage the uncovered vertices need, and a per-vertex
-charge, each uncovered vertex paying 2 over the heaviest weight that gives
-to it, must not exceed the budget.  It branches on the heaviest option
-first by that bound's weights, from the same ranked list, after taking or
-banning a hub (a candidate half again heavier than the median and than
-every option of the branching vertex), a node with one vertex left to add
-picks its covering option without a child call, and the one greedy cover
-(``_greedy_cover``, which ``constructor.greedy_dtd`` and the constructor's
-greedy total dominating set also run) is its incumbent: the search stops
-below the greedy set's size and returns that set once every smaller size
-is refuted.  Nothing heuristic prunes a feasible branch, so its results
-are safe to use as the oracle for every theorem check.  DTD on C45 takes
-963 nodes, on P60 7,424, on H(6) 772, on H(8) 6,924 and on G(20) 58.
+one exact search serve all three.  The exact solver searches by
+cardinality downwards from the one greedy cover (``_greedy_cover``, which
+``constructor.greedy_dtd`` and the constructor's greedy total dominating
+set also run): each set it finds sets the next budget one below its size,
+and the first refuted budget proves the last set kept optimal.  A node
+propagates logically forced vertices, bans free candidates that one other
+free candidate can replace in any completion (``_dominated``), and is
+cut by a coverage bound (``_cannot_cover``): the best remaining
+candidates must reach the coverage the uncovered vertices need, and a
+per-vertex charge, each uncovered vertex paying 2 over the heaviest weight
+that gives to it, must not exceed the budget.  It branches on the heaviest
+option first by that bound's weights, from the same ranked list, and a
+node with one vertex left to add picks its covering option without a child
+call.  Nothing heuristic prunes a feasible branch, so its results are safe
+to use as the oracle for every theorem check.  DTD on C45 takes 149 nodes,
+on P60 132, on H(6) 94, on H(8) 382 and on G(20) 1.
 """
 
 from __future__ import annotations
@@ -199,6 +199,36 @@ def _cannot_cover(rows, unc, ranked, budget) -> bool:
     return True
 
 
+def _dominated(nbr, d2, unc, d2one, free, near) -> int:
+    """The candidates of ``near`` (a subset of ``free``) that one other free
+    candidate can replace in every completion, as a mask.
+
+    A candidate gives to an uncovered vertex u when it lies in ``nbr[u] |
+    d2[u]``, and it covers u alone when it is in ``nbr[u]``, or in ``d2[u]``
+    while u already has one distance-2 member (u in ``d2one``).  Candidate w
+    is dominated when its need, the uncovered vertices it gives to, is
+    nonempty and some other free x covers each of them alone: swapping x in
+    for w keeps every completion a completion, no larger.  Only needs of at
+    most two vertices are tested (``exact_number`` gives the measurement).
+    The candidates are tested in vertex order and each ban leaves ``free``
+    at once, so a dominator is always free when it is used and a chain of
+    bans ends at a free vertex.
+    """
+    members = _members(len(nbr))
+    bans = 0
+    for w in members[near]:
+        need = (nbr[w] | d2[w]) & unc
+        if not need or need.bit_count() > 2:
+            continue
+        alone = free & ~(1 << w)
+        for u in members[need]:
+            alone &= nbr[u] | d2[u] if d2one >> u & 1 else nbr[u]
+        if alone:
+            bans |= 1 << w
+            free &= ~(1 << w)
+    return bans
+
+
 def _total_rows(g: Graph, kind: DominationKind):
     """``g``'s rows as a total kind's neighbor rows: every vertex needs a
     neighbor in the set, so an isolated vertex is a DomainError."""
@@ -246,47 +276,57 @@ def _greedy_cover(nbr, d2) -> int:
 
 
 def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
-    """Exact minimum cardinality with witness, by ascending-cardinality search.
+    """Exact minimum cardinality with witness, by a search that descends
+    from the greedy set.
 
     One search serves all three kinds.  A vertex is covered by one member
     among its rows ``nbr`` (closed neighborhoods for dom) or by two members
-    among its distance-2 rows ``d2``, which are empty for dom and tdom.  A
-    branch with at least two vertices left to add is cut when those
-    ``budget`` vertices cannot cover the uncovered ones (``_cannot_cover``,
-    which only cuts subtrees with no completion), and k starts at the least
-    value its first test allows at the root.  A node branches on the options
-    of its uncovered vertex with the fewest (the first such vertex), heaviest
-    first by the doubled weight of ``_weight_rows`` (ties to the lower
-    vertex), and each later branch bans the earlier ones; one ``_ranked``
-    list per node serves both the bound and that order.  With one vertex
-    left to add, the options that cover everything are exactly those of
-    weight ``2 * |unc|``, which would be tried first, so the node returns
-    the lowest of them, or fails, without a child call, and ``explored``
-    counts the children it would have called: 1 if one covers, else all.
+    among its distance-2 rows ``d2``, which are empty for dom and tdom.
 
-    The fewest-options vertex is often a light path or pendant vertex while
-    a hub stays undecided, and an undecided hub inflates the weights around
-    it, so the bound stays weak.  So, with at least two vertices left to add
-    and the bound passed, a node first looks at the head h of its ranked
-    list.  When h is no option of the picked vertex and ``2 * W(h)`` is at
-    least ``3 * W`` of both the median entry (``ranked[len(ranked) // 2]``)
-    and the picked vertex's heaviest option, the node takes h in one child
-    call and, if that fails, bans h and runs its forced pass, bound and
-    pick again in the same frame; each ban counts 1 in ``explored``.  Taking
-    or banning h splits the node's completions completely, so nothing is
-    lost.  The factor 3/2 is fixed: against the median alone G(n, p) with n
-    20-30 ran 1.16-1.30 times slower, with a factor of 2 the gain on H(k)
-    was lost, and always taking the heaviest candidate first sent P60 to
-    21,863 nodes and C45 to 1,564.
+    The ``_greedy_cover`` set is the first incumbent.  The search runs at
+    budget k = |incumbent| - 1, keeps each set it finds and sets k one below
+    its size, and stops at the first refuted k or below the least k that the
+    root weights allow; the last set kept is then optimal.  So no level
+    below the optimum minus one is ever searched.
 
-    The ``_greedy_cover`` set is the incumbent: k rises only to its size,
-    and when every smaller k is refuted the greedy set is returned without
-    a search, as it is then optimal.  Nothing heuristic prunes a branch.
-    The cost grows exponentially with n: DTD on C45 takes 963 nodes, on P60
-    7,424, on H(6) 772 (12,618 without the hub step), on H(8) 6,924
-    (474,494) and on G(20) 58 (1,267,046).  For the total variants every
-    vertex must have a neighbor (DomainError otherwise); disconnected inputs
-    are permitted and solved globally.
+    A node with at least three vertices left to add bans each free
+    candidate w that one other free candidate x can replace
+    (``_dominated``): x covers alone every uncovered vertex w gives to, so a
+    completion with w stays a completion, no larger, with x in its place.
+    The bans pass to the children, which partition the node's completions
+    that avoid them, so by induction nothing is lost, as for the sibling
+    bans below.  Dominance appears only where a need shrank or a cover grew,
+    so a node tests only the free candidates in the balls of the vertices
+    covered, or given a distance-2 member, since its last test.  That finds
+    the same bans as a full scan at every node, which was 1.05 times slower
+    on cycle-plus-chords graphs of 24-27 vertices (1.4 times for tdom).  Two
+    constants keep the test cheap.  Only candidates with at most two needed
+    vertices are tested: testing all of them cost DTD on those graphs 1.3
+    times more per node for 4 % fewer nodes.  And the test needs a budget
+    of 3: testing at every budget ran random connected G(n, p) with n 20-30
+    1.3-1.4 times slower, and the claw-free classes through order 10 1.09
+    times.
+
+    The bans leave fewer options, so the forced pass that follows finds
+    more: a vertex with one option left forces it.  A branch with at least
+    two vertices left to add is cut when those ``budget`` vertices cannot
+    cover the uncovered ones (``_cannot_cover``, which only cuts subtrees
+    with no completion).  A node branches on the options of its uncovered
+    vertex with the fewest (the first such vertex), heaviest first by the
+    doubled weight of ``_weight_rows`` (ties to the lower vertex), and each
+    later branch bans the earlier ones; one ``_ranked`` list per node serves
+    both the bound and that order.  With one vertex left to add, the
+    options that cover everything are exactly those of weight ``2 * |unc|``,
+    which would be tried first, so the node returns the lowest of them, or
+    fails, without a child call, and ``explored`` counts the children it
+    would have called: 1 if one covers, else all.
+
+    Nothing heuristic prunes a branch.  The cost grows exponentially with
+    n: DTD on C45 takes 149 nodes, on P60 132, on H(6) 94, on H(8) 382 and
+    on G(20) 1 (963, 7,424, 772, 6,924 and 58 when a node took or banned a
+    hub vertex instead), and H(t) about doubles per step of t.  For the
+    total variants every vertex must have a neighbor (DomainError
+    otherwise); disconnected inputs are permitted and solved globally.
     """
     n = g.n
     if kind is DominationKind.DOMINATION:
@@ -300,14 +340,15 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
     full = (1 << n) - 1
     rows = _weight_rows(nbr, d2)
     members = _members(n)
-    # the weight and vertex parts of a _ranked entry
-    shift, low = 2 * n.bit_length(), (1 << n.bit_length()) - 1
+    # the vertex part of a _ranked entry
+    low = (1 << n.bit_length()) - 1
     explored = 0
 
-    def rec(smask: int, banned: int, budget: int, adjcov: int, d2one: int, d2two: int) -> Optional[int]:
+    def rec(
+        smask: int, banned: int, budget: int, adjcov: int, d2one: int, d2two: int, changed: int
+    ) -> Optional[int]:
         nonlocal explored
         explored += 1
-        ranked = None
         while True:
             unc = full & ~(adjcov | d2two)
             if not unc:
@@ -315,6 +356,16 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
             if budget == 0:
                 return None
             free = full & ~(banned | smask)
+            if changed and budget >= 3:
+                # dominance can only appear in the balls of the vertices
+                # covered, or given a distance-2 member, since the last test
+                near = 0
+                for u in members[changed]:
+                    near |= rows[u]
+                changed = 0
+                ban = _dominated(nbr, d2, unc, d2one, free, near & free)
+                banned |= ban
+                free &= ~ban
             # one pass over the uncovered vertices: fail on one with no
             # option, collect the forced vertices, and note the first vertex
             # with the fewest options to branch on when nothing is forced
@@ -338,57 +389,34 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
                     forced |= opts
                 elif cnt < pick_cnt:
                     pick_opts, pick_cnt = opts, cnt
-            if forced:
-                ranked = None
-                budget -= forced.bit_count()
-                if budget < 0:
-                    return None
-                smask |= forced
-                for w in members[forced]:
-                    adjcov |= nbr[w]
-                    d2two |= d2[w] & d2one
-                    d2one |= d2[w]
-                continue
-
-            if budget == 1:
-                # the children that cover every uncovered vertex are those of
-                # weight 2 * |unc|, which sort first, lowest vertex first;
-                # every other child fails at budget 0, so none is called, and
-                # explored counts what the children would have
-                for w in members[pick_opts]:
-                    if not unc & ~(nbr[w] | d2[w] & d2one):
-                        explored += 1
-                        return smask | 1 << w
-                explored += pick_opts.bit_count()
-                return None
-            # one weight pass: the ranked candidates feed the coverage bound
-            # and order the children, heaviest first; a ban that forced
-            # nothing left every other weight as it was
-            if ranked is None:
-                ranked = _ranked(rows, unc, d2one, free)
-            if _cannot_cover(rows, unc, ranked, budget):
-                return None
-            # the hub step: when the heaviest candidate h is no option of the
-            # picked vertex and outweighs both the median candidate and the
-            # picked vertex's heaviest option by half again, take h, and on
-            # failure ban it and propagate again in this frame
-            h = low - (ranked[0] & low)
-            hub = 2 * (ranked[0] >> shift)
-            if (
-                pick_opts >> h & 1
-                or hub < 3 * (ranked[len(ranked) // 2] >> shift)
-                or hub < 3 * (next(p for p in ranked if pick_opts >> (low - (p & low)) & 1) >> shift)
-            ):
+            if not forced:
                 break
-            dh = d2[h]
-            hit = rec(smask | 1 << h, banned, budget - 1, adjcov | nbr[h], d2one | dh, d2two | dh & d2one)
-            if hit is not None:
-                return hit
-            # the ban step counts as one node
-            banned |= 1 << h
-            explored += 1
-            del ranked[0]
+            budget -= forced.bit_count()
+            if budget < 0:
+                return None
+            smask |= forced
+            for w in members[forced]:
+                changed |= rows[w] & unc
+                adjcov |= nbr[w]
+                d2two |= d2[w] & d2one
+                d2one |= d2[w]
 
+        if budget == 1:
+            # the children that cover every uncovered vertex are those of
+            # weight 2 * |unc|, which sort first, lowest vertex first;
+            # every other child fails at budget 0, so none is called, and
+            # explored counts what the children would have
+            for w in members[pick_opts]:
+                if not unc & ~(nbr[w] | d2[w] & d2one):
+                    explored += 1
+                    return smask | 1 << w
+            explored += pick_opts.bit_count()
+            return None
+        # one weight pass: the ranked candidates feed the coverage bound and
+        # order the children, heaviest first
+        ranked = _ranked(rows, unc, d2one, free)
+        if _cannot_cover(rows, unc, ranked, budget):
+            return None
         tried = 0
         for p in ranked:
             w = low - (p & low)
@@ -396,7 +424,8 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
                 continue
             dw = d2[w]
             hit = rec(
-                smask | 1 << w, banned | tried, budget - 1, adjcov | nbr[w], d2one | dw, d2two | dw & d2one
+                smask | 1 << w, banned | tried, budget - 1,
+                adjcov | nbr[w], d2one | dw, d2two | dw & d2one, rows[w] & unc,
             )
             if hit is not None:
                 return hit
@@ -409,13 +438,17 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
     # vertex is uncovered and none has a distance-2 member yet
     weights = sorted([(r & (full | full << n)).bit_count() for r in rows], reverse=True)
     lower = next(k for k, reach in enumerate(accumulate(weights), 1) if reach >= 2 * n)
+    # descend from the greedy set: each hit sets the next budget one below
+    # its size, and the first refutation proves the last set kept optimal
     best = _greedy_cover(nbr, d2)
     try:
-        for k in range(lower, best.bit_count()):
-            hit = rec(0, 0, k, 0, 0, 0)
-            if hit is not None:
-                best = hit
+        k = best.bit_count() - 1
+        while k >= lower:
+            hit = rec(0, 0, k, 0, 0, 0, full)
+            if hit is None:
                 break
+            best = hit
+            k = hit.bit_count() - 1
     finally:
         # rec reaches itself through its closure; dropping it frees the
         # search's state on return rather than at the next cyclic collection

@@ -35,10 +35,12 @@ from conftest import count_calls
 DTD = DominationKind.DISJUNCTIVE_TOTAL_DOMINATION
 
 # sha256 of the constructor outputs pinned below, recorded when the exact
-# solver's witnesses moved to its weight-ordered search and greedy incumbent
-# (the route tags and set sizes did not move; the first pin came before the
-# constructor's decompositions and selection loops were merged)
-CONSTRUCTOR_DIGEST = "0005eccc2457057a78bf43f4cd5f0d5a30e1f1b6a149aa2438d67829cf47610d"
+# solver began to ban dominated candidates and to descend from its greedy
+# set: four decomposition records moved, each algorithm_a's selection where
+# it solves an 11-vertex fragment exactly (no route tag, witness or set size
+# moved; the first pin came before the constructor's decompositions and
+# selection loops were merged)
+CONSTRUCTOR_DIGEST = "701a612aab5a9a895a1c1f3e1f7467759786ac283a42d820c7b7808da2c0ce17"
 
 
 # -- decomposition -----------------------------------------------------------------

@@ -24,7 +24,7 @@ from dtdom import (
     is_total_dominating_set,
     support_exchange,
 )
-from dtdom.domination import _cannot_cover, _ranked, _uncovered, _weight_rows
+from dtdom.domination import _cannot_cover, _dominated, _ranked, _uncovered, _weight_rows
 from dtdom.enumeration import connected_graphs
 from dtdom.graph import distance2_bits
 from conftest import brute_force_minimum, random_connected_graph, random_graph, to_networkx
@@ -241,6 +241,48 @@ def test_coverage_bound_never_prunes_a_completion():
     assert pruned > 300 and charge_only > 100, (pruned, charge_only)
 
 
+def _least_completion(g, kind, s, free):
+    """The fewest vertices of ``free`` that make ``s`` a set of ``kind``, by
+    brute force, or None when even all of them do not."""
+    for size in range(len(free) + 1):
+        for extra in combinations(free, size):
+            if _PREDICATES[kind](g, s + list(extra)):
+                return size
+    return None
+
+
+def test_dominance_never_loses_a_completion():
+    # the swap lemma exact_number bans by, on random partial states: banning
+    # every candidate _dominated returns, tested against all free candidates,
+    # leaves the least completion within the free candidates as it was
+    rng = random.Random(20261021)
+    states = banning = 0
+    while states < 3000:
+        g = random_graph(rng.randint(2, 9), rng.choice((0.25, 0.4, 0.6)), rng)
+        kind = rng.choice((DOM, TDOM, DTD))
+        if kind is not DOM and not all(g.bits):
+            continue
+        smask = sum(1 << v for v in range(g.n) if rng.random() < 0.2)
+        banned = sum(1 << v for v in range(g.n) if rng.random() < 0.2) & ~smask
+        nbr, d2, unc, d2one = _partial_state(g, kind, smask)
+        if not unc:
+            continue
+        states += 1
+        avail = ((1 << g.n) - 1) & ~smask & ~banned
+        bans = _dominated(nbr, d2, unc, d2one, avail, avail)
+        assert bans & ~avail == 0
+        if not bans:
+            continue
+        banning += 1
+        s = [v for v in range(g.n) if smask >> v & 1]
+        free = [v for v in range(g.n) if avail >> v & 1]
+        kept = [v for v in free if not bans >> v & 1]
+        assert _least_completion(g, kind, s, free) == _least_completion(g, kind, s, kept), (
+            kind, sorted(g.edges()), s, free, kept
+        )
+    assert banning > 1500, banning
+
+
 def _cycle_plus_chords(n, chords, rng):
     edges = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
     while len(edges) < n + chords:
@@ -253,14 +295,16 @@ def _cycle_plus_chords(n, chords, rng):
 # sha256 over "kind value\n" for every kind and graph of the corpus below;
 # pins the values alone, which no change to the search may move
 VALUES_DIGEST = "4cd976c62896144c6c244fed7b16f3563fb2582fa6a90ecc09008de046e2baa8"
-# sha256 over "kind value witness\n" on the same corpus, recorded when a
-# node began to take or ban a hub before its fewest-options branch, which
-# moved 6 of the 1,158 witnesses; pins every witness, not only the values
-SOLVER_DIGEST = "a685e6fcfbd2206d3e85f14e082454c57894e43f8ee89322c46d0a0d8be11979"
-# sha256 over "kind explored\n" on the same corpus, recorded with the hub
-# step (totals DOM 2,011, TDOM 1,766, DTD 7,529; 2,001, 2,088 and 9,188
-# before it); pins the search tree, not only its result
-NODES_DIGEST = "cf77266eaf5f949f1630a3fb57355a4ca57e27851b47c4f21960f9d9b11da1dc"
+# sha256 over "kind value witness\n" on the same corpus, recorded when the
+# search began to ban dominated candidates and to descend from the greedy
+# set, which moved 34 of the 1,158 witnesses; pins every witness, not only
+# the values
+SOLVER_DIGEST = "284df95bf3c026fe5cb72c61f164ae51271b138bbd98b1548dd188d59045fc21"
+# sha256 over "kind explored\n" on the same corpus, recorded with the
+# dominance bans and the descent (totals DOM 1,557, TDOM 975, DTD 4,280;
+# 2,011, 1,766 and 7,529 with the hub step before them); pins the search
+# tree, not only its result
+NODES_DIGEST = "1bbf76b2afe3ebde8580a03cef80dbd396adc4a59104f940308af80e46183de3"
 
 
 @functools.lru_cache(maxsize=1)
@@ -313,13 +357,14 @@ def test_solver_witnesses_are_sets_of_the_value():
 
 
 def test_weight_ordering_keeps_the_chord_graphs_cheap():
-    # DTD on the corpus's 30 cycle-plus-chords graphs takes 3,361 nodes with
-    # the hub step, the heaviest option first and the per-vertex charge;
-    # without the hub step it took 4,955, without the charge 8,297, in
-    # ascending order with the same greedy incumbent 9,856, and before all
-    # of them 11,180
+    # DTD on the corpus's 30 cycle-plus-chords graphs takes 2,493 nodes with
+    # the dominance bans, the descent from the greedy set, the heaviest
+    # option first and the per-vertex charge; with the hub step of
+    # take-or-ban in their place it took 3,361, without that step 4,955,
+    # without the charge 8,297, in ascending order with the same greedy
+    # incumbent 9,856, and before all of them 11,180
     results = _pinned_corpus_results()
-    assert sum(results[3 * i + 2].explored for i in range(300, 330)) <= 3_700
+    assert sum(results[3 * i + 2].explored for i in range(300, 330)) <= 2_700
 
 
 def test_solver_outputs_are_pinned():
@@ -419,13 +464,14 @@ def test_formulas_match_solver_small():
 
 
 @pytest.mark.parametrize(
-    "name,formula,ceiling", [("P60", dtd_path_formula, 7_500), ("C45", dtd_cycle_formula, 1_000)], ids=("P60", "C45")
+    "name,formula,ceiling", [("P60", dtd_path_formula, 300), ("C45", dtd_cycle_formula, 300)], ids=("P60", "C45")
 )
 def test_wide_paths_and_cycles_solve_in_few_nodes(name, formula, ceiling):
-    # with the per-vertex charge and the hub step DTD settles P60 in 7,424
-    # nodes and C45 in 963 (the hub step moves P60 from 7,476 and leaves C45
-    # alone); the weight sum alone took 137,228 and 10,360 (C45 took 6,482
-    # in ascending order, and 112,436 under the unit-capacity bound)
+    # with the dominance bans and the descent from the greedy set DTD
+    # settles P60 in 132 nodes and C45 in 149; with the hub step in their
+    # place it took 7,424 and 963, and under the weight sum alone 137,228
+    # and 10,360 (C45 took 6,482 in ascending order, and 112,436 under the
+    # unit-capacity bound)
     g = generate_named(name)
     res = exact_number(g, DTD)
     assert res.value == formula(g.n) and is_dtd_set(g, res.witness)
