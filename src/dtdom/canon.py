@@ -25,7 +25,7 @@ def _refine(n: int, rows: Sequence[int], parts: List[int], queue) -> List[int]:
 
     ``queue`` holds the splitter masks still to be processed (None means all
     of ``parts``, the from-scratch case).  Cells split into count-ascending
-    groups; singleton and pair splitters take pure bitmask shortcuts.  Only
+    groups; a singleton splitter takes a pure bitmask shortcut.  Only
     non-singleton cells can split, so a splitter whose neighbours miss all of
     them is skipped, and a scan stops after the last one they reach.
 
@@ -55,10 +55,6 @@ def _refine(n: int, rows: Sequence[int], parts: List[int], queue) -> List[int]:
         left = reach & open_  # hit vertices in cells not yet scanned
         if not left:
             continue
-        if not single and w.bit_count() == 2:
-            a = w & -w
-            reach2 = rows[a.bit_length() - 1] & rows[(w ^ a).bit_length() - 1]
-            single = None  # pair shortcut marker
         i = 0
         while left:
             cell = parts[i]
@@ -67,12 +63,6 @@ def _refine(n: int, rows: Sequence[int], parts: List[int], queue) -> List[int]:
                 hit = cell & reach
                 if single:
                     repl = [cell ^ hit, hit] if cell ^ hit else None
-                elif single is None:
-                    two = cell & reach2
-                    one = hit ^ two
-                    repl = [g for g in (cell & ~reach, one, two) if g]
-                    if len(repl) < 2:
-                        repl = None
                 else:
                     buckets = {}
                     for v in members[cell]:

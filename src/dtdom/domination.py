@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from typing import FrozenSet, Iterable, Iterator, Optional
 
 from .graph import (
@@ -285,9 +284,8 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
 
     The ``_greedy_cover`` set is the first incumbent.  The search runs at
     budget k = |incumbent| - 1, keeps each set it finds and sets k one below
-    its size, and stops at the first refuted k or below the least k that the
-    root weights allow; the last set kept is then optimal.  So no level
-    below the optimum minus one is ever searched.
+    its size, and stops at the first refuted k; the last set kept is then
+    optimal.  So no level below the optimum minus one is ever searched.
 
     A node with at least three vertices left to add bans each free
     candidate w that one other free candidate x can replace
@@ -323,10 +321,9 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
 
     Nothing heuristic prunes a branch.  The cost grows exponentially with
     n: DTD on C45 takes 149 nodes, on P60 132, on H(6) 94, on H(8) 382 and
-    on G(20) 1 (963, 7,424, 772, 6,924 and 58 when a node took or banned a
-    hub vertex instead), and H(t) about doubles per step of t.  For the
-    total variants every vertex must have a neighbor (DomainError
-    otherwise); disconnected inputs are permitted and solved globally.
+    on G(20) 1, and H(t) about doubles per step of t.  For the total
+    variants every vertex must have a neighbor (DomainError otherwise);
+    disconnected inputs are permitted and solved globally.
     """
     n = g.n
     if kind is DominationKind.DOMINATION:
@@ -434,16 +431,12 @@ def exact_number(g: Graph, kind: DominationKind) -> SolveResult:
                 break
         return None
 
-    # the least k whose k largest root weights reach 2n; at the root every
-    # vertex is uncovered and none has a distance-2 member yet
-    weights = sorted([(r & (full | full << n)).bit_count() for r in rows], reverse=True)
-    lower = next(k for k, reach in enumerate(accumulate(weights), 1) if reach >= 2 * n)
     # descend from the greedy set: each hit sets the next budget one below
     # its size, and the first refutation proves the last set kept optimal
     best = _greedy_cover(nbr, d2)
     try:
         k = best.bit_count() - 1
-        while k >= lower:
+        while k > 0:
             hit = rec(0, 0, k, 0, 0, 0, full)
             if hit is None:
                 break

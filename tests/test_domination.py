@@ -300,11 +300,13 @@ VALUES_DIGEST = "4cd976c62896144c6c244fed7b16f3563fb2582fa6a90ecc09008de046e2baa
 # set, which moved 34 of the 1,158 witnesses; pins every witness, not only
 # the values
 SOLVER_DIGEST = "284df95bf3c026fe5cb72c61f164ae51271b138bbd98b1548dd188d59045fc21"
-# sha256 over "kind explored\n" on the same corpus, recorded with the
-# dominance bans and the descent (totals DOM 1,557, TDOM 975, DTD 4,280;
-# 2,011, 1,766 and 7,529 with the hub step before them); pins the search
-# tree, not only its result
-NODES_DIGEST = "1bbf76b2afe3ebde8580a03cef80dbd396adc4a59104f940308af80e46183de3"
+# sha256 over "kind explored\n" on the same corpus, recorded when the
+# descent lost its root lower bound and so runs its last refutation where
+# the optimum met that bound (totals DOM 2,128, TDOM 1,364, DTD 4,858;
+# 1,557, 975 and 4,280 with the bound; 674 of the 1,158 calls explore more
+# nodes, at most 5 more, and none fewer); pins the search tree, not only
+# its result
+NODES_DIGEST = "575c86a2ba957a6238a58a9f9b8127b17ec1178e0de7e4cff6fefe5bcfe5e74c"
 
 
 @functools.lru_cache(maxsize=1)

@@ -74,10 +74,39 @@ def test_parse_family_id(text, want):
     assert parse_family_id(text) == want
 
 
-@pytest.mark.parametrize("text", ["X(3)", "T()", "T(0)", "L(15)", "F(1)", "Q", "T(a)"])
+@pytest.mark.parametrize(
+    "text",
+    ["X(3)", "T()", "T(0)", "L(15)", "F(1)", "Q", "T(a)", "Corona(K3)", "Corona(K3,x)", "Corona(K3,0)"],
+)
 def test_parse_family_id_rejects(text):
     with pytest.raises(GraphInputError):
         parse_family_id(text)
+
+
+@pytest.mark.parametrize(
+    "kind,args,fragment",
+    [("Bogus", (), "unknown family"), ("Corona", (3, 2), "first argument is a family id")],
+)
+def test_family_id_rejects(kind, args, fragment):
+    with pytest.raises(GraphInputError, match=fragment):
+        FamilyId(kind, args)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: families.path(0),
+        lambda: families.cycle(2),
+        lambda: families.complete(0),
+        lambda: families.star(0),
+        lambda: families.double_star(0, 1),
+        lambda: corona(families.complete(3), 0),
+    ],
+    ids=["path(0)", "cycle(2)", "complete(0)", "star(0)", "double_star(0,1)", "corona(K3,0)"],
+)
+def test_family_constructors_reject_small_arguments(build):
+    with pytest.raises(GraphInputError):
+        build()
 
 
 def test_family_id_round_trip():

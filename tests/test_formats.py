@@ -58,6 +58,8 @@ def test_graph6_errors():
     with pytest.raises(GraphInputError, match="invalid graph6 byte 62"):
         from_graph6("~>??")
     assert from_graph6("~???").n == 0
+    with pytest.raises(GraphInputError, match="truncated graph6 order prefix"):
+        from_graph6("~~")
 
 
 def test_edgelist_round_trip(rng):
@@ -88,6 +90,8 @@ def test_edgelist_comments_and_blanks():
         ("2 1\n0 0\n", "line 2"),
         ("2 2\n0 1\n", "found 1"),
         ("2 x\n0 1\n", "line 1"),
+        ("2 1\n0 1 1\n", "line 2: expected edge"),
+        ("2 1\n0 x\n", "line 2: expected integer edge"),
     ],
 )
 def test_edgelist_errors_name_the_line(text, fragment):
@@ -125,3 +129,14 @@ def test_dump_load_round_trip(tmp_path, rng):
         p = tmp_path / f"g.{fmt}"
         p.write_text(dump_graph(g, fmt))
         assert load_graph(str(p), fmt) == g
+
+
+def test_load_and_dump_reject_bad_input(tmp_path):
+    blank = tmp_path / "blank.g6"
+    blank.write_text("\n  \n\n")
+    with pytest.raises(GraphInputError, match="blank.g6: no graph6 line found"):
+        load_graph(str(blank), "graph6")
+    with pytest.raises(GraphInputError, match="unknown format: adjlist"):
+        load_graph(str(blank), "adjlist")
+    with pytest.raises(GraphInputError, match="unknown format: adjlist"):
+        dump_graph(Graph(2, [(0, 1)]), "adjlist")

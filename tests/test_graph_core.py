@@ -63,6 +63,11 @@ def test_bad_edges_rejected(edges):
         Graph(3, edges)
 
 
+def test_negative_order_rejected():
+    with pytest.raises(GraphInputError, match="vertex count must be >= 0"):
+        Graph(-1)
+
+
 def test_connectivity_examples():
     assert is_connected(generate_named("C5"))
     assert not is_connected(Graph(4, [(0, 1), (2, 3)]))

@@ -381,6 +381,8 @@ def test_emit_report_formats():
     assert payload["violations"] == ["bound:Bw dtd=9"]
     text = emit_report(r, "text")
     assert "violation: bound:Bw dtd=9" in text
+    with pytest.raises(GraphInputError, match="unknown report format: xml"):
+        emit_report(r, "xml")
 
 
 def test_emit_report_deterministic(census_report):
